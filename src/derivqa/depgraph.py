@@ -13,6 +13,7 @@ import json
 import logging
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 from .lexica import ADJ, ADV, CONTENT_POS, NOUN, VERB, normalize
@@ -119,6 +120,61 @@ class DependencyGraph:
 
     def significant_tokens(self) -> list:
         return [t for t in self.tokens if t.pos in CONTENT_POS]
+
+
+class DependencyBank(tuple):
+    """The graphs of a bank in bank order: a read-only sequence.
+
+    `load_depbank` and `pipeline.build_bank` return one. Like `tuple()`,
+    `DependencyBank(bank)` gives back `bank` itself when it already is one,
+    so its index is kept.
+
+    `postings` is an inverted index over the graphs' known-label
+    dependencies, built on first use: (label, prep, word of arg 0, word of
+    arg 1) -> ascending bank positions, where a word is the argument
+    token's lemma or one of its alternates. A graph changed after the index
+    is built is not seen by it.
+    """
+
+    def __new__(cls, graphs=()):
+        if type(graphs) is cls:
+            return graphs
+        return super().__new__(cls, graphs)
+
+    @cached_property
+    def postings(self) -> dict:
+        return _dependency_postings(self)
+
+    def sharing(self, qgraph: DependencyGraph) -> list:
+        """Ascending positions of the graphs holding a dependency that one of
+        `qgraph`'s dependencies matches.
+
+        Lossless for `qaengine.dep_match`: a question dependency matches a
+        sentence dependency exactly when its (label, prep, lemma of arg 0,
+        lemma of arg 1) is one of the sentence dependency's keys.
+        """
+        postings = self.postings
+        hits = set()
+        for dep in qgraph.deps:
+            key = (dep.label, dep.prep, *(qgraph.tokens[i].lemma for i in dep.args))
+            hits.update(postings.get(key, ()))
+        return sorted(hits)
+
+
+def _dependency_postings(graphs) -> dict:
+    postings = {}
+    for position, graph in enumerate(graphs):
+        tokens = graph.tokens
+        for dep in graph.deps:
+            if dep.label not in KNOWN_LABELS:
+                continue
+            head, dependent = tokens[dep.args[0]], tokens[dep.args[1]]
+            for x in (head.lemma, *head.alternates):
+                for y in (dependent.lemma, *dependent.alternates):
+                    bucket = postings.setdefault((dep.label, dep.prep, x, y), [])
+                    if not bucket or bucket[-1] != position:
+                        bucket.append(position)
+    return postings
 
 
 def copy_graph(graph: DependencyGraph) -> DependencyGraph:
@@ -498,7 +554,7 @@ def save_depbank(graphs, path):
     Path(path).write_text("".join(line + "\n" for line in lines), encoding="utf-8")
 
 
-def load_depbank(path) -> list:
+def load_depbank(path) -> DependencyBank:
     graphs = []
     text = Path(path).read_text(encoding="utf-8")
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -509,7 +565,7 @@ def load_depbank(path) -> list:
         except json.JSONDecodeError as exc:
             raise DepbankError(f"{path}:{lineno}: not valid JSON: {exc}")
         graphs.append(_graph_from_record(record, f"{path}:{lineno}"))
-    return graphs
+    return DependencyBank(graphs)
 
 
 def _graph_from_record(record, where: str) -> DependencyGraph:
@@ -521,22 +577,33 @@ def _graph_from_record(record, where: str) -> DependencyGraph:
     except (KeyError, TypeError) as exc:
         raise DepbankError(f"{where}: missing field {exc}")
     rid = f"{where} (id={sentence_id!r})"
+    if not isinstance(sentence_id, str) or not isinstance(text, str):
+        raise DepbankError(f"{rid}: id and text must be strings")
+    if not isinstance(raw_tokens, list) or not isinstance(raw_deps, list):
+        raise DepbankError(f"{rid}: tokens and deps must be lists")
     tokens = []
     for pos_expected, raw in enumerate(raw_tokens):
         try:
             if raw["i"] != pos_expected:
                 raise DepbankError(f"{rid}: token indices must be contiguous from 0")
-            tokens.append(TokenNode(
-                index=raw["i"],
-                surface=raw["surface"],
-                lemma=raw["lemma"],
-                pos=raw["pos"],
-                features=dict(raw.get("features") or {}),
-                sense_id=raw.get("sense"),
-                alternates=set(raw.get("alternates") or ()),
-            ))
+            surface, lemma, pos = raw["surface"], raw["lemma"], raw["pos"]
+            features = raw.get("features") or {}
+            sense = raw.get("sense")
+            alternates = raw.get("alternates") or []
         except (KeyError, TypeError) as exc:
             raise DepbankError(f"{rid}: bad token record: {exc}")
+        if not (isinstance(surface, str) and isinstance(lemma, str) and isinstance(pos, str)):
+            raise DepbankError(f"{rid}: token {pos_expected}: surface, lemma and pos "
+                               "must be strings")
+        if not isinstance(features, dict):
+            raise DepbankError(f"{rid}: token {pos_expected}: features must be an object")
+        if sense is not None and (not isinstance(sense, int) or isinstance(sense, bool)):
+            raise DepbankError(f"{rid}: token {pos_expected}: sense must be an integer or null")
+        if not isinstance(alternates, list) or not all(isinstance(a, str) for a in alternates):
+            raise DepbankError(f"{rid}: token {pos_expected}: alternates must be a list "
+                               "of strings")
+        tokens.append(TokenNode(pos_expected, surface, lemma, pos, dict(features),
+                                sense, set(alternates)))
     graph = DependencyGraph(sentence_id, text, tokens)
     for raw in raw_deps:
         try:
@@ -548,6 +615,8 @@ def _graph_from_record(record, where: str) -> DependencyGraph:
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise DepbankError(f"{rid}: bad dependency record: {exc}")
+        if not isinstance(dep.label, str) or not (dep.prep is None or isinstance(dep.prep, str)):
+            raise DepbankError(f"{rid}: dependency label and prep must be strings")
         if any(not isinstance(i, int) or not 0 <= i < len(tokens) for i in dep.args):
             raise DepbankError(f"{rid}: dependency args out of range: {dep.args}")
         if dep not in graph.deps:

@@ -85,16 +85,18 @@ def load_config(path) -> PipelineConfig:
     config = PipelineConfig()
     base = path.parent
     for key, value in raw.items():
-        if key in _PATH_FIELDS:
-            if value is not None:
-                value = (base / value).resolve()
+        if key in _PATH_FIELDS and value is not None:
+            if not isinstance(value, str):
+                raise ConfigError(f"{path}: {key} must be a path string")
+            value = (base / value).resolve()
         setattr(config, key, value)
     for name in ("symmetrize", "require_full_match"):
         if not isinstance(getattr(config, name), bool):
             raise ConfigError(f"{path}: {name} must be a boolean")
     for name in ("suffix_threshold", "min_stem_len", "max_stems_per_lemma",
                  "min_syllables", "seed", "k"):
-        if not isinstance(getattr(config, name), int):
+        value = getattr(config, name)
+        if not isinstance(value, int) or isinstance(value, bool):
             raise ConfigError(f"{path}: {name} must be an integer")
     config.validate()
     return config
@@ -216,7 +218,7 @@ def enrich_for_mode(graph, res: Resources, mode: str):
 
 
 def build_bank(res: Resources, mode: str, sentences=None,
-               wsd_stats: wsd.WsdStats = None) -> list:
+               wsd_stats: wsd.WsdStats = None) -> depgraph.DependencyBank:
     """Parse, disambiguate, and enrich the corpus sentences for one mode.
 
     Unparsable sentences are skipped with a log line and recorded on the
@@ -237,7 +239,7 @@ def build_bank(res: Resources, mode: str, sentences=None,
             continue
         wsd.disambiguate(graph, res.compilation, res.dictionary, stats=wsd_stats)
         bank.append(enrich_for_mode(graph, res, mode))
-    return bank
+    return depgraph.DependencyBank(bank)
 
 
 def parse_questions(res: Resources, rows) -> list:

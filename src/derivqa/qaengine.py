@@ -14,6 +14,7 @@ from fractions import Fraction
 
 from .depgraph import (
     KNOWN_LABELS,
+    DependencyBank,
     DependencyGraph,
     ToyParseError,
 )
@@ -74,6 +75,8 @@ def dep_match(qgraph: DependencyGraph, qdep, tgraph: DependencyGraph, tdep) -> b
     Labels must be equal and known; prepositions must agree literally;
     each question argument must equal the sentence argument's lemma or
     appear among its alternates. Provenance plays no role.
+    `DependencyBank.sharing` finds candidates by these same rules, so a
+    change here must be made there too.
     """
     if qdep.label != tdep.label or qdep.label not in KNOWN_LABELS:
         return False
@@ -121,18 +124,21 @@ def answer(question: QuestionStructure, bank, k: int = 5,
 
     Coverage is the matched fraction of the question's dependencies.
     Sentences with zero coverage are not candidates. Ties keep bank order.
+    Only the graphs the bank's dependency index finds sharing a dependency
+    with the question are matched; any other sequence of graphs is wrapped
+    in a `DependencyBank` first.
     """
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
     total = len(question.deps)
     if total == 0:
         return []
+    bank = DependencyBank(bank)
     scored = []
-    for position, graph in enumerate(bank):
+    for position in bank.sharing(question.graph):
+        graph = bank[position]
         pairs = _max_matching(question.graph, graph)
         coverage = Fraction(len(pairs), total)
-        if coverage == 0:
-            continue
         if require_full_match and coverage != 1:
             continue
         scored.append((-coverage, position,
@@ -219,6 +225,7 @@ def evaluate(questions, bank, mode: str, k: int = 5,
     function only switches between the bag engine (`baseline`) and the
     structural engine. Gold ids must name sentences present in the bank.
     """
+    bank = DependencyBank(bank)
     known_ids = {g.sentence_id for g in bank}
     report = EvalReport(mode=mode)
     total = Fraction(0)

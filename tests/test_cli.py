@@ -140,6 +140,24 @@ class TestExitCodes:
         assert code == EXIT_CONFIG
         assert "k must be in [1, 5]" in err
 
+    @pytest.mark.parametrize("field, value", [
+        ("sentences", 5),
+        ("questions", [1]),
+        ("k", True),
+    ])
+    def test_bad_field_type(self, capsys, tmp_path, field, value):
+        import json
+        raw = json.loads((FIXTURES / "benchmark" / "config.json").read_text(encoding="utf-8"))
+        for name, path in raw.items():
+            if isinstance(path, str) and path.endswith(".tsv"):
+                raw[name] = str(FIXTURES / "benchmark" / path)
+        raw[field] = value
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(raw), encoding="utf-8")
+        code, out, err = run(capsys, "--config", str(config), "stats")
+        assert code == EXIT_CONFIG
+        assert "config error" in err and f"{field} must be" in err
+
     def test_broken_resource_file(self, capsys, tmp_path):
         import json
         from conftest import FIXTURES as FX

@@ -15,6 +15,7 @@ from derivqa.depgraph import (
     SYNONYM,
     DepbankError,
     Dependency,
+    DependencyBank,
     DependencyGraph,
     TokenNode,
     ToyParseError,
@@ -259,3 +260,84 @@ class TestBankSerialization:
             '"provenance":"GUESS"}]}\n', encoding="utf-8")
         with pytest.raises(DepbankError, match="bad dependency"):
             load_depbank(path)
+
+    def test_banks_are_read_only_sequences(self, tmp_path, benchmark_resources):
+        from collections.abc import Sequence
+
+        from derivqa.pipeline import build_bank
+
+        built = build_bank(benchmark_resources, "deriv", sentences=[
+            ("s1", "l'ouvrier a coupé le courant ."),
+            ("s2", "le domestique lave le linge ."),
+        ])
+        path = tmp_path / "bank.jsonl"
+        save_depbank(built, path)
+        loaded = load_depbank(path)
+        for bank in (built, loaded):
+            assert isinstance(bank, DependencyBank) and isinstance(bank, Sequence)
+            first, second = bank
+            assert [g.sentence_id for g in bank] == ["s1", "s2"]
+            assert len(bank) == 2 and bank[0] is first and bank[-1] is second
+            with pytest.raises(TypeError):
+                bank[0] = second
+            assert not hasattr(bank, "append")
+        for original, reread in zip(built, loaded):
+            assert graph_equal(original, reread)
+        save_depbank(loaded, tmp_path / "again.jsonl")
+        assert (tmp_path / "again.jsonl").read_bytes() == path.read_bytes()
+
+
+GOOD_TOKEN = {"i": 0, "surface": "chef", "lemma": "chef", "pos": "NOUN",
+              "features": {}, "sense": None, "alternates": []}
+
+
+def write_record(path, **fields):
+    import json
+
+    record = {"id": "s1", "text": "x", "tokens": [GOOD_TOKEN], "deps": []}
+    record.update(fields)
+    path.write_text(json.dumps(record) + "\n", encoding="utf-8")
+
+
+class TestBankFieldTypes:
+    def test_good_record_loads(self, tmp_path):
+        write_record(tmp_path / "bank.jsonl", tokens=[dict(GOOD_TOKEN, sense=2,
+                                                           alternates=["patron"])])
+        (graph,) = load_depbank(tmp_path / "bank.jsonl")
+        assert graph.tokens[0].sense_id == 2
+        assert graph.tokens[0].alternates == {"patron"}
+
+    @pytest.mark.parametrize("field, value", [
+        ("alternates", "chef"),
+        ("alternates", [1]),
+        ("surface", 5),
+        ("lemma", None),
+        ("pos", ["NOUN"]),
+        ("features", ["proper"]),
+        ("sense", "two"),
+        ("sense", True),
+    ])
+    def test_rejects_bad_token_field(self, tmp_path, field, value):
+        write_record(tmp_path / "bank.jsonl", tokens=[dict(GOOD_TOKEN, **{field: value})])
+        with pytest.raises(DepbankError, match=rf"{field}\b[^:]*must be"):
+            load_depbank(tmp_path / "bank.jsonl")
+
+    @pytest.mark.parametrize("field, value", [
+        ("id", 5),
+        ("text", None),
+        ("tokens", 5),
+        ("deps", {"label": "SUBJECT"}),
+    ])
+    def test_rejects_bad_record_field(self, tmp_path, field, value):
+        write_record(tmp_path / "bank.jsonl", **{field: value})
+        with pytest.raises(DepbankError, match=rf"{field}\b[^:]*must be"):
+            load_depbank(tmp_path / "bank.jsonl")
+
+    @pytest.mark.parametrize("dep", [
+        {"label": 5, "args": [0, 0]},
+        {"label": "PREPPH", "args": [0, 0], "prep": ["de"]},
+    ])
+    def test_rejects_bad_dependency_field(self, tmp_path, dep):
+        write_record(tmp_path / "bank.jsonl", deps=[dep])
+        with pytest.raises(DepbankError, match="label and prep"):
+            load_depbank(tmp_path / "bank.jsonl")

@@ -10,6 +10,7 @@ import oracles
 from derivqa.depgraph import (
     ATTRIBUTE,
     BASE,
+    DERIVATIONAL,
     DIROBJ,
     MODIFIER,
     PREPPH,
@@ -43,25 +44,32 @@ PREPS = st.sampled_from(["de", "par"])
 
 
 @st.composite
-def graphs(draw, max_tokens=8, max_deps=6, with_alternates=False):
+def graphs(draw, max_tokens=8, max_deps=6, with_alternates=False, mixed=False,
+           lemmas=LEMMAS, min_deps=0):
+    """Random graphs; `mixed` also draws DERIVATIONAL dependencies and
+    dependencies with an unknown label."""
     n = draw(st.integers(min_value=1, max_value=max_tokens))
     tokens = []
     for i in range(n):
-        lemma = draw(LEMMAS)
+        lemma = draw(lemmas)
         alternates = set()
         if with_alternates:
-            alternates = set(draw(st.lists(LEMMAS, max_size=2)))
+            alternates = set(draw(st.lists(lemmas, max_size=2)))
             alternates.discard(lemma)
         tokens.append(TokenNode(i, lemma, lemma, draw(POSES),
                                 alternates=alternates))
     graph = DependencyGraph(draw(st.uuids()).hex[:6], "text", tokens)
-    for _ in range(draw(st.integers(min_value=0, max_value=max_deps))):
+    for _ in range(draw(st.integers(min_value=min_deps, max_value=max_deps))):
         head = draw(st.integers(min_value=0, max_value=n - 1))
         dependent = draw(st.integers(min_value=0, max_value=n - 1))
-        if draw(st.booleans()):
-            dep = Dependency(PREPPH, (head, dependent), prep=draw(PREPS))
+        provenance = draw(st.sampled_from([BASE, DERIVATIONAL])) if mixed else BASE
+        if mixed and draw(st.integers(min_value=0, max_value=4)) == 0:
+            dep = Dependency("FOREIGN", (head, dependent), provenance=provenance)
+        elif draw(st.booleans()):
+            dep = Dependency(PREPPH, (head, dependent), prep=draw(PREPS),
+                             provenance=provenance)
         else:
-            dep = Dependency(draw(LABELS2), (head, dependent))
+            dep = Dependency(draw(LABELS2), (head, dependent), provenance=provenance)
         if dep not in graph.deps:
             graph.deps.append(dep)
     return graph
@@ -166,6 +174,33 @@ def test_answer_coverage_matches_exhaustive_pairing(qgraph, tgraph):
     else:
         assert len(candidates) == 1
         assert candidates[0].coverage == expected
+
+
+# few lemmas, so that most banks hold several matching graphs
+FEW_LEMMAS = st.sampled_from(["couper", "courant", "ouvrier"])
+
+
+@settings(max_examples=150)
+@given(graphs(max_tokens=4, max_deps=3, mixed=True, lemmas=FEW_LEMMAS, min_deps=1),
+       st.lists(graphs(max_tokens=5, max_deps=4, with_alternates=True, mixed=True,
+                       lemmas=FEW_LEMMAS, min_deps=1),
+                min_size=1, max_size=10),
+       st.booleans())
+def test_answer_ranking_matches_exhaustive_scan(qgraph, bank, full):
+    for position, graph in enumerate(bank):
+        graph.sentence_id = f"s{position}"
+    question = QuestionStructure("q", "text", qgraph)
+    got = answer(question, bank, k=len(bank), require_full_match=full)
+    scored = []
+    for position, graph in enumerate(bank):
+        if not qgraph.deps:
+            break
+        best = oracles.max_coverage_pairs(qgraph, graph, dep_match)
+        coverage = Fraction(best, len(qgraph.deps))
+        if coverage and (coverage == 1 or not full):
+            scored.append((-coverage, position))
+    assert [(c.sentence_id, c.coverage) for c in got] == [
+        (f"s{position}", -neg) for neg, position in sorted(scored)]
 
 
 # --- enrichment additivity ---------------------------------------------------

@@ -3,10 +3,12 @@ from fractions import Fraction
 import pytest
 
 import oracles
+from derivqa import depgraph
 from derivqa.depgraph import (
     DERIVATIONAL,
     SUBJECT,
     Dependency,
+    DependencyBank,
     toy_parse,
 )
 from derivqa.lexica import LexiconError, NOUN, VERB
@@ -139,6 +141,24 @@ class TestStructuralAnswer:
         q2 = parse_question("q2", "l'ouvrier surveilla quel courant ?", res.lexicon)
         candidates = answer(q2, bank)
         assert [c.sentence_id for c in candidates] == ["a"]
+
+    def test_one_bank_builds_its_index_once(self, res, small_bank, monkeypatch):
+        builds = []
+        build = depgraph._dependency_postings
+        monkeypatch.setattr(depgraph, "_dependency_postings",
+                            lambda graphs: builds.append(len(graphs)) or build(graphs))
+        q = parse_question("q", "l'ouvrier coupa quel courant ?", res.lexicon)
+        bank = DependencyBank(small_bank)
+        assert builds == []
+        first = answer(q, bank)
+        for _ in range(3):
+            assert answer(q, bank) == first
+        evaluate([(q, frozenset({"s1"}))] * 3, bank, mode="deriv")
+        assert DependencyBank(bank) is bank
+        assert builds == [4]
+        # a plain list is wrapped once per call, so evaluate builds once
+        evaluate([(q, frozenset({"s1"}))] * 3, small_bank, mode="deriv")
+        assert builds == [4, 4]
 
     def test_unanalyzable_question(self, res):
         with pytest.raises(QuestionError, match="unanalyzable"):
