@@ -35,7 +35,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="only report full-coverage candidates")
     parser.add_argument("--symmetrize", action="store_true", default=None,
                         help="add verb back-instructions to derived entries")
-    parser.add_argument("--seed", type=int, help="seed for sampled audits")
     parser.add_argument("--verbose", action="store_true", help="log at INFO level")
 
     sub = parser.add_subparsers(dest="command", required=True)
@@ -65,7 +64,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_overrides(config: pipeline.PipelineConfig, args) -> pipeline.PipelineConfig:
-    for name in ("mode", "k", "seed"):
+    for name in ("mode", "k"):
         value = getattr(args, name)
         if value is not None:
             setattr(config, name, value)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
 
-from .lexica import ADJ, ADV, CONTENT_POS, NOUN, VERB, normalize
+from .lexica import ADJ, ADV, NOUN, VERB, normalize
 
 log = logging.getLogger(__name__)
 
@@ -105,21 +105,12 @@ class DependencyGraph:
     tokens: list
     deps: list = field(default_factory=list)
 
-    def lemma(self, index: int) -> str:
-        return self.tokens[index].lemma
-
-    def has_dep(self, dep: Dependency) -> bool:
-        return dep in self.deps
-
     def add_dep(self, dep: Dependency):
         for i in dep.args:
             if not 0 <= i < len(self.tokens):
                 raise ValueError(f"dependency arg {i} out of range")
         if dep not in self.deps:
             self.deps.append(dep)
-
-    def significant_tokens(self) -> list:
-        return [t for t in self.tokens if t.pos in CONTENT_POS]
 
 
 class DependencyBank(tuple):
@@ -584,8 +575,9 @@ def _graph_from_record(record, where: str) -> DependencyGraph:
     tokens = []
     for pos_expected, raw in enumerate(raw_tokens):
         try:
-            if raw["i"] != pos_expected:
-                raise DepbankError(f"{rid}: token indices must be contiguous from 0")
+            index = raw["i"]
+            if type(index) is not int or index != pos_expected:
+                raise DepbankError(f"{rid}: token indices must be contiguous integers from 0")
             surface, lemma, pos = raw["surface"], raw["lemma"], raw["pos"]
             features = raw.get("features") or {}
             sense = raw.get("sense")
@@ -617,8 +609,9 @@ def _graph_from_record(record, where: str) -> DependencyGraph:
             raise DepbankError(f"{rid}: bad dependency record: {exc}")
         if not isinstance(dep.label, str) or not (dep.prep is None or isinstance(dep.prep, str)):
             raise DepbankError(f"{rid}: dependency label and prep must be strings")
-        if any(not isinstance(i, int) or not 0 <= i < len(tokens) for i in dep.args):
-            raise DepbankError(f"{rid}: dependency args out of range: {dep.args}")
+        if any(type(i) is not int or not 0 <= i < len(tokens) for i in dep.args):
+            raise DepbankError(f"{rid}: dependency args not integers or out of range: "
+                               f"{dep.args}")
         if dep not in graph.deps:
             graph.deps.append(dep)
     return graph

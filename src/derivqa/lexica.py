@@ -173,20 +173,6 @@ def save_dictionary(records, path):
     _write_lines(path, lines)
 
 
-def merge_dictionaries(*record_lists) -> list[SenseRecord]:
-    """Concatenate per-pos dictionary files, rejecting duplicate senses."""
-    merged = []
-    seen = set()
-    for records in record_lists:
-        for r in records:
-            key = (r.lemma, r.sense_id)
-            if key in seen:
-                raise ValueError(f"duplicate sense across files: {r.lemma}/{r.sense_id}")
-            seen.add(key)
-            merged.append(r)
-    return merged
-
-
 def senses_by_lemma(records) -> dict[str, list[SenseRecord]]:
     index: dict[str, list[SenseRecord]] = {}
     for r in records:
@@ -282,10 +268,6 @@ def load_inflections(path) -> list[InflectionEntry]:
     return entries
 
 
-def save_inflections(entries, path):
-    _write_lines(path, ["\t".join([e.surface_form, e.lemma, e.morph_tags]) for e in entries])
-
-
 class CorpusLexicon:
     """Attested wordlist with frequencies; membership is case-insensitive."""
 
@@ -317,10 +299,6 @@ def load_corpus_lexicon(path) -> CorpusLexicon:
         key = normalize(form)
         counts[key] = counts.get(key, 0) + n
     return CorpusLexicon(counts)
-
-
-def save_corpus_lexicon(lex: CorpusLexicon, path):
-    _write_lines(path, [f"{form}\t{count}" for form, count in sorted(lex.counts.items())])
 
 
 class SynonymTable:
@@ -377,13 +355,6 @@ def load_synonyms(path, pos_of=None) -> SynonymTable:
                         f"pos mismatch: {lemma} is {head_pos}, {syn} is {syn_pos}")
         entries.setdefault((lemma, key_sense), set()).update(synonyms)
     return SynonymTable(entries)
-
-
-def save_synonyms(table: SynonymTable, path):
-    lines = []
-    for (lemma, sense), syns in sorted(table.entries.items(), key=lambda kv: (kv[0][0], str(kv[0][1]))):
-        lines.append(f"{lemma}\t{sense}\t{';'.join(sorted(syns))}")
-    _write_lines(path, lines)
 
 
 def _split_multi(cell: str) -> tuple[str, ...]:

@@ -44,7 +44,6 @@ class PipelineConfig:
     max_stems_per_lemma: int = 2
     min_syllables: int = 3
     symmetrize: bool = False
-    seed: int = 17
     k: int = 5
     mode: str = "deriv"
     require_full_match: bool = False
@@ -94,7 +93,7 @@ def load_config(path) -> PipelineConfig:
         if not isinstance(getattr(config, name), bool):
             raise ConfigError(f"{path}: {name} must be a boolean")
     for name in ("suffix_threshold", "min_stem_len", "max_stems_per_lemma",
-                 "min_syllables", "seed", "k"):
+                 "min_syllables", "k"):
         value = getattr(config, name)
         if not isinstance(value, int) or isinstance(value, bool):
             raise ConfigError(f"{path}: {name} must be an integer")
@@ -200,20 +199,16 @@ def enrich_for_mode(graph, res: Resources, mode: str):
     baseline: untouched (the bag engine ignores structure anyway).
     base:     synonym alternates only.
     deriv:    synonyms, then patterns pivoting on original lemmas only.
-    all:      union of both enrichment orders, composition enabled.
+    all:      as deriv, with patterns also pivoting on synonym alternates
+              and synonyms attached to derivatives of original lemmas.
     """
     if mode == "baseline":
         return graph
     if mode == "base":
-        return rephrase.enrich_all(graph, res.resource, res.patterns,
-                                   res.synonyms, rephrase.SYN_ONLY, res.dictionary)
-    if mode == "deriv":
-        out = rephrase.enrich_synonyms(graph, res.synonyms)
-        return rephrase.apply_patterns(out, res.patterns, res.resource,
-                                       res.dictionary, use_alternates=False)
-    if mode == "all":
-        return rephrase.enrich_all(graph, res.resource, res.patterns,
-                                   res.synonyms, rephrase.BOTH, res.dictionary)
+        return rephrase.enrich_synonyms(graph, res.synonyms)
+    if mode in ("deriv", "all"):
+        return rephrase.enrich(graph, res.synonyms, res.patterns, res.resource,
+                               res.dictionary, compose=mode == "all")
     raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
 
 

@@ -42,13 +42,6 @@ from .wsd import select_derivatives
 
 log = logging.getLogger(__name__)
 
-SYN_ONLY = "SYN_ONLY"
-DERIV_ONLY = "DERIV_ONLY"
-SYN_THEN_DERIV = "SYN_THEN_DERIV"
-DERIV_THEN_SYN = "DERIV_THEN_SYN"
-BOTH = "BOTH"
-ENRICHMENT_ORDERS = (SYN_ONLY, DERIV_ONLY, SYN_THEN_DERIV, DERIV_THEN_SYN, BOTH)
-
 PIVOT_VAR = "P"
 DERIV_VAR = "D"
 
@@ -303,109 +296,57 @@ def match_pattern(graph: DependencyGraph, pattern: DerivationPattern, pivot: int
     return matches
 
 
-def apply_pattern(graph: DependencyGraph, match: PatternMatch) -> DependencyGraph:
-    """Instantiate a match: add the derivative token and its dependencies.
+def apply_pattern(graph: DependencyGraph, match: PatternMatch) -> TokenNode:
+    """Instantiate a match in `graph`: add the derivative token and its
+    dependencies, and return the derivative token.
 
-    Returns a new graph; the input is untouched. Applying the same match
-    again finds the existing derivative token and adds nothing, so the
-    operation is idempotent per (pattern, binding, derivative).
+    Applying the same match again finds the existing derivative token and
+    adds nothing, so the operation is idempotent per (pattern, binding,
+    derivative).
     """
-    out = copy_graph(graph)
     record = match.derivative
-    deriv_index = None
-    for token in out.tokens:
-        if (token.features.get("deriv_pattern") == match.pattern_id
-                and token.lemma == record.surface):
-            deriv_index = token.index
-            break
-    if deriv_index is None:
-        deriv_index = len(out.tokens)
-        out.tokens.append(TokenNode(
-            index=deriv_index,
+    token = next((t for t in graph.tokens
+                  if t.features.get("deriv_pattern") == match.pattern_id
+                  and t.lemma == record.surface), None)
+    if token is None:
+        token = TokenNode(
+            index=len(graph.tokens),
             surface=record.surface,
             lemma=record.surface,
             pos=record.target_pos,
             features={"deriv_pattern": match.pattern_id,
                       "deriv_source": record.source_lemma},
-        ))
+        )
+        graph.tokens.append(token)
     binding = dict(match.bindings)
-    binding[DERIV_VAR] = deriv_index
+    binding[DERIV_VAR] = token.index
     for template in match.pattern.outputs:
         args = tuple(binding[var] for var in template.args)
-        out.add_dep(Dependency(template.label, args, prep=template.prep,
-                               provenance=DERIVATIONAL))
-    return out
+        graph.add_dep(Dependency(template.label, args, prep=template.prep,
+                                 provenance=DERIVATIONAL))
+    return token
 
 
-def apply_patterns(graph: DependencyGraph, patterns, resource, dictionary=None,
-                   use_alternates: bool = False) -> DependencyGraph:
-    """Apply every match of every pattern, in deterministic order."""
-    out = graph
+def enrich(graph: DependencyGraph, synonyms, patterns, resource, dictionary=None,
+           compose: bool = False) -> DependencyGraph:
+    """Synonym alternates, then every pattern match, in one new graph.
+
+    Every pattern is tried at every token of `graph`, on the token's own
+    lemma; matches are applied in deterministic order. Under `compose`
+    patterns also pivot on the token's synonym alternates, and a derivative
+    of the pivot's own lemma gets its own synonyms as alternates. A
+    derivative reached only through an alternate gets none.
+    """
+    out = enrich_synonyms(graph, synonyms)
     for pattern in patterns:
         for pivot in range(len(graph.tokens)):
-            matches = match_pattern(out, pattern, pivot, resource,
-                                    dictionary, use_alternates)
+            lemma = out.tokens[pivot].lemma
+            matches = match_pattern(out, pattern, pivot, resource, dictionary,
+                                    use_alternates=compose)
             matches.sort(key=lambda m: (m.derivative.surface,
                                         tuple(sorted(m.bindings.items()))))
             for match in matches:
-                out = apply_pattern(out, match)
+                token = apply_pattern(out, match)
+                if compose and match.derivative.source_lemma == lemma:
+                    token.alternates |= synonyms.lookup(token.lemma, None) - {token.lemma}
     return out
-
-
-def _merge_graphs(a: DependencyGraph, b: DependencyGraph) -> DependencyGraph:
-    """Union of two enrichments of the same base graph.
-
-    Base tokens are merged index-wise (alternates unioned); derivative
-    tokens are identified by (source pattern, lemma). Dependencies from
-    `b` are remapped and unioned in.
-    """
-    out = copy_graph(a)
-    remap = {}
-    for token in b.tokens:
-        if not token.features.get("deriv_pattern"):
-            remap[token.index] = token.index
-            out.tokens[token.index].alternates |= token.alternates
-            continue
-        key = (token.features["deriv_pattern"], token.lemma)
-        existing = next(
-            (t for t in out.tokens
-             if t.features.get("deriv_pattern") == key[0] and t.lemma == key[1]),
-            None)
-        if existing is None:
-            new_index = len(out.tokens)
-            out.tokens.append(TokenNode(new_index, token.surface, token.lemma,
-                                        token.pos, dict(token.features),
-                                        token.sense_id, set(token.alternates)))
-            remap[token.index] = new_index
-        else:
-            existing.alternates |= token.alternates
-            remap[token.index] = existing.index
-    for dep in b.deps:
-        out.add_dep(Dependency(dep.label, tuple(remap[i] for i in dep.args),
-                               prep=dep.prep, provenance=dep.provenance))
-    return out
-
-
-def enrich_all(graph: DependencyGraph, resource, patterns, synonyms, order: str,
-               dictionary=None) -> DependencyGraph:
-    """Apply one enrichment composition to a disambiguated graph.
-
-    SYN_THEN_DERIV lets patterns pivot on synonym alternates;
-    DERIV_THEN_SYN gives derivative tokens synonym alternates; BOTH is the
-    union of the two single orders.
-    """
-    if order == SYN_ONLY:
-        return enrich_synonyms(graph, synonyms)
-    if order == DERIV_ONLY:
-        return apply_patterns(graph, patterns, resource, dictionary)
-    if order == SYN_THEN_DERIV:
-        out = enrich_synonyms(graph, synonyms)
-        return apply_patterns(out, patterns, resource, dictionary, use_alternates=True)
-    if order == DERIV_THEN_SYN:
-        out = apply_patterns(graph, patterns, resource, dictionary)
-        return enrich_synonyms(out, synonyms)
-    if order == BOTH:
-        first = enrich_all(graph, resource, patterns, synonyms, SYN_THEN_DERIV, dictionary)
-        second = enrich_all(graph, resource, patterns, synonyms, DERIV_THEN_SYN, dictionary)
-        return _merge_graphs(first, second)
-    raise ValueError(f"unknown enrichment order {order!r}")

@@ -24,6 +24,7 @@ from derivqa.depgraph import (
     Dependency,
     DependencyGraph,
     TokenNode,
+    copy_graph,
     dep_signature,
     toy_parse,
 )
@@ -35,12 +36,7 @@ from derivqa.derivfilter import (
 from derivqa.lexica import ADJ, NOUN, VERB, SenseRecord, senses_by_lemma
 from derivqa.morphogen import CandidateDerivative, corpus_filter, generate_candidates
 from derivqa.qaengine import QuestionStructure, answer, dep_match, evaluate
-from derivqa.rephrase import (
-    apply_pattern,
-    apply_patterns,
-    enrich_synonyms,
-    match_pattern,
-)
+from derivqa.rephrase import apply_pattern, enrich, match_pattern
 from derivqa.wsd import disambiguate, select_derivatives
 
 
@@ -208,9 +204,9 @@ def test_every_pattern_reproduces_its_hand_rephrasings(benchmark_resources):
         for pivot in range(len(graph.tokens)):
             matches.extend(match_pattern(graph, pattern, pivot, res.resource,
                                          res.dictionary, use_alternates=False))
-        enriched = graph
+        enriched = copy_graph(graph)
         for match in matches:
-            enriched = apply_pattern(enriched, match)
+            apply_pattern(enriched, match)
         produced = {
             dep_signature(enriched, d, with_provenance=False)
             for d in enriched.deps if d.provenance == DERIVATIONAL
@@ -345,9 +341,8 @@ def test_matcher_and_answer_match_exhaustive_oracles(benchmark_resources):
             assert candidates[0].coverage == Fraction(best, len(question.deps))
 
         # enrichment additivity: deps grow, coverage never shrinks
-        enriched = enrich_synonyms(graph, res.synonyms)
-        enriched = apply_patterns(enriched, res.patterns, res.resource,
-                                  res.dictionary, use_alternates=True)
+        enriched = enrich(graph, res.synonyms, res.patterns, res.resource,
+                          res.dictionary, compose=True)
         assert set(graph.deps) <= set(enriched.deps)
         assert [t.lemma for t in enriched.tokens[:len(graph.tokens)]] == \
             [t.lemma for t in graph.tokens]

@@ -184,3 +184,13 @@ class TestExitCodes:
                              "--bank", str(bank))
         assert code == EXIT_INPUT
         assert "not valid JSON" in err
+
+    def test_bank_with_boolean_token_index(self, capsys, tmp_path):
+        bank = tmp_path / "bank.jsonl"
+        bank.write_text('{"id":"s1","text":"x","tokens":[{"i":false,"surface":"a",'
+                        '"lemma":"a","pos":"NOUN"}],"deps":[]}\n', encoding="utf-8")
+        code, out, err = run(capsys, "--config", BENCHMARK_CONFIG,
+                             "ask", "--question", "quelle coupure du flux ?",
+                             "--bank", str(bank))
+        assert code == EXIT_INPUT
+        assert "error:" in err and "indices must be contiguous integers" in err

@@ -341,3 +341,18 @@ class TestBankFieldTypes:
         write_record(tmp_path / "bank.jsonl", deps=[dep])
         with pytest.raises(DepbankError, match="label and prep"):
             load_depbank(tmp_path / "bank.jsonl")
+
+    @pytest.mark.parametrize("tokens", [
+        [dict(GOOD_TOKEN, i=False)],
+        [GOOD_TOKEN, dict(GOOD_TOKEN, i=1.0)],
+    ])
+    def test_rejects_non_integer_token_index(self, tmp_path, tokens):
+        write_record(tmp_path / "bank.jsonl", tokens=tokens)
+        with pytest.raises(DepbankError, match="indices must be contiguous integers"):
+            load_depbank(tmp_path / "bank.jsonl")
+
+    def test_rejects_non_integer_dependency_args(self, tmp_path):
+        write_record(tmp_path / "bank.jsonl", tokens=[GOOD_TOKEN, dict(GOOD_TOKEN, i=1)],
+                     deps=[{"label": "SUBJECT", "args": [True, False]}])
+        with pytest.raises(DepbankError, match="args not integers"):
+            load_depbank(tmp_path / "bank.jsonl")

@@ -52,9 +52,10 @@ class TestConfig:
         with pytest.raises(ConfigError, match="no such file"):
             load_config(path)
 
-    def test_unknown_key(self, tmp_path):
-        path = write_config(tmp_path, {"surprise": 1})
-        with pytest.raises(ConfigError, match="unknown config keys"):
+    @pytest.mark.parametrize("key", ["surprise", "seed"])
+    def test_unknown_key(self, tmp_path, key):
+        path = write_config(tmp_path, {key: 1})
+        with pytest.raises(ConfigError, match=rf"unknown config keys: \['{key}'\]"):
             load_config(path)
 
     def test_invalid_json(self, tmp_path):

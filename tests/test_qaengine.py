@@ -178,11 +178,13 @@ class TestBagBaseline:
             ["ouvrier", "couper", "courant"]) == 3
 
     def test_derivative_tokens_are_invisible(self, res, small_bank):
-        from derivqa.rephrase import apply_patterns
+        from derivqa.rephrase import enrich
         enriched = [
-            apply_patterns(g, res.patterns, res.resource, res.dictionary)
+            enrich(g, res.synonyms, res.patterns, res.resource, res.dictionary,
+                   compose=True)
             for g in small_bank
         ]
+        assert any(t.features.get("deriv_pattern") for g in enriched for t in g.tokens)
         assert build_bag_index(enriched).bags == build_bag_index(small_bank).bags
 
     def test_k_must_be_positive(self, res, small_bank):

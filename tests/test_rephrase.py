@@ -5,24 +5,18 @@ from derivqa.depgraph import (
     BASE,
     DERIVATIONAL,
     Dependency,
+    copy_graph,
     dep_signature,
     graph_equal,
     toy_parse,
 )
 from derivqa.lexica import NOUN, VERB
-from derivqa.pipeline import packaged_data
+from derivqa.pipeline import MODES, enrich_for_mode, load_sentences, packaged_data
 from derivqa.rephrase import (
-    BOTH,
-    DERIV_ONLY,
-    DERIV_THEN_SYN,
-    ENRICHMENT_ORDERS,
-    SYN_ONLY,
-    SYN_THEN_DERIV,
     DepTemplate,
     PatternError,
     apply_pattern,
-    apply_patterns,
-    enrich_all,
+    enrich,
     enrich_synonyms,
     match_pattern,
     parse_patterns,
@@ -234,9 +228,10 @@ class TestApplyPattern:
         pivot = next(t.index for t in graph.tokens if t.lemma == "couper")
         (match,) = match_pattern(graph, patterns["v2n_eur_svo"], pivot,
                                  res.resource, res.dictionary)
-        out = apply_pattern(graph, match)
+        out = copy_graph(graph)
+        deriv = apply_pattern(out, match)
         assert len(out.tokens) == len(graph.tokens) + 1
-        deriv = out.tokens[-1]
+        assert deriv is out.tokens[-1]
         assert deriv.lemma == "coupeur"
         assert deriv.features == {"deriv_pattern": "v2n_eur_svo",
                                   "deriv_source": "couper"}
@@ -244,85 +239,106 @@ class TestApplyPattern:
             ("ATTRIBUTE", ("ouvrier", "coupeur"), None),
             ("PREPPH", ("coupeur", "courant"), "de"),
         }
-        # input untouched, BASE deps preserved
-        assert len(graph.tokens) == 6
-        assert {d.provenance for d in graph.deps} == {BASE}
+        # BASE deps preserved, in order
+        assert [d for d in out.deps if d.provenance == BASE] == graph.deps
 
     def test_idempotent_per_match(self, res, patterns):
         graph = parsed(res, "l'ouvrier a coupé le courant .")
         pivot = next(t.index for t in graph.tokens if t.lemma == "couper")
         (match,) = match_pattern(graph, patterns["v2n_eur_svo"], pivot,
                                  res.resource, res.dictionary)
-        once = apply_pattern(graph, match)
-        twice = apply_pattern(once, match)
-        assert len(twice.tokens) == len(once.tokens)
-        assert twice.deps == once.deps
+        first = apply_pattern(graph, match)
+        tokens, deps = list(graph.tokens), list(graph.deps)
+        again = apply_pattern(graph, match)
+        assert again is first
+        assert graph.tokens == tokens
+        assert graph.deps == deps
 
-    def test_apply_patterns_is_deterministic(self, res):
+    def test_enrich_is_deterministic(self, res):
         graph = parsed(res, "l'ouvrier a coupé le courant .")
-        a = apply_patterns(graph, res.patterns, res.resource, res.dictionary)
-        b = apply_patterns(graph, res.patterns, res.resource, res.dictionary)
+        a = enrich(graph, res.synonyms, res.patterns, res.resource, res.dictionary,
+                   compose=True)
+        b = enrich(graph, res.synonyms, res.patterns, res.resource, res.dictionary,
+                   compose=True)
         assert graph_equal(a, b)
-        assert [t.lemma for t in a.tokens] == [t.lemma for t in b.tokens]
+        assert [(t.lemma, t.alternates) for t in a.tokens] == \
+            [(t.lemma, t.alternates) for t in b.tokens]
+        # the input is untouched
+        assert len(graph.tokens) == 6
+        assert {d.provenance for d in graph.deps} == {BASE}
+        assert all(not t.alternates for t in graph.tokens)
 
 
-class TestEnrichmentOrders:
-    def test_base_deps_preserved_by_every_order(self, res):
+def token_of(graph, lemma):
+    return next(t for t in graph.tokens if t.lemma == lemma)
+
+
+class TestEnrichmentModes:
+    def test_base_deps_preserved_by_every_mode(self, res):
         graph = parsed(res, "l'ouvrier a coupé le courant .")
         base = {dep_signature(graph, d) for d in graph.deps}
-        for order in ENRICHMENT_ORDERS:
-            out = enrich_all(graph, res.resource, res.patterns, res.synonyms,
-                             order, res.dictionary)
+        for mode in MODES:
+            out = enrich_for_mode(graph, res, mode)
             kept = {dep_signature(out, d) for d in out.deps
                     if d.provenance == BASE}
-            assert kept == base, order
+            assert kept == base, mode
             assert [t.lemma for t in out.tokens[:len(graph.tokens)]] == \
-                [t.lemma for t in graph.tokens], order
+                [t.lemma for t in graph.tokens], mode
 
-    def test_syn_only_adds_no_deps(self, res):
+    def test_base_adds_no_deps(self, res):
         graph = parsed(res, "Domitien succéda à l'empereur Titus .")
-        out = enrich_all(graph, res.resource, res.patterns, res.synonyms,
-                         SYN_ONLY, res.dictionary)
+        out = enrich_for_mode(graph, res, "base")
         assert out.deps == graph.deps
         assert any(t.alternates for t in out.tokens)
 
-    def test_deriv_only_ignores_alternates(self, res):
+    def test_deriv_ignores_alternates(self, res):
+        # "trancher" has no -ure derivative; only its synonym "couper" has
         graph = parsed(res, "le boucher trancha la viande .")
-        out = enrich_all(graph, res.resource, res.patterns, res.synonyms,
-                         DERIV_ONLY, res.dictionary)
+        out = enrich_for_mode(graph, res, "deriv")
+        assert token_of(out, "trancher").alternates == {"couper"}
         assert deriv_sigs(out) == set()
+        assert all(t.lemma != "coupure" for t in out.tokens)
 
-    def test_syn_then_deriv_composes(self, res):
+    def test_all_composes(self, res):
         graph = parsed(res, "le boucher trancha la viande .")
-        out = enrich_all(graph, res.resource, res.patterns, res.synonyms,
-                         SYN_THEN_DERIV, res.dictionary)
+        out = enrich_for_mode(graph, res, "all")
         assert ("PREPPH", ("coupure", "viande"), "de") in deriv_sigs(out)
+        assert token_of(out, "viande").alternates == {"chair"}
 
-    def test_deriv_then_syn_gives_derivatives_alternates(self, res):
+    def test_all_gives_derivatives_of_own_lemmas_synonyms(self, res):
         graph = parsed(res, "l'ouvrier a coupé le courant .")
-        out = enrich_all(graph, res.resource, res.patterns, res.synonyms,
-                         DERIV_THEN_SYN, res.dictionary)
-        coupure = next(t for t in out.tokens if t.lemma == "coupure")
-        assert coupure.alternates == {"interruption"}
+        out = enrich_for_mode(graph, res, "all")
+        assert token_of(out, "coupure").alternates == {"interruption"}
 
-    def test_both_is_union_of_orders(self, res):
+    def test_derivative_reached_through_an_alternate_gets_no_synonyms(self, res):
+        # "coupure" has the synonym "interruption", but here it is reached
+        # only through "couper", the synonym of "trancher"
+        assert res.synonyms.lookup("coupure", None) == {"interruption"}
         graph = parsed(res, "le boucher trancha la viande .")
-        both = enrich_all(graph, res.resource, res.patterns, res.synonyms,
-                          BOTH, res.dictionary)
-        syn_deriv = enrich_all(graph, res.resource, res.patterns, res.synonyms,
-                               SYN_THEN_DERIV, res.dictionary)
-        deriv_syn = enrich_all(graph, res.resource, res.patterns, res.synonyms,
-                               DERIV_THEN_SYN, res.dictionary)
-        want = {dep_signature(syn_deriv, d) for d in syn_deriv.deps}
-        want |= {dep_signature(deriv_syn, d) for d in deriv_syn.deps}
-        got = {dep_signature(both, d) for d in both.deps}
-        assert got == want
-        # alternates are unioned on shared base tokens
-        meat = next(t for t in both.tokens if t.lemma == "viande")
-        assert meat.alternates == {"chair"}
+        out = enrich_for_mode(graph, res, "all")
+        coupure = token_of(out, "coupure")
+        assert coupure.features["deriv_source"] == "couper"
+        assert coupure.alternates == set()
 
-    def test_unknown_order_rejected(self, res):
-        graph = parsed(res, "la coupure du courant .")
-        with pytest.raises(ValueError, match="unknown enrichment order"):
-            enrich_all(graph, res.resource, res.patterns, res.synonyms,
-                       "SIDEWAYS", res.dictionary)
+    def test_all_extends_deriv_on_every_fixture_sentence(self, res):
+        sentences = load_sentences(res.config.sentences)
+        with_synonyms = through_alternates = 0
+        for sid, text in sentences:
+            graph = parsed(res, text)
+            deriv = enrich_for_mode(graph, res, "deriv")
+            full = enrich_for_mode(graph, res, "all")
+            sigs = {dep_signature(full, d) for d in full.deps}
+            assert {dep_signature(deriv, d) for d in deriv.deps} <= sigs, sid
+            n = len(graph.tokens)
+            assert [t.alternates for t in deriv.tokens[:n]] == \
+                [t.alternates for t in full.tokens[:n]], sid
+            own = {(t.features["deriv_pattern"], t.lemma) for t in deriv.tokens[n:]}
+            for token in full.tokens[n:]:
+                if (token.features["deriv_pattern"], token.lemma) in own:
+                    want = res.synonyms.lookup(token.lemma, None) - {token.lemma}
+                    with_synonyms += bool(want)
+                else:
+                    want = set()
+                    through_alternates += 1
+                assert token.alternates == want, (sid, token.lemma)
+        assert with_synonyms and through_alternates
