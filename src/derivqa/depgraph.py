@@ -589,6 +589,10 @@ def _graph_from_record(record, where: str) -> DependencyGraph:
                                "must be strings")
         if not isinstance(features, dict):
             raise DepbankError(f"{rid}: token {pos_expected}: features must be an object")
+        for value in features.values():
+            if type(value) is not str:
+                raise DepbankError(f"{rid}: token {pos_expected}: features values must be "
+                                   "strings")
         if sense is not None and (not isinstance(sense, int) or isinstance(sense, bool)):
             raise DepbankError(f"{rid}: token {pos_expected}: sense must be an integer or null")
         if not isinstance(alternates, list) or not all(isinstance(a, str) for a in alternates):

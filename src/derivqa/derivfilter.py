@@ -13,8 +13,8 @@ from .lexica import (
     VERB,
     VERBAL,
     DerivInstruction,
+    Dictionary,
     instructions_for,
-    senses_by_lemma,
 )
 from .morphogen import (
     DEFAULT_EUPHONICS,
@@ -111,7 +111,7 @@ def build_resource(dictionary, model, corpus_lexicon, code_table,
     """
     stats = ResourceStats()
     by_lemma = {}
-    index = senses_by_lemma(dictionary)
+    index = Dictionary(dictionary).senses
     for lemma in sorted(index):
         senses = index[lemma]
         stats.entries_processed += len(senses)
@@ -141,16 +141,17 @@ def build_resource(dictionary, model, corpus_lexicon, code_table,
     return DerivationalResource(by_lemma=by_lemma, stats=stats)
 
 
-def symmetrize_instructions(dictionary, resource, code_table) -> list:
+def symmetrize_instructions(dictionary, resource, code_table) -> Dictionary:
     """Give noun/adjective entries a back-instruction to their source verb.
 
     For every verbal sense whose instruction produced a derivative D found in
     the resource, every dictionary sense of D in the same domain gains a
     VERBAL instruction rebuilding the verb (suffix = verb ending after the
-    common prefix of D and the verb). Returns a deep copy; input untouched.
+    common prefix of D and the verb). Returns a deep copy of the records as
+    a `Dictionary`, its index built; input untouched.
     """
-    augmented = copy.deepcopy(dictionary)
-    index = senses_by_lemma(augmented)
+    augmented = Dictionary(copy.deepcopy(list(dictionary)))
+    index = augmented.senses
     added = 0
     for sense in [s for s in augmented if s.pos == VERB]:
         instructions = instructions_for(sense, code_table)

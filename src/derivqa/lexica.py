@@ -8,6 +8,7 @@ a canonical form so that load -> save -> load is the identity.
 
 import logging
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 log = logging.getLogger(__name__)
@@ -106,16 +107,40 @@ class SenseRecord:
                 )
 
 
+class Dictionary(tuple):
+    """The sense records of a dictionary, in file order: a read-only sequence.
+
+    `load_dictionary` and `derivfilter.symmetrize_instructions` return one.
+    Like `tuple()`, `Dictionary(d)` gives back `d` itself when it already is
+    one, so its index is kept; any other sequence of records is wrapped
+    anew.
+
+    `senses` maps each lemma to its records sorted by sense id, built on
+    first use by `senses_by_lemma` and once per dictionary. A record whose
+    `lemma` or `sense_id` changes after the index is built is not seen by
+    it under the new values.
+    """
+
+    def __new__(cls, records=()):
+        if type(records) is cls:
+            return records
+        return super().__new__(cls, records)
+
+    @cached_property
+    def senses(self) -> dict[str, list[SenseRecord]]:
+        return senses_by_lemma(self)
+
+
 DICT_COLUMNS = 12
 
 
-def load_dictionary(path) -> list[SenseRecord]:
+def load_dictionary(path) -> Dictionary:
     """Load sense records from a 12-column TSV file.
 
     Columns: lemma, sense_id, pos, domain, class, operator, gloss,
     examples (;-separated), conjugation, constructions (;-separated),
     deriv_codes, level. Files for different parts of speech may be loaded
-    separately and concatenated by the caller.
+    separately and concatenated by the caller, as `Dictionary(a + b)`.
     """
     records = []
     seen = set()
@@ -150,7 +175,7 @@ def load_dictionary(path) -> list[SenseRecord]:
         except ValueError as exc:
             raise LexiconError(path, lineno, str(exc))
         records.append(rec)
-    return records
+    return Dictionary(records)
 
 
 def save_dictionary(records, path):
@@ -204,9 +229,9 @@ def parse_derivation_codes(raw: str, code_table, diagnostics: list | None = None
     """Resolve a positional code string like "-Q- - - RB- - -" to instructions.
 
     Alphanumeric characters are code letters, everything else is filler.
-    Letters missing from the table are reported as warnings (collected in
-    `diagnostics` when given), never errors: the historical code inventory
-    is larger than any one table.
+    Letters missing from the table are skipped, never errors: the historical
+    code inventory is larger than any one table. Each is collected in
+    `diagnostics` when a list is given, and logged as a warning otherwise.
     """
     instructions = []
     for ch in raw:
@@ -215,17 +240,23 @@ def parse_derivation_codes(raw: str, code_table, diagnostics: list | None = None
         hit = code_table.get(ch)
         if hit is None:
             message = f"unknown derivation code {ch!r} in {raw!r}"
-            log.warning(message)
-            if diagnostics is not None:
+            if diagnostics is None:
+                log.warning(message)
+            else:
                 diagnostics.append(message)
             continue
         instructions.append(hit)
     return instructions
 
 
-def instructions_for(sense: SenseRecord, code_table, diagnostics: list | None = None) -> list[DerivInstruction]:
-    """All instructions of a sense: parsed codes plus programmatic extras."""
-    parsed = parse_derivation_codes(sense.deriv_codes, code_table, diagnostics)
+def instructions_for(sense: SenseRecord, code_table) -> list[DerivInstruction]:
+    """All instructions of a sense: parsed codes plus programmatic extras.
+
+    Unknown code letters are skipped without a word here, since a resource
+    build resolves each sense several times; `pipeline.load_resources`
+    reports them once.
+    """
+    parsed = parse_derivation_codes(sense.deriv_codes, code_table, diagnostics=[])
     return parsed + list(sense.extra_instructions)
 
 

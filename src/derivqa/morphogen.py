@@ -120,13 +120,15 @@ def learn_suffix_model(entries, threshold: int, *, min_stem_len: int = 3,
         best = stem_by_lemma.get(lemma)
         if best is None or len(prefix) < len(best):
             stem_by_lemma[lemma] = prefix
-    stems = sorted(set(stem_by_lemma.values()), key=len, reverse=True)
+    stems = set(stem_by_lemma.values())
 
     vocabulary = {normalize(e.surface_form) for e in entries}
     vocabulary.update(normalize(e.lemma) for e in entries)
     stems_per_suffix: dict[str, set[str]] = {}
     for word in vocabulary:
-        stem = next((s for s in stems if word.startswith(s) and len(word) > len(s)), None)
+        # A word has one prefix of each length, so the longest proper prefix
+        # that is a stem is its longest matching stem.
+        stem = next((word[:n] for n in range(len(word) - 1, 0, -1) if word[:n] in stems), None)
         if stem is None:
             continue
         stems_per_suffix.setdefault(word[len(stem):], set()).add(stem)

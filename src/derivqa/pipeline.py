@@ -111,7 +111,7 @@ class Resources:
     """Everything the commands need, loaded and cross-compiled once."""
 
     config: PipelineConfig
-    dictionary: list
+    dictionary: lexica.Dictionary
     lexicon: lexica.InflectionLexicon
     corpus_lexicon: lexica.CorpusLexicon
     synonyms: lexica.SynonymTable
@@ -125,7 +125,7 @@ class Resources:
 
 
 def _pos_of(dictionary):
-    by_lemma = lexica.senses_by_lemma(dictionary)
+    by_lemma = lexica.Dictionary(dictionary).senses
 
     def lookup(lemma: str):
         kinds = {s.pos for s in by_lemma.get(lemma, [])}
@@ -139,13 +139,17 @@ def load_resources(config: PipelineConfig) -> Resources:
 
     With `symmetrize` on, building runs twice: the first resource donates
     back-instructions to noun/adjective entries, then the augmented
-    dictionary is rebuilt so those instructions take effect.
+    dictionary is rebuilt so those instructions take effect. Unknown code
+    letters are logged once per dictionary code string.
     """
     dictionary = lexica.load_dictionary(config.dictionary)
     entries = lexica.load_inflections(config.inflections)
     lexicon = lexica.InflectionLexicon(entries)
     corpus_lexicon = lexica.load_corpus_lexicon(config.corpus_lexicon)
     code_table = lexica.load_code_table(config.code_table or packaged_data("code_table.tsv"))
+    # Called for its warnings only: the resource build resolves codes silently.
+    for codes in dict.fromkeys(sense.deriv_codes for sense in dictionary):
+        lexica.parse_derivation_codes(codes, code_table)
     euphonics = morphogen.load_euphonic_rules(
         config.euphonics or packaged_data("euphonics.tsv"))
     model = morphogen.learn_suffix_model(

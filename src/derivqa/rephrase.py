@@ -37,7 +37,7 @@ from .depgraph import (
     TokenNode,
     copy_graph,
 )
-from .lexica import CONTENT_POS, senses_by_lemma
+from .lexica import CONTENT_POS, Dictionary
 from .wsd import select_derivatives
 
 log = logging.getLogger(__name__)
@@ -274,7 +274,7 @@ def match_pattern(graph: DependencyGraph, pattern: DerivationPattern, pivot: int
     bindings_list = _enumerate_bindings(pattern.inputs, base_deps, pivot)
     if not bindings_list:
         return []
-    by_lemma = senses_by_lemma(dictionary) if dictionary is not None else {}
+    by_lemma = Dictionary(dictionary).senses if dictionary is not None else {}
     pivot_lemmas = [(token.lemma, token.sense_id)]
     if use_alternates:
         pivot_lemmas.extend((alt, None) for alt in sorted(token.alternates))

@@ -13,7 +13,7 @@ import logging
 from dataclasses import dataclass, field
 
 from .depgraph import PREPPH, ToyParseError, toy_parse
-from .lexica import CONTENT_POS, senses_by_lemma
+from .lexica import CONTENT_POS, Dictionary
 
 log = logging.getLogger(__name__)
 
@@ -106,7 +106,7 @@ class WsdStats:
 
 def disambiguate(graph, compilation: RuleCompilation, dictionary, stats: WsdStats | None = None):
     """Assign sense ids to the graph's content tokens, in place."""
-    by_lemma = senses_by_lemma(dictionary)
+    by_lemma = Dictionary(dictionary).senses
     for token in graph.tokens:
         if token.pos not in CONTENT_POS:
             continue

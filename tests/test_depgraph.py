@@ -314,6 +314,8 @@ class TestBankFieldTypes:
         ("lemma", None),
         ("pos", ["NOUN"]),
         ("features", ["proper"]),
+        ("features", {"deriv_pattern": 0}),
+        ("features", {"proper": ["x"]}),
         ("sense", "two"),
         ("sense", True),
     ])

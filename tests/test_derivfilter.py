@@ -18,6 +18,7 @@ from derivqa.lexica import (
     ADJ,
     NOUN,
     VERB,
+    Dictionary,
     LexiconError,
     SenseRecord,
     instructions_for,
@@ -144,6 +145,14 @@ class TestSymmetrize:
             for ins in s.extra_instructions
         }
         assert added == {("coupure", "er"), ("formalisation", "er")}
+        # the copy's own index holds the augmented records
+        assert isinstance(augmented, Dictionary)
+        assert {
+            (lemma, ins.suffix)
+            for lemma, senses in augmented.senses.items()
+            for s in senses
+            for ins in s.extra_instructions
+        } == added
         # the originals were not touched
         assert all(not s.extra_instructions for s in base_dictionary)
 

@@ -7,6 +7,7 @@ from derivqa.lexica import (
     NOUN,
     VERB,
     DerivInstruction,
+    Dictionary,
     LexiconError,
     load_code_table,
     load_corpus_lexicon,
@@ -90,6 +91,18 @@ class TestDictionary:
         index = senses_by_lemma(records)
         assert sorted(index) == ["acheter", "vendre"]
         assert [s.sense_id for s in index["vendre"]] == [1, 2]
+        assert records.senses == index
+
+    def test_dictionary_is_a_read_only_sequence(self, tmp_path):
+        records = load_dictionary(write(tmp_path, "d.tsv", DICT_ROW + "\n"))
+        assert isinstance(records, Dictionary)
+        assert Dictionary(records) is records
+        assert records.senses is records.senses
+        with pytest.raises(TypeError):
+            records[0] = records[0]
+        assert not hasattr(records, "append")
+        wrapped = Dictionary(list(records))
+        assert wrapped == records and wrapped is not records
 
 
 class TestCodeTable:
@@ -101,12 +114,16 @@ class TestCodeTable:
         assert table["D"].target_pos == ADV
         assert "R" not in table
 
-    def test_parse_codes_skips_unknown_letters(self):
+    def test_parse_codes_skips_unknown_letters(self, caplog):
         table = load_code_table(packaged_data("code_table.tsv"))
         diagnostics = []
-        instructions = parse_derivation_codes("-Q- - - RB- - -", table, diagnostics)
+        with caplog.at_level("WARNING", logger="derivqa"):
+            instructions = parse_derivation_codes("-Q- - - RB- - -", table, diagnostics)
+            assert caplog.records == []
+            assert parse_derivation_codes("-Q- - - RB- - -", table) == instructions
         assert [i.suffix for i in instructions] == ["é", "ation"]
-        assert any("R" in d for d in diagnostics)
+        assert diagnostics == ["unknown derivation code 'R' in '-Q- - - RB- - -'"]
+        assert [r.getMessage() for r in caplog.records] == diagnostics
 
     def test_parse_codes_ignores_punctuation(self):
         table = load_code_table(packaged_data("code_table.tsv"))

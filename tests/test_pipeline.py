@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from derivqa import lexica, qaengine
 from derivqa.depgraph import BASE, DERIVATIONAL
 from derivqa.pipeline import (
     ConfigError,
@@ -12,6 +13,7 @@ from derivqa.pipeline import (
     load_resources,
     load_sentences,
     packaged_data,
+    parse_questions,
 )
 
 from conftest import FIXTURES
@@ -126,6 +128,15 @@ class TestLoadResources:
     def test_symmetrize_on_rebuilds(self, benchmark_resources):
         assert [r.surface for r in benchmark_resources.resource.records_for("coupure")] == ["couper"]
 
+    def test_unknown_code_letter_is_logged_once(self, benchmark_config, caplog):
+        # building the resource twice and symmetrizing resolves the one
+        # sense coded '-Q- - - RB- - -' five times
+        with caplog.at_level("WARNING", logger="derivqa"):
+            load_resources(benchmark_config)
+        unknown = [r.getMessage() for r in caplog.records
+                   if r.getMessage().startswith("unknown derivation code")]
+        assert unknown == ["unknown derivation code 'R' in '-Q- - - RB- - -'"]
+
 
 class TestSentences:
     def test_load_sentences(self, tmp_path):
@@ -200,6 +211,19 @@ class TestBankConstruction:
         res = load_resources(load_config(path))
         with pytest.raises(ConfigError, match="no sentences file"):
             build_bank(res, "baseline")
+
+    def test_one_dictionary_builds_its_index_once(self, benchmark_config, monkeypatch):
+        calls = []
+        senses_by_lemma = lexica.senses_by_lemma
+        monkeypatch.setattr(lexica, "senses_by_lemma",
+                            lambda records: calls.append(len(records)) or senses_by_lemma(records))
+        res = load_resources(benchmark_config)
+        assert len(calls) == 2  # the loaded dictionary and its symmetrized copy
+        calls.clear()
+        bank = build_bank(res, "all")
+        parse_questions(res, qaengine.load_questions(benchmark_config.questions))
+        assert len(bank) == 55
+        assert calls == []
 
     def test_benchmark_bank_parses_fully(self, benchmark_resources):
         bank = build_bank(benchmark_resources, "baseline")

@@ -23,8 +23,13 @@ from derivqa.depgraph import (
     load_depbank,
     save_depbank,
 )
-from derivqa.lexica import ADJ, NOUN, VERB, CorpusLexicon
-from derivqa.morphogen import CandidateDerivative, corpus_filter, syllable_count
+from derivqa.lexica import ADJ, NOUN, VERB, CorpusLexicon, InflectionEntry
+from derivqa.morphogen import (
+    CandidateDerivative,
+    corpus_filter,
+    learn_suffix_model,
+    syllable_count,
+)
 from derivqa.qaengine import (
     QuestionStructure,
     answer,
@@ -80,6 +85,33 @@ def graphs(draw, max_tokens=8, max_deps=6, with_alternates=False, mixed=False,
 @given(WORDS)
 def test_syllable_count_matches_regex_oracle(word):
     assert syllable_count(word) == oracles.syllables(word)
+
+
+# --- suffix learning --------------------------------------------------------
+
+# A three-letter alphabet (plus a capital, which both learners fold) makes
+# stems share prefixes, stems of one length abound and words equal a stem.
+STEM_TEXT = st.text(alphabet="abéA", min_size=1, max_size=5)
+ENDING_TEXT = st.text(alphabet="abéA", max_size=3)
+
+
+@st.composite
+def inflection_entries(draw):
+    """Entries whose form and lemma extend one drawn stem."""
+    entries = []
+    for _ in range(draw(st.integers(min_value=0, max_value=20))):
+        stem = draw(STEM_TEXT)
+        form, lemma = stem + draw(ENDING_TEXT), stem + draw(ENDING_TEXT)
+        entries.append(InflectionEntry(form, lemma, ""))
+    return entries
+
+
+@settings(max_examples=200)
+@given(inflection_entries(), st.integers(min_value=1, max_value=3),
+       st.integers(min_value=1, max_value=4))
+def test_suffix_model_matches_brute_force_inventory(entries, threshold, min_stem_len):
+    model = learn_suffix_model(entries, threshold, min_stem_len=min_stem_len)
+    assert model.suffixes == oracles.suffix_inventory(entries, threshold, min_stem_len)
 
 
 # --- corpus filter ----------------------------------------------------------

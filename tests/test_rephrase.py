@@ -179,6 +179,8 @@ class TestMatchPattern:
     def test_construction_gate_blocks_intransitive(self, res, patterns):
         # succéder is coded Ti, whose prefix "T" satisfies CONSTR T; make a
         # strictly intransitive clone to verify the gate actually rejects.
+        # The clone is a Dictionary with a copy of its index, or a plain
+        # list that is indexed per call.
         graph = parsed(res, "Domitien succéda à l'empereur Titus .")
         pivot = next(t.index for t in graph.tokens if t.lemma == "succéder")
         with_dict = match_pattern(graph, patterns["v2n_eur_svo"], pivot,
@@ -186,12 +188,12 @@ class TestMatchPattern:
         assert [m.derivative.surface for m in with_dict] == ["successeur"]
 
         import copy
-        intrans = copy.deepcopy(res.dictionary)
-        for sense in intrans:
-            if sense.lemma == "succéder":
-                sense.construction_codes = ("I",)
-        assert match_pattern(graph, patterns["v2n_eur_svo"], pivot,
-                             res.resource, intrans) == []
+        for intrans in (copy.deepcopy(res.dictionary), copy.deepcopy(list(res.dictionary))):
+            for sense in intrans:
+                if sense.lemma == "succéder":
+                    sense.construction_codes = ("I",)
+            assert match_pattern(graph, patterns["v2n_eur_svo"], pivot,
+                                 res.resource, intrans) == []
 
     def test_construction_gate_waived_without_codes(self, res, patterns):
         graph = parsed(res, "l'ouvrier a coupé le courant .")

@@ -57,15 +57,17 @@ class TestCompilation:
 
 class TestDisambiguation:
     def test_rule_separates_senses(self, res):
-        graph = toy_parse("le mathématicien formalise une théorie .", res.lexicon)
-        disambiguate(graph, res.compilation, res.dictionary)
-        verb = next(t for t in graph.tokens if t.lemma == "formaliser")
-        assert verb.sense_id == 2
+        # a plain list of records is indexed per call, to the same effect
+        for dictionary in (res.dictionary, list(res.dictionary)):
+            graph = toy_parse("le mathématicien formalise une théorie .", res.lexicon)
+            disambiguate(graph, res.compilation, dictionary)
+            verb = next(t for t in graph.tokens if t.lemma == "formaliser")
+            assert verb.sense_id == 2
 
-        graph = toy_parse("la conduite formalise Pierre .", res.lexicon)
-        disambiguate(graph, res.compilation, res.dictionary)
-        verb = next(t for t in graph.tokens if t.lemma == "formaliser")
-        assert verb.sense_id == 1
+            graph = toy_parse("la conduite formalise Pierre .", res.lexicon)
+            disambiguate(graph, res.compilation, dictionary)
+            verb = next(t for t in graph.tokens if t.lemma == "formaliser")
+            assert verb.sense_id == 1
 
     def test_monosemous_shortcut(self, res):
         graph = toy_parse("le domestique lave le linge .", res.lexicon)
