@@ -1,10 +1,9 @@
 """Filtering candidate derivatives against per-sense instructions, and the
 derivational resource built from the full generate/filter pipeline."""
 
-import copy
 import logging
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -19,6 +18,7 @@ from .lexica import (
 from .morphogen import (
     DEFAULT_EUPHONICS,
     TooShortError,
+    _common_prefix,
     corpus_filter,
     generate_candidates,
 )
@@ -57,6 +57,8 @@ class ResourceStats:
 class DerivationalResource:
     by_lemma: dict = field(default_factory=dict)
     stats: ResourceStats = field(default_factory=ResourceStats)
+    # lemma -> corpus-attested candidates (None below the syllable floor)
+    attested: dict = field(default_factory=dict, repr=False, compare=False)
 
     def records_for(self, lemma: str) -> list:
         return self.by_lemma.get(lemma, [])
@@ -108,23 +110,40 @@ def build_resource(dictionary, model, corpus_lexicon, code_table,
 
     Entries below the model's syllable floor are skipped, with a log line.
     Output order is deterministic: lemmas sorted, records sorted by surface.
+    The resource keeps each lemma's corpus-attested candidates for `relicense`.
     """
-    stats = ResourceStats()
-    by_lemma = {}
-    index = Dictionary(dictionary).senses
-    for lemma in sorted(index):
-        senses = index[lemma]
-        stats.entries_processed += len(senses)
-        instruction_lists = [instructions_for(s, code_table) for s in senses]
-        stats.instructions_total += sum(len(ins) for ins in instruction_lists)
+    resource = DerivationalResource()
+    for lemma in sorted(Dictionary(dictionary).senses):
         try:
             candidates = generate_candidates(lemma, model, euphonics)
         except TooShortError as exc:
             log.info("skipping %s: %s", lemma, exc)
+            resource.attested[lemma] = None
+            continue
+        resource.stats.candidates_generated += len(candidates)
+        resource.attested[lemma] = corpus_filter(candidates, corpus_lexicon)
+    return relicense(resource, dictionary, code_table)
+
+
+def relicense(resource, dictionary, code_table) -> DerivationalResource:
+    """Run the instruction filter over `resource`'s attested candidates with
+    the senses of `dictionary`, which must hold the lemmas the resource was
+    built from. `build_resource` ends with it; after `symmetrize_instructions`
+    it gives what a fresh build would, stats included, generating nothing.
+    """
+    index = Dictionary(dictionary).senses
+    if index.keys() != resource.attested.keys():
+        raise ValueError("dictionary lemmas differ from those the resource was built from")
+    stats = ResourceStats(candidates_generated=resource.stats.candidates_generated)
+    by_lemma = {}
+    for lemma, attested in resource.attested.items():
+        senses = index[lemma]
+        stats.entries_processed += len(senses)
+        instruction_lists = [instructions_for(s, code_table) for s in senses]
+        stats.instructions_total += sum(len(ins) for ins in instruction_lists)
+        if attested is None:
             stats.instructions_unmatched += sum(len(ins) for ins in instruction_lists)
             continue
-        stats.candidates_generated += len(candidates)
-        attested = corpus_filter(candidates, corpus_lexicon)
         records = filter_by_instructions(attested, senses, code_table)
         # Collapse duplicate surfaces (euphonic variants can tie), keep first.
         unique = {}
@@ -138,7 +157,7 @@ def build_resource(dictionary, model, corpus_lexicon, code_table,
         for instructions in instruction_lists:
             stats.instructions_unmatched += sum(
                 1 for ins in instructions if ins.suffix not in matched_suffixes)
-    return DerivationalResource(by_lemma=by_lemma, stats=stats)
+    return DerivationalResource(by_lemma=by_lemma, stats=stats, attested=resource.attested)
 
 
 def symmetrize_instructions(dictionary, resource, code_table) -> Dictionary:
@@ -147,13 +166,16 @@ def symmetrize_instructions(dictionary, resource, code_table) -> Dictionary:
     For every verbal sense whose instruction produced a derivative D found in
     the resource, every dictionary sense of D in the same domain gains a
     VERBAL instruction rebuilding the verb (suffix = verb ending after the
-    common prefix of D and the verb). Returns a deep copy of the records as
-    a `Dictionary`, its index built; input untouched.
+    common prefix of D and the verb). Returns a new `Dictionary` in which
+    each sense that gains an instruction is a copy with a new
+    `extra_instructions` list; every other record is the input's own. The
+    input is untouched.
     """
-    augmented = Dictionary(copy.deepcopy(list(dictionary)))
-    index = augmented.senses
+    dictionary = Dictionary(dictionary)
+    index = dictionary.senses
+    gained = {}  # id of a target record -> its new extra_instructions
     added = 0
-    for sense in [s for s in augmented if s.pos == VERB]:
+    for sense in [s for s in dictionary if s.pos == VERB]:
         instructions = instructions_for(sense, code_table)
         produced = {
             r.surface: r
@@ -167,16 +189,18 @@ def symmetrize_instructions(dictionary, resource, code_table) -> Dictionary:
                 for target in index.get(surface, []):
                     if target.pos == VERB or target.domain_code != sense.domain_code:
                         continue
-                    shared = _common_prefix_len(surface, sense.lemma)
-                    verb_suffix = sense.lemma[shared:]
+                    verb_suffix = sense.lemma[len(_common_prefix(surface, sense.lemma)):]
                     if not verb_suffix:
                         continue
                     back = DerivInstruction(VERB, verb_suffix, VERBAL)
-                    if back not in target.extra_instructions:
-                        target.extra_instructions.append(back)
-                        added += 1
+                    if back in gained.get(id(target), target.extra_instructions):
+                        continue
+                    gained.setdefault(id(target), list(target.extra_instructions)).append(back)
+                    added += 1
     log.info("symmetrize: added %d back-instructions", added)
-    return augmented
+    return Dictionary(
+        replace(s, extra_instructions=gained[id(s)]) if id(s) in gained else s
+        for s in dictionary)
 
 
 def audit_precision(resource, sample_size: int, gold: dict, seed: int = 17) -> Fraction:
@@ -245,10 +269,3 @@ def load_resource(path) -> DerivationalResource:
     resource.stats.derivatives_accepted = resource.size()
     return resource
 
-
-def _common_prefix_len(a: str, b: str) -> int:
-    i = 0
-    limit = min(len(a), len(b))
-    while i < limit and a[i] == b[i]:
-        i += 1
-    return i

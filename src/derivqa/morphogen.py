@@ -80,7 +80,7 @@ class SuffixModel:
     min_syllables: int = 3
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CandidateDerivative:
     source_lemma: str
     stem: str
@@ -209,24 +209,6 @@ def generate_candidates(lemma: str, model: SuffixModel,
 def corpus_filter(candidates, corpus_lexicon) -> list[CandidateDerivative]:
     """Keep only candidates whose surface is attested in the corpus wordlist."""
     return [c for c in candidates if c.surface in corpus_lexicon]
-
-
-def dump_candidates(candidates, path):
-    lines = [f"{c.source_lemma}\t{c.stem}\t{c.suffix}\t{c.surface}" for c in candidates]
-    Path(path).write_text("".join(line + "\n" for line in lines), encoding="utf-8")
-
-
-def load_candidates(path) -> list[CandidateDerivative]:
-    candidates = []
-    text = Path(path).read_text(encoding="utf-8")
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        row = line.split("\t")
-        if len(row) != 4:
-            raise LexiconError(path, lineno, f"expected 4 columns, got {len(row)}")
-        candidates.append(CandidateDerivative(*row))
-    return candidates
 
 
 def _common_prefix(a: str, b: str) -> str:

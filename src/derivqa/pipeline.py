@@ -137,10 +137,11 @@ def _pos_of(dictionary):
 def load_resources(config: PipelineConfig) -> Resources:
     """Load lexica, learn the suffix model, build and filter the resource.
 
-    With `symmetrize` on, building runs twice: the first resource donates
-    back-instructions to noun/adjective entries, then the augmented
-    dictionary is rebuilt so those instructions take effect. Unknown code
-    letters are logged once per dictionary code string.
+    With `symmetrize` on, the resource donates back-instructions to
+    noun/adjective entries, then its candidates are licensed again by the
+    augmented dictionary so those instructions take effect; candidates are
+    generated and corpus-filtered once. Unknown code letters are logged
+    once per dictionary code string.
     """
     dictionary = lexica.load_dictionary(config.dictionary)
     entries = lexica.load_inflections(config.inflections)
@@ -162,8 +163,7 @@ def load_resources(config: PipelineConfig) -> Resources:
     if config.symmetrize:
         dictionary = derivfilter.symmetrize_instructions(
             dictionary, resource, code_table)
-        resource = derivfilter.build_resource(
-            dictionary, model, corpus_lexicon, code_table, euphonics)
+        resource = derivfilter.relicense(resource, dictionary, code_table)
     synonyms = lexica.load_synonyms(config.synonyms, pos_of=_pos_of(dictionary))
     patterns = rephrase.parse_patterns(config.patterns or packaged_data("patterns.txt"))
     compilation = wsd.compile_rules(dictionary, lexicon)

@@ -5,7 +5,9 @@ instead of indexing, itertools instead of hand-rolled recursion. Tests
 compare the fast implementations against these on small inputs.
 """
 
+import copy
 import itertools
+import os
 import re
 
 VOWELS = "aeiouyàâäéèêëíîïóôöùûüÿ"
@@ -58,6 +60,75 @@ def instruction_filter(candidates, senses, code_table) -> dict:
                 if instruction.suffix == cand.suffix:
                     licensed.setdefault(cand.surface, set()).add(sense.sense_id)
     return licensed
+
+
+def plain_build(records, model, corpus_lexicon, code_table, euphonics):
+    """Reference resource build: per lemma, generate -> corpus filter ->
+    instruction filter, scanning every record. Returns (by_lemma, stats)."""
+    from derivqa.derivfilter import DerivativeRecord, ResourceStats
+    from derivqa.lexica import instructions_for
+    from derivqa.morphogen import TooShortError, corpus_filter, generate_candidates
+
+    stats = ResourceStats()
+    by_lemma = {}
+    for lemma in sorted({r.lemma for r in records}):
+        senses = sorted((r for r in records if r.lemma == lemma), key=lambda r: r.sense_id)
+        instructions = [(s, ins) for s in senses for ins in instructions_for(s, code_table)]
+        stats.entries_processed += len(senses)
+        stats.instructions_total += len(instructions)
+        try:
+            candidates = generate_candidates(lemma, model, euphonics)
+        except TooShortError:
+            stats.instructions_unmatched += len(instructions)
+            continue
+        stats.candidates_generated += len(candidates)
+        accepted = {}
+        for cand in corpus_filter(candidates, corpus_lexicon):
+            licensing = [(s, ins) for s, ins in instructions if ins.suffix == cand.suffix]
+            if licensing and cand.surface not in accepted:
+                accepted[cand.surface] = DerivativeRecord(
+                    cand.surface, licensing[0][1].target_pos, cand.suffix, lemma,
+                    frozenset(s.sense_id for s, _ in licensing))
+        if accepted:
+            by_lemma[lemma] = [accepted[surface] for surface in sorted(accepted)]
+        stats.derivatives_accepted += len(accepted)
+        suffixes = {r.suffix for r in accepted.values()}
+        stats.instructions_unmatched += sum(1 for _, ins in instructions
+                                            if ins.suffix not in suffixes)
+    return by_lemma, stats
+
+
+def deep_symmetrize(records, by_lemma, code_table) -> list:
+    """Reference symmetrize on a deep copy of every record: each same-domain
+    non-verb sense of a verb's licensed derivative gains a VERBAL
+    instruction for the verb's ending after the common prefix."""
+    from derivqa.lexica import VERB, VERBAL, DerivInstruction, instructions_for
+
+    augmented = copy.deepcopy(list(records))
+    for sense in [r for r in augmented if r.pos == VERB]:
+        for ins in instructions_for(sense, code_table):
+            for record in sorted(by_lemma.get(sense.lemma, []), key=lambda r: r.surface):
+                licensed = not record.licensed_senses or sense.sense_id in record.licensed_senses
+                if not licensed or record.suffix != ins.suffix:
+                    continue
+                ending = sense.lemma[len(os.path.commonprefix([record.surface, sense.lemma])):]
+                for target in augmented:
+                    if (target.lemma != record.surface or target.pos == VERB
+                            or target.domain_code != sense.domain_code or not ending):
+                        continue
+                    back = DerivInstruction(VERB, ending, VERBAL)
+                    if back not in target.extra_instructions:
+                        target.extra_instructions.append(back)
+    return augmented
+
+
+def double_build(records, model, corpus_lexicon, code_table, euphonics):
+    """Reference symmetrized build: build, deep-copying symmetrize, build
+    again. Returns (by_lemma, stats, augmented records)."""
+    by_lemma, _ = plain_build(records, model, corpus_lexicon, code_table, euphonics)
+    augmented = deep_symmetrize(records, by_lemma, code_table)
+    by_lemma, stats = plain_build(augmented, model, corpus_lexicon, code_table, euphonics)
+    return by_lemma, stats, augmented
 
 
 def template_matches_dep(template, dep) -> bool:

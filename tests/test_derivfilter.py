@@ -1,3 +1,4 @@
+import copy
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from derivqa.derivfilter import (
     build_resource,
     filter_by_instructions,
     load_resource,
+    relicense,
     save_resource,
     symmetrize_instructions,
 )
@@ -169,11 +171,54 @@ class TestSymmetrize:
         assert len(formalisation) == 1
         assert [ins.suffix for ins in formalisation[0].extra_instructions] == ["er"]
 
+    def test_copies_only_the_senses_that_gain(self, code_table, benchmark_resources):
+        res = benchmark_resources
+        from derivqa import lexica
+        base_dictionary = lexica.load_dictionary(res.config.dictionary)
+        before = copy.deepcopy(list(base_dictionary))
+        records = list(base_dictionary)
+        first = build_resource(base_dictionary, res.model, res.corpus_lexicon,
+                               code_table, res.euphonics)
+        augmented = symmetrize_instructions(base_dictionary, first, code_table)
+        gained = [s.lemma for s in augmented if s.extra_instructions]
+        assert gained == ["coupure", "formalisation"]
+        assert len(augmented) == len(base_dictionary)
+        for old, new in zip(base_dictionary, augmented):
+            if new.lemma in gained:
+                assert new is not old
+                assert new.extra_instructions is not old.extra_instructions
+            else:
+                assert new is old
+        # the input dictionary, its records and their lists are untouched
+        assert list(base_dictionary) == before
+        assert all(a is b for a, b in zip(base_dictionary, records))
+
+    def test_symmetrizing_again_gains_nothing(self, benchmark_resources):
+        res = benchmark_resources
+        again = symmetrize_instructions(res.dictionary, res.resource, res.code_table)
+        assert len(again) == len(res.dictionary)
+        assert all(a is b for a, b in zip(again, res.dictionary))
+
     def test_rebuilds_verb_after_second_pass(self, benchmark_resources):
         records = benchmark_resources.resource.records_for("coupure")
         assert [r.surface for r in records] == ["couper"]
         assert records[0].target_pos == VERB
         assert records[0].suffix == "er"
+
+
+class TestRelicense:
+    def test_same_dictionary_gives_the_same_resource(self, benchmark_resources):
+        res = benchmark_resources
+        again = relicense(res.resource, res.dictionary, res.code_table)
+        assert again == res.resource
+        assert again.attested is res.resource.attested
+
+    def test_rejects_other_lemmas(self, code_table, benchmark_resources):
+        res = benchmark_resources
+        resource = build_resource([verb_sense("laver", 1, "-G-")], res.model,
+                                  res.corpus_lexicon, code_table, res.euphonics)
+        with pytest.raises(ValueError, match="dictionary lemmas differ"):
+            relicense(resource, [verb_sense("couper", 1, "-G-")], code_table)
 
 
 class TestAudit:

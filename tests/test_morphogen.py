@@ -9,11 +9,9 @@ from derivqa.morphogen import (
     SuffixModel,
     TooShortError,
     corpus_filter,
-    dump_candidates,
     euphonic_surfaces,
     generate_candidates,
     learn_suffix_model,
-    load_candidates,
     load_euphonic_rules,
     stem_candidates,
     syllable_count,
@@ -210,12 +208,3 @@ class TestCorpusFilter:
         ]
         kept = corpus_filter(candidates, corpus)
         assert [c.surface for c in kept] == ["coupure"]
-
-    def test_round_trip(self, tmp_path):
-        candidates = [
-            CandidateDerivative("couper", "coup", "ure", "coupure"),
-            CandidateDerivative("couper", "coup", "", "coup"),
-        ]
-        path = tmp_path / "cands.tsv"
-        dump_candidates(candidates, path)
-        assert load_candidates(path) == candidates

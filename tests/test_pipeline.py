@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from derivqa import lexica, qaengine
+from derivqa import derivfilter, lexica, qaengine
 from derivqa.depgraph import BASE, DERIVATIONAL
 from derivqa.pipeline import (
     ConfigError,
@@ -128,8 +128,18 @@ class TestLoadResources:
     def test_symmetrize_on_rebuilds(self, benchmark_resources):
         assert [r.surface for r in benchmark_resources.resource.records_for("coupure")] == ["couper"]
 
+    def test_symmetrize_generates_each_lemma_once(self, benchmark_config, monkeypatch):
+        calls = []
+        generate = derivfilter.generate_candidates
+        monkeypatch.setattr(derivfilter, "generate_candidates",
+                            lambda lemma, *args: calls.append(lemma) or generate(lemma, *args))
+        res = load_resources(benchmark_config)
+        assert res.config.symmetrize is True
+        assert sorted(calls) == sorted(res.dictionary.senses)
+        assert res.resource.stats.candidates_generated == 493
+
     def test_unknown_code_letter_is_logged_once(self, benchmark_config, caplog):
-        # building the resource twice and symmetrizing resolves the one
+        # licensing the resource twice and symmetrizing resolve the one
         # sense coded '-Q- - - RB- - -' five times
         with caplog.at_level("WARNING", logger="derivqa"):
             load_resources(benchmark_config)

@@ -1,12 +1,14 @@
 """Randomized cross-checks of the fast implementations against the
 brute-force references in oracles.py, plus structural invariants."""
 
+import json
 from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from derivqa import pipeline
 from derivqa.depgraph import (
     ATTRIBUTE,
     BASE,
@@ -23,7 +25,7 @@ from derivqa.depgraph import (
     load_depbank,
     save_depbank,
 )
-from derivqa.lexica import ADJ, NOUN, VERB, CorpusLexicon, InflectionEntry
+from derivqa.lexica import ADJ, NOUN, VERB, CorpusLexicon, InflectionEntry, load_dictionary
 from derivqa.morphogen import (
     CandidateDerivative,
     corpus_filter,
@@ -125,6 +127,73 @@ def test_corpus_filter_is_idempotent_and_sound(pairs, attested):
     assert corpus_filter(once, corpus) == once
     assert all(c.surface in corpus for c in once)
     assert [c for c in candidates if c.surface in corpus] == once
+
+
+# --- symmetrized resource build ---------------------------------------------
+
+# Stems end in a consonant, so verbs (stem + "er") and the nouns derived from
+# them (stem + a suffix of the packaged code table) never collide.
+SYLLABLES = st.sampled_from(["ba", "ca", "do", "li", "mo", "pa", "ri", "to"])
+STEMS = st.builds(lambda parts, end: "".join(parts) + end,
+                  st.lists(SYLLABLES, min_size=1, max_size=2), st.sampled_from("cdlmnrt"))
+NOUN_SUFFIXES = {"U": "ure", "G": "age", "E": "eur", "B": "ation"}
+DOMAINS = st.sampled_from(["GEN", "MAT"])
+
+
+@st.composite
+def stem_lexicons(draw):
+    """Dictionary rows, inflection rows and an attested wordlist: verbs and
+    nouns derived from them, sharing stems, with senses over mixed domains.
+    Dictionary words are attested but for at most one per stem."""
+    rows, inflections, attested = {}, [], set()
+    for stem in draw(st.lists(STEMS, min_size=1, max_size=5, unique=True)):
+        verb = stem + "er"
+        family = [verb] + [stem + suffix for suffix in NOUN_SUFFIXES.values()]
+        inflections += [(stem + ending, verb) for ending in ("a", "e", "é")]
+        for sense_id in range(1, draw(st.integers(min_value=0, max_value=2)) + 1):
+            codes = "-".join(draw(st.lists(st.sampled_from(sorted(NOUN_SUFFIXES)), max_size=3)))
+            rows[verb, sense_id] = ("VERB", draw(DOMAINS), "1", f"-{codes}-")
+        for noun in draw(st.lists(st.sampled_from(family[1:]), max_size=3, unique=True)):
+            inflections.append((noun + "s", noun))
+            for sense_id in range(1, draw(st.integers(min_value=0, max_value=2)) + 1):
+                rows[noun, sense_id] = ("NOUN", draw(DOMAINS), "", "")
+        unattested = draw(st.lists(st.sampled_from(family), max_size=1))
+        attested.update(w for w in family if (w, 1) in rows and w not in unattested)
+        attested.update(draw(st.lists(st.sampled_from(family), max_size=2)))
+    return rows, inflections, attested
+
+
+@settings(max_examples=100, deadline=None)
+@given(stem_lexicons(), st.integers(min_value=1, max_value=2),
+       st.integers(min_value=2, max_value=3))
+def test_symmetrized_build_matches_plain_double_build(tmp_path_factory, lexicon, threshold,
+                                                      min_syllables):
+    rows, inflections, attested = lexicon
+    tmp = tmp_path_factory.mktemp("lexicon")
+    (tmp / "dictionary.tsv").write_text("".join(
+        f"{lemma}\t{sense_id}\t{pos}\t{domain}\t\t\t\t\t{conjugation}\t\t{codes}\t\n"
+        for (lemma, sense_id), (pos, domain, conjugation, codes) in rows.items()),
+        encoding="utf-8")
+    (tmp / "inflections.tsv").write_text(
+        "".join(f"{form}\t{lemma}\t\n" for form, lemma in inflections), encoding="utf-8")
+    (tmp / "corpus_lexicon.tsv").write_text(
+        "".join(f"{word}\t1\n" for word in sorted(attested)), encoding="utf-8")
+    (tmp / "synonyms.tsv").write_text("", encoding="utf-8")
+    config = {"dictionary": "dictionary.tsv", "inflections": "inflections.tsv",
+              "corpus_lexicon": "corpus_lexicon.tsv", "synonyms": "synonyms.tsv",
+              "suffix_threshold": threshold, "min_syllables": min_syllables,
+              "symmetrize": True}
+    (tmp / "config.json").write_text(json.dumps(config), encoding="utf-8")
+
+    res = pipeline.load_resources(pipeline.load_config(tmp / "config.json"))
+    by_lemma, stats, augmented = oracles.double_build(
+        load_dictionary(tmp / "dictionary.tsv"), res.model, res.corpus_lexicon,
+        res.code_table, res.euphonics)
+    assert res.resource.by_lemma == by_lemma
+    assert res.resource.stats == stats
+    assert [s.extra_instructions for s in res.dictionary] == \
+        [s.extra_instructions for s in augmented]
+    assert list(res.dictionary) == augmented
 
 
 # --- depbank round-trip -----------------------------------------------------
