@@ -107,8 +107,7 @@ def cmd_ask(res: pipeline.Resources, args) -> int:
     wsd.disambiguate(question.graph, res.compilation, res.dictionary)
     bank = _load_bank(res, args)
     if res.config.mode == "baseline":
-        candidates = qaengine.answer_baseline(
-            question, qaengine.build_bag_index(bank), k=res.config.k)
+        candidates = qaengine.answer_baseline(question, bank, k=res.config.k)
     else:
         candidates = qaengine.answer(
             question, bank, k=res.config.k,

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
 
-from .lexica import ADJ, ADV, NOUN, VERB, normalize
+from .lexica import ADJ, ADV, CONTENT_POS, NOUN, VERB, normalize
 
 log = logging.getLogger(__name__)
 
@@ -74,9 +74,8 @@ class Dependency:
     """A labeled dependency; args are token indices into the owning graph.
 
     PREPPH carries its preposition as a literal string next to the two
-    token arguments (head, dependent); its arity therefore counts as 3.
-    Unknown labels are allowed so foreign banks round-trip, but they never
-    take part in matching.
+    token arguments (head, dependent). Unknown labels are allowed so foreign
+    banks round-trip, but they never take part in matching.
     """
 
     label: str
@@ -93,9 +92,6 @@ class Dependency:
         elif self.label in KNOWN_LABELS:
             if len(self.args) != 2 or self.prep is not None:
                 raise ValueError(f"{self.label} takes exactly two token args and no preposition")
-
-    def arity(self) -> int:
-        return len(self.args) + (1 if self.label == PREPPH else 0)
 
 
 @dataclass
@@ -120,11 +116,13 @@ class DependencyBank(tuple):
     `DependencyBank(bank)` gives back `bank` itself when it already is one,
     so its index is kept.
 
-    `postings` is an inverted index over the graphs' known-label
-    dependencies, built on first use: (label, prep, word of arg 0, word of
-    arg 1) -> ascending bank positions, where a word is the argument
-    token's lemma or one of its alternates. A graph changed after the index
-    is built is not seen by it.
+    Two indexes are built on first use, once per bank. `postings` is an
+    inverted index over the graphs' known-label dependencies: (label, prep,
+    word of arg 0, word of arg 1) -> ascending bank positions, where a word
+    is the argument token's lemma or one of its alternates. `bag_index` is
+    the bag engine's view, a pair: the significant lemmas of each graph by
+    bank position, and lemma -> ascending bank positions. A graph changed
+    after an index is built is not seen by it.
     """
 
     def __new__(cls, graphs=()):
@@ -135,6 +133,10 @@ class DependencyBank(tuple):
     @cached_property
     def postings(self) -> dict:
         return _dependency_postings(self)
+
+    @cached_property
+    def bag_index(self) -> tuple:
+        return _bag_index(self)
 
     def sharing(self, qgraph: DependencyGraph) -> list:
         """Ascending positions of the graphs holding a dependency that one of
@@ -168,6 +170,23 @@ def _dependency_postings(graphs) -> dict:
     return postings
 
 
+def _significant_lemmas(graph: DependencyGraph) -> frozenset:
+    """Lemmas of the graph's content words; derivative tokens are left out."""
+    return frozenset(
+        t.lemma for t in graph.tokens
+        if t.pos in CONTENT_POS and not t.features.get("deriv_pattern")
+    )
+
+
+def _bag_index(graphs) -> tuple:
+    bags = tuple(_significant_lemmas(graph) for graph in graphs)
+    postings = {}
+    for position, bag in enumerate(bags):
+        for lemma in bag:
+            postings.setdefault(lemma, []).append(position)
+    return bags, postings
+
+
 def copy_graph(graph: DependencyGraph) -> DependencyGraph:
     tokens = [
         TokenNode(t.index, t.surface, t.lemma, t.pos, dict(t.features),
@@ -175,21 +194,6 @@ def copy_graph(graph: DependencyGraph) -> DependencyGraph:
         for t in graph.tokens
     ]
     return DependencyGraph(graph.sentence_id, graph.text, tokens, list(graph.deps))
-
-
-def dep_signature(graph: DependencyGraph, dep: Dependency, with_provenance: bool = True):
-    """Lemma-level view of a dependency, the unit of graph comparison."""
-    lemmas = tuple(graph.tokens[i].lemma for i in dep.args)
-    head = (dep.label, lemmas, dep.prep)
-    return head + ((dep.provenance,) if with_provenance else ())
-
-
-def graph_equal(a: DependencyGraph, b: DependencyGraph, ignore_provenance: bool = False) -> bool:
-    """Structural equality at lemma level; token order does not matter."""
-    keep = not ignore_provenance
-    sig_a = {dep_signature(a, d, keep) for d in a.deps}
-    sig_b = {dep_signature(b, d, keep) for d in b.deps}
-    return sig_a == sig_b
 
 
 # ---------------------------------------------------------------------------
@@ -546,7 +550,9 @@ def save_depbank(graphs, path):
 
 
 def load_depbank(path) -> DependencyBank:
+    """Read a bank written by `save_depbank`; sentence ids must be unique."""
     graphs = []
+    seen = set()
     text = Path(path).read_text(encoding="utf-8")
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
@@ -555,7 +561,12 @@ def load_depbank(path) -> DependencyBank:
             record = json.loads(line)
         except json.JSONDecodeError as exc:
             raise DepbankError(f"{path}:{lineno}: not valid JSON: {exc}")
-        graphs.append(_graph_from_record(record, f"{path}:{lineno}"))
+        graph = _graph_from_record(record, f"{path}:{lineno}")
+        if graph.sentence_id in seen:
+            raise DepbankError(f"{path}:{lineno}: duplicate sentence id "
+                               f"{graph.sentence_id!r}")
+        seen.add(graph.sentence_id)
+        graphs.append(graph)
     return DependencyBank(graphs)
 
 

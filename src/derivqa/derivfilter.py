@@ -8,7 +8,6 @@ from fractions import Fraction
 from pathlib import Path
 
 from .lexica import (
-    LexiconError,
     VERB,
     VERBAL,
     DerivInstruction,
@@ -25,23 +24,20 @@ from .morphogen import (
 
 log = logging.getLogger(__name__)
 
-ALL_SENSES = frozenset()
-
 
 @dataclass(frozen=True)
 class DerivativeRecord:
     """An accepted derivative of a dictionary entry.
 
     `licensed_senses` lists the sense ids whose instructions produced the
-    derivative; the empty set means every sense (used when licensing cannot
-    discriminate, e.g. resources loaded with a wildcard sense column).
+    derivative; it is never empty.
     """
 
     surface: str
     target_pos: str
     suffix: str
     source_lemma: str
-    licensed_senses: frozenset = ALL_SENSES
+    licensed_senses: frozenset
 
 
 @dataclass
@@ -70,19 +66,23 @@ class DerivationalResource:
         return sum(len(records) for records in self.by_lemma.values())
 
 
-def filter_by_instructions(candidates, senses, code_table) -> list[DerivativeRecord]:
+def filter_by_instructions(candidates, senses, code_table,
+                           resolved=None) -> list[DerivativeRecord]:
     """Keep candidates whose suffix equals the suffix of some instruction.
 
     All senses must belong to one lemma. Comparison is exact string equality
     on the suffix (euphonic adjustments happened at generation time, the
     candidate already records its effective suffix). The accepted record is
     licensed for every sense carrying a matching instruction and takes its
-    part of speech from the first such instruction.
+    part of speech from the first such instruction. `resolved`, when given,
+    holds each sense's `instructions_for` list, in the order of `senses`.
     """
     lemmas = {s.lemma for s in senses}
     if len(lemmas) > 1:
         raise ValueError(f"senses of several lemmas passed together: {sorted(lemmas)}")
-    per_sense = [(s, instructions_for(s, code_table)) for s in senses]
+    if resolved is None:
+        resolved = [instructions_for(s, code_table) for s in senses]
+    per_sense = list(zip(senses, resolved))
     records = []
     for cand in candidates:
         licensed = set()
@@ -144,7 +144,7 @@ def relicense(resource, dictionary, code_table) -> DerivationalResource:
         if attested is None:
             stats.instructions_unmatched += sum(len(ins) for ins in instruction_lists)
             continue
-        records = filter_by_instructions(attested, senses, code_table)
+        records = filter_by_instructions(attested, senses, code_table, instruction_lists)
         # Collapse duplicate surfaces (euphonic variants can tie), keep first.
         unique = {}
         for r in records:
@@ -180,7 +180,7 @@ def symmetrize_instructions(dictionary, resource, code_table) -> Dictionary:
         produced = {
             r.surface: r
             for r in resource.records_for(sense.lemma)
-            if sense.sense_id in r.licensed_senses or not r.licensed_senses
+            if sense.sense_id in r.licensed_senses
         }
         for ins in instructions:
             for surface, record in sorted(produced.items()):
@@ -227,45 +227,14 @@ def audit_precision(resource, sample_size: int, gold: dict, seed: int = 17) -> F
 def save_resource(resource, path):
     """Write "source_lemma<TAB>surface<TAB>pos<TAB>suffix<TAB>senses" rows.
 
-    The sense column is ","-joined ids, or "*" for all-senses records.
-    Output is byte-stable for a given resource.
+    The sense column is ","-joined ids. Output is byte-stable for a given
+    resource.
     """
     lines = []
     for record in resource.all_records():
-        senses = "*" if not record.licensed_senses else ",".join(
-            str(s) for s in sorted(record.licensed_senses))
+        senses = ",".join(str(s) for s in sorted(record.licensed_senses))
         lines.append("\t".join([
             record.source_lemma, record.surface, record.target_pos,
             record.suffix, senses,
         ]))
     Path(path).write_text("".join(line + "\n" for line in lines), encoding="utf-8")
-
-
-def load_resource(path) -> DerivationalResource:
-    by_lemma = {}
-    text = Path(path).read_text(encoding="utf-8")
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip() or line.lstrip().startswith("#"):
-            continue
-        row = line.split("\t")
-        if len(row) != 5:
-            raise LexiconError(path, lineno, f"expected 5 columns, got {len(row)}")
-        source_lemma, surface, pos, suffix, senses = row
-        if senses == "*":
-            licensed = ALL_SENSES
-        else:
-            try:
-                licensed = frozenset(int(s) for s in senses.split(","))
-            except ValueError:
-                raise LexiconError(path, lineno, f"bad sense list: {senses!r}")
-        record = DerivativeRecord(surface, pos, suffix, source_lemma, licensed)
-        group = by_lemma.setdefault(source_lemma, [])
-        if any(r.surface == surface for r in group):
-            raise LexiconError(path, lineno, f"duplicate derivative {source_lemma} -> {surface}")
-        group.append(record)
-    for group in by_lemma.values():
-        group.sort(key=lambda r: r.surface)
-    resource = DerivationalResource(by_lemma=by_lemma)
-    resource.stats.derivatives_accepted = resource.size()
-    return resource
-

@@ -2,8 +2,7 @@
 synonym table and the derivation code table.
 
 All resources are tab-separated text so they can be maintained by hand.
-Loaders validate eagerly and report the offending line; serializers write
-a canonical form so that load -> save -> load is the identity.
+Loaders validate eagerly and report the offending line.
 """
 
 import logging
@@ -176,26 +175,6 @@ def load_dictionary(path) -> Dictionary:
             raise LexiconError(path, lineno, str(exc))
         records.append(rec)
     return Dictionary(records)
-
-
-def save_dictionary(records, path):
-    lines = []
-    for r in records:
-        lines.append("\t".join([
-            r.lemma,
-            str(r.sense_id),
-            r.pos,
-            r.domain_code,
-            r.class_code,
-            r.operator,
-            r.gloss,
-            ";".join(r.examples),
-            r.conjugation_code,
-            ";".join(r.construction_codes),
-            r.deriv_codes,
-            "" if r.register_level is None else str(r.register_level),
-        ]))
-    _write_lines(path, lines)
 
 
 def senses_by_lemma(records) -> dict[str, list[SenseRecord]]:

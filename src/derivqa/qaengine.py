@@ -17,8 +17,10 @@ from .depgraph import (
     DependencyBank,
     DependencyGraph,
     ToyParseError,
+    _significant_lemmas,
+    toy_parse,
 )
-from .lexica import CONTENT_POS, _read_rows, _write_lines
+from .lexica import LexiconError, _read_rows, _write_lines
 
 log = logging.getLogger(__name__)
 
@@ -40,8 +42,6 @@ class QuestionStructure:
 
 def parse_question(question_id: str, text: str, lexicon) -> QuestionStructure:
     """Analyze a question; raise QuestionError if no structure comes out."""
-    from .depgraph import toy_parse
-
     try:
         graph = toy_parse(text, lexicon, sentence_id=question_id)
     except ToyParseError as exc:
@@ -147,51 +147,37 @@ def answer(question: QuestionStructure, bank, k: int = 5,
     return [candidate for _, _, candidate in scored[:k]]
 
 
-@dataclass
-class BagIndex:
-    """Lemma-bag view of a bank: per-sentence lemma sets plus postings."""
-
-    bags: dict = field(default_factory=dict)        # sentence_id -> frozenset of lemmas
-    postings: dict = field(default_factory=dict)    # lemma -> set of sentence_ids
-    order: dict = field(default_factory=dict)       # sentence_id -> bank position
-    texts: dict = field(default_factory=dict)       # sentence_id -> text
+def build_bag_index(bank) -> DependencyBank:
+    """`bank` as a `DependencyBank` with its bag index built."""
+    bank = DependencyBank(bank)
+    bank.bag_index  # built on first use, then kept by the bank
+    return bank
 
 
-def _significant_lemmas(graph: DependencyGraph) -> frozenset:
-    return frozenset(
-        t.lemma for t in graph.tokens
-        if t.pos in CONTENT_POS and not t.features.get("deriv_pattern")
-    )
+def answer_baseline(question: QuestionStructure, bank, k: int = 5) -> list:
+    """Rank bank sentences by count of shared significant lemmas.
 
-
-def build_bag_index(bank) -> BagIndex:
-    index = BagIndex()
-    for position, graph in enumerate(bank):
-        bag = _significant_lemmas(graph)
-        index.bags[graph.sentence_id] = bag
-        index.order[graph.sentence_id] = position
-        index.texts[graph.sentence_id] = graph.text
-        for lemma in bag:
-            index.postings.setdefault(lemma, set()).add(graph.sentence_id)
-    return index
-
-
-def answer_baseline(question: QuestionStructure, index: BagIndex, k: int = 5) -> list:
-    """Rank sentences by count of shared significant lemmas."""
+    Sentences sharing none are not candidates. Ties keep bank order. The
+    bank's bag index finds the sentences; any other sequence of graphs is
+    wrapped in a `DependencyBank` first.
+    """
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
     q_bag = _significant_lemmas(question.graph)
     if not q_bag:
         return []
+    bank = DependencyBank(bank)
+    bags, postings = bank.bag_index
     hits = set()
     for lemma in q_bag:
-        hits |= index.postings.get(lemma, set())
+        hits.update(postings.get(lemma, ()))
     scored = []
-    for sid in hits:
-        shared = sorted(q_bag & index.bags[sid])
-        scored.append((-len(shared), index.order[sid],
-                       AnswerCandidate(sid, Fraction(len(shared), len(q_bag)),
-                                       shared, index.texts[sid])))
+    for position in hits:
+        graph = bank[position]
+        shared = sorted(q_bag & bags[position])
+        scored.append((-len(shared), position,
+                       AnswerCandidate(graph.sentence_id, Fraction(len(shared), len(q_bag)),
+                                       shared, graph.text)))
     scored.sort(key=lambda item: item[:2])
     return [candidate for _, _, candidate in scored[:k]]
 
@@ -218,7 +204,7 @@ def score_candidates(candidates, gold) -> tuple:
 
 
 def evaluate(questions, bank, mode: str, k: int = 5,
-             require_full_match: bool = False, index: BagIndex = None) -> EvalReport:
+             require_full_match: bool = False) -> EvalReport:
     """Score a list of (QuestionStructure, gold id frozenset) pairs.
 
     `bank` must be enriched as the mode requires before the call; this
@@ -235,9 +221,7 @@ def evaluate(questions, bank, mode: str, k: int = 5,
             raise ValueError(
                 f"{question.question_id}: gold ids not in bank: {sorted(unknown)}")
         if mode == "baseline":
-            if index is None:
-                index = build_bag_index(bank)
-            candidates = answer_baseline(question, index, k=k)
+            candidates = answer_baseline(question, bank, k=k)
         else:
             candidates = answer(question, bank, k=k,
                                 require_full_match=require_full_match)
@@ -262,11 +246,9 @@ def load_questions(path) -> list:
     seen = set()
     for lineno, row in _read_rows(path):
         if len(row) != 3:
-            from .lexica import LexiconError
             raise LexiconError(path, lineno, f"expected 3 columns, got {len(row)}")
         qid, text, gold = (c.strip() for c in row)
         if qid in seen:
-            from .lexica import LexiconError
             raise LexiconError(path, lineno, f"duplicate question id {qid!r}")
         seen.add(qid)
         ids = frozenset(g.strip() for g in gold.split(",") if g.strip())

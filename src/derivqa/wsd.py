@@ -12,7 +12,7 @@ of the word.
 import logging
 from dataclasses import dataclass, field
 
-from .depgraph import PREPPH, ToyParseError, toy_parse
+from .depgraph import ToyParseError, toy_parse
 from .lexica import CONTENT_POS, Dictionary
 
 log = logging.getLogger(__name__)
@@ -144,14 +144,14 @@ def select_derivatives(lemma: str, sense_id, resource):
     """Derivative records usable for a word in a given sense.
 
     With a concrete sense, a record qualifies when it is licensed for that
-    sense (or for every sense). With sense None the whole record list is
+    sense. With sense None the whole record list is
     returned: when nothing narrows the sense down, every derivative of the
     word stays available. Unknown lemmas yield an empty list.
     """
     records = resource.records_for(lemma)
     if sense_id is None:
         return list(records)
-    return [r for r in records if not r.licensed_senses or sense_id in r.licensed_senses]
+    return [r for r in records if sense_id in r.licensed_senses]
 
 
 def dump_rules(compilation: RuleCompilation, path):

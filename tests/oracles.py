@@ -187,3 +187,41 @@ def max_coverage_pairs(qgraph, tgraph, match_fn) -> int:
 
 def bag_overlap(q_lemmas, t_lemmas) -> int:
     return len(set(q_lemmas) & set(t_lemmas))
+
+
+def bag_ranking(qgraph, graphs, k: int) -> list:
+    """Reference bag engine: (sentence id, coverage) of the top k graphs,
+    scoring every graph by shared content lemmas (derivative tokens left
+    out), then sorting by score and bank position."""
+    from fractions import Fraction
+
+    from derivqa.lexica import CONTENT_POS
+
+    def significant(graph):
+        return [t.lemma for t in graph.tokens
+                if t.pos in CONTENT_POS and not t.features.get("deriv_pattern")]
+
+    q_lemmas = significant(qgraph)
+    scored = []
+    for position, graph in enumerate(graphs):
+        shared = bag_overlap(q_lemmas, significant(graph))
+        if shared:
+            scored.append((-shared, position))
+    scored.sort()
+    return [(graphs[position].sentence_id, Fraction(-neg, len(set(q_lemmas))))
+            for neg, position in scored[:k]]
+
+
+def dep_signature(graph, dep, with_provenance: bool = True):
+    """Lemma-level view of a dependency, the unit of graph comparison."""
+    lemmas = tuple(graph.tokens[i].lemma for i in dep.args)
+    head = (dep.label, lemmas, dep.prep)
+    return head + ((dep.provenance,) if with_provenance else ())
+
+
+def graph_equal(a, b, ignore_provenance: bool = False) -> bool:
+    """Structural equality at lemma level; token order does not matter."""
+    keep = not ignore_provenance
+    sig_a = {dep_signature(a, d, keep) for d in a.deps}
+    sig_b = {dep_signature(b, d, keep) for d in b.deps}
+    return sig_a == sig_b

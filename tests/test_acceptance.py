@@ -12,6 +12,7 @@ from fractions import Fraction
 from conftest import FIXTURES, make_graph
 
 import oracles
+from oracles import dep_signature
 from derivqa import pipeline, qaengine
 from derivqa.depgraph import (
     ATTRIBUTE,
@@ -25,7 +26,6 @@ from derivqa.depgraph import (
     DependencyGraph,
     TokenNode,
     copy_graph,
-    dep_signature,
     toy_parse,
 )
 from derivqa.derivfilter import (

@@ -194,3 +194,17 @@ class TestExitCodes:
                              "--bank", str(bank))
         assert code == EXIT_INPUT
         assert "error:" in err and "indices must be contiguous integers" in err
+
+    def test_bank_with_repeated_sentence_id(self, capsys, tmp_path, benchmark_resources):
+        from derivqa.depgraph import save_depbank, toy_parse
+
+        bank = tmp_path / "bank.jsonl"
+        save_depbank([toy_parse(text, benchmark_resources.lexicon, "x")
+                      for text in ("l'ouvrier a coupé le courant .",
+                                   "le domestique lave le linge .")], bank)
+        code, out, err = run(capsys, "--config", BENCHMARK_CONFIG, "--mode", "baseline",
+                             "ask", "--question", "l'ouvrier coupa quel courant ?",
+                             "--bank", str(bank))
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert "error:" in err and "duplicate sentence id 'x'" in err

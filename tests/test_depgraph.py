@@ -3,7 +3,6 @@ import pytest
 from derivqa.depgraph import (
     ATTRIBUTE,
     BASE,
-    DET,
     DIROBJ,
     DERIVATIONAL,
     MODIFIER,
@@ -21,12 +20,11 @@ from derivqa.depgraph import (
     ToyParseError,
     UnknownTokenError,
     copy_graph,
-    dep_signature,
-    graph_equal,
     load_depbank,
     save_depbank,
     toy_parse,
 )
+from oracles import dep_signature, graph_equal
 
 
 @pytest.fixture(scope="module")
@@ -57,11 +55,7 @@ class TestDependencyValidation:
 
     def test_unknown_labels_pass_through(self):
         dep = Dependency("FOREIGN", (0,))
-        assert dep.arity() == 1
-
-    def test_prepph_arity_counts_preposition(self):
-        assert Dependency(PREPPH, (0, 1), prep="de").arity() == 3
-        assert Dependency(SUBJECT, (0, 1)).arity() == 2
+        assert dep.args == (0,)
 
     def test_add_dep_checks_range_and_dedupes(self):
         graph = DependencyGraph("s", "t", [TokenNode(0, "a", "a", NOUN)])
@@ -259,6 +253,14 @@ class TestBankSerialization:
             '"pos":"NOUN"}],"deps":[{"label":"MODIFIER","args":[0,0],'
             '"provenance":"GUESS"}]}\n', encoding="utf-8")
         with pytest.raises(DepbankError, match="bad dependency"):
+            load_depbank(path)
+
+    def test_rejects_repeated_sentence_id(self, tmp_path, lexicon):
+        graphs = [toy_parse("l'ouvrier a coupé le courant .", lexicon, "x"),
+                  toy_parse("le domestique lave le linge .", lexicon, "x")]
+        path = tmp_path / "bank.jsonl"
+        save_depbank(graphs, path)
+        with pytest.raises(DepbankError, match=r"bank.jsonl:2: duplicate sentence id 'x'"):
             load_depbank(path)
 
     def test_banks_are_read_only_sequences(self, tmp_path, benchmark_resources):

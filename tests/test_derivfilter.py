@@ -4,14 +4,13 @@ from fractions import Fraction
 import pytest
 
 import oracles
+from derivqa import derivfilter
 from derivqa.derivfilter import (
-    ALL_SENSES,
     DerivationalResource,
     DerivativeRecord,
     audit_precision,
     build_resource,
     filter_by_instructions,
-    load_resource,
     relicense,
     save_resource,
     symmetrize_instructions,
@@ -21,11 +20,9 @@ from derivqa.lexica import (
     NOUN,
     VERB,
     Dictionary,
-    LexiconError,
     SenseRecord,
     instructions_for,
     load_code_table,
-    senses_by_lemma,
 )
 from derivqa.morphogen import CandidateDerivative
 from derivqa.pipeline import packaged_data
@@ -136,7 +133,7 @@ class TestBuildResource:
 class TestSymmetrize:
     def test_adds_exactly_the_back_instructions(self, code_table, benchmark_resources):
         res = benchmark_resources
-        from derivqa import lexica, pipeline
+        from derivqa import lexica
         base_dictionary = lexica.load_dictionary(res.config.dictionary)
         first = build_resource(base_dictionary, res.model, res.corpus_lexicon,
                                code_table, res.euphonics)
@@ -213,6 +210,15 @@ class TestRelicense:
         assert again == res.resource
         assert again.attested is res.resource.attested
 
+    def test_resolves_each_sense_once(self, benchmark_resources, monkeypatch):
+        res = benchmark_resources
+        resolved = []
+        monkeypatch.setattr(derivfilter, "instructions_for", lambda sense, table:
+                            resolved.append(sense) or instructions_for(sense, table))
+        again = relicense(res.resource, res.dictionary, res.code_table)
+        assert again == res.resource
+        assert sorted(map(id, resolved)) == sorted(map(id, res.dictionary))
+
     def test_rejects_other_lemmas(self, code_table, benchmark_resources):
         res = benchmark_resources
         resource = build_resource([verb_sense("laver", 1, "-G-")], res.model,
@@ -226,10 +232,10 @@ class TestAudit:
     def resource(self):
         by_lemma = {
             "couper": [
-                DerivativeRecord("coupure", NOUN, "ure", "couper"),
-                DerivativeRecord("coupage", NOUN, "age", "couper"),
+                DerivativeRecord("coupure", NOUN, "ure", "couper", frozenset({1})),
+                DerivativeRecord("coupage", NOUN, "age", "couper", frozenset({1})),
             ],
-            "laver": [DerivativeRecord("lavable", ADJ, "able", "laver")],
+            "laver": [DerivativeRecord("lavable", ADJ, "able", "laver", frozenset({1}))],
         }
         return DerivationalResource(by_lemma=by_lemma)
 
@@ -259,32 +265,13 @@ class TestAudit:
 
 
 class TestSerialization:
-    def test_round_trip(self, tmp_path, benchmark_resources):
-        resource = benchmark_resources.resource
-        path = tmp_path / "resource.tsv"
-        save_resource(resource, path)
-        loaded = load_resource(path)
-        assert loaded.by_lemma == resource.by_lemma
-        assert loaded.size() == resource.size()
-
-    def test_wildcard_sense_round_trip(self, tmp_path):
+    def test_rows_carry_joined_sense_ids(self, tmp_path):
         resource = DerivationalResource(by_lemma={
-            "couper": [DerivativeRecord("coupure", NOUN, "ure", "couper", ALL_SENSES)],
+            "couper": [DerivativeRecord("coupure", NOUN, "ure", "couper", frozenset({2, 1}))],
+            "laver": [DerivativeRecord("lavable", ADJ, "able", "laver", frozenset({1}))],
         })
         path = tmp_path / "resource.tsv"
         save_resource(resource, path)
-        text = path.read_text(encoding="utf-8")
-        assert text == "couper\tcoupure\tNOUN\ture\t*\n"
-        assert load_resource(path).by_lemma == resource.by_lemma
-
-    def test_load_rejects_duplicates(self, tmp_path):
-        path = tmp_path / "resource.tsv"
-        path.write_text("couper\tcoupure\tNOUN\ture\t*\n" * 2, encoding="utf-8")
-        with pytest.raises(LexiconError, match="duplicate"):
-            load_resource(path)
-
-    def test_load_rejects_bad_sense_list(self, tmp_path):
-        path = tmp_path / "resource.tsv"
-        path.write_text("couper\tcoupure\tNOUN\ture\tx,y\n", encoding="utf-8")
-        with pytest.raises(LexiconError, match="sense list"):
-            load_resource(path)
+        assert path.read_text(encoding="utf-8") == (
+            "couper\tcoupure\tNOUN\ture\t1,2\n"
+            "laver\tlavable\tADJ\table\t1\n")

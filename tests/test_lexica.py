@@ -15,7 +15,6 @@ from derivqa.lexica import (
     load_inflections,
     load_synonyms,
     parse_derivation_codes,
-    save_dictionary,
     senses_by_lemma,
 )
 from derivqa.pipeline import packaged_data
@@ -67,13 +66,6 @@ class TestDictionary:
         path = write(tmp_path, "d.tsv", row + "\n")
         with pytest.raises(LexiconError, match="verb-only"):
             load_dictionary(path)
-
-    def test_round_trip(self, tmp_path):
-        path = write(tmp_path, "d.tsv", DICT_ROW + "\n")
-        records = load_dictionary(path)
-        out = tmp_path / "out.tsv"
-        save_dictionary(records, out)
-        assert load_dictionary(out) == records
 
     def test_error_message_carries_path_and_line(self, tmp_path):
         path = write(tmp_path, "d.tsv", "# one\n\nbad row\n")

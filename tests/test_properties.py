@@ -8,24 +8,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from oracles import dep_signature, graph_equal
 from derivqa import pipeline
 from derivqa.depgraph import (
     ATTRIBUTE,
     BASE,
     DERIVATIONAL,
+    DET,
     DIROBJ,
     MODIFIER,
+    OTHER,
+    PREP,
     PREPPH,
     SUBJECT,
     Dependency,
     DependencyGraph,
     TokenNode,
-    dep_signature,
-    graph_equal,
     load_depbank,
     save_depbank,
 )
-from derivqa.lexica import ADJ, NOUN, VERB, CorpusLexicon, InflectionEntry, load_dictionary
+from derivqa.lexica import ADJ, ADV, NOUN, VERB, CorpusLexicon, InflectionEntry, load_dictionary
 from derivqa.morphogen import (
     CandidateDerivative,
     corpus_filter,
@@ -35,6 +37,7 @@ from derivqa.morphogen import (
 from derivqa.qaengine import (
     QuestionStructure,
     answer,
+    answer_baseline,
     dep_match,
 )
 from derivqa.rephrase import DepTemplate, DerivationPattern, match_pattern
@@ -302,6 +305,36 @@ def test_answer_ranking_matches_exhaustive_scan(qgraph, bank, full):
             scored.append((-coverage, position))
     assert [(c.sentence_id, c.coverage) for c in got] == [
         (f"s{position}", -neg) for neg, position in sorted(scored)]
+
+
+# content and non-content parts of speech, for the bag engine
+BAG_POSES = st.sampled_from([NOUN, VERB, ADJ, ADV, DET, PREP, OTHER])
+
+
+@st.composite
+def bag_graphs(draw, max_tokens=5):
+    """Random token lists; some tokens are derivative-tagged, which the bag
+    engine must not see."""
+    lemmas = draw(st.lists(FEW_LEMMAS, min_size=1, max_size=max_tokens))
+    tokens = [
+        TokenNode(i, lemma, lemma, draw(BAG_POSES),
+                  features={"deriv_pattern": "p"} if draw(st.booleans()) else {})
+        for i, lemma in enumerate(lemmas)
+    ]
+    return DependencyGraph("q", "text", tokens)
+
+
+@settings(max_examples=150)
+@given(bag_graphs(), st.lists(bag_graphs(), min_size=1, max_size=10),
+       st.integers(min_value=1, max_value=12))
+def test_bag_ranking_matches_exhaustive_scan(qgraph, bank, k):
+    for position, graph in enumerate(bank):
+        graph.sentence_id = f"s{position}"
+        graph.text = f"text {position}"
+    question = QuestionStructure("q", "text", qgraph)
+    got = answer_baseline(question, bank, k=k)
+    assert [(c.sentence_id, c.coverage) for c in got] == oracles.bag_ranking(qgraph, bank, k)
+    assert all(c.text == f"text {c.sentence_id[1:]}" for c in got)
 
 
 # --- enrichment additivity ---------------------------------------------------

@@ -5,13 +5,12 @@ import pytest
 import oracles
 from derivqa import depgraph
 from derivqa.depgraph import (
-    DERIVATIONAL,
     SUBJECT,
     Dependency,
     DependencyBank,
     toy_parse,
 )
-from derivqa.lexica import LexiconError, NOUN, VERB
+from derivqa.lexica import LexiconError
 from derivqa.qaengine import (
     AnswerCandidate,
     EvalReport,
@@ -142,22 +141,27 @@ class TestStructuralAnswer:
         candidates = answer(q2, bank)
         assert [c.sentence_id for c in candidates] == ["a"]
 
-    def test_one_bank_builds_its_index_once(self, res, small_bank, monkeypatch):
+    @pytest.mark.parametrize("mode, engine, builder", [
+        ("deriv", answer, "_dependency_postings"),
+        ("baseline", answer_baseline, "_bag_index"),
+    ], ids=["deriv", "baseline"])
+    def test_one_bank_builds_its_index_once(self, res, small_bank, monkeypatch,
+                                            mode, engine, builder):
         builds = []
-        build = depgraph._dependency_postings
-        monkeypatch.setattr(depgraph, "_dependency_postings",
+        build = getattr(depgraph, builder)
+        monkeypatch.setattr(depgraph, builder,
                             lambda graphs: builds.append(len(graphs)) or build(graphs))
         q = parse_question("q", "l'ouvrier coupa quel courant ?", res.lexicon)
         bank = DependencyBank(small_bank)
         assert builds == []
-        first = answer(q, bank)
+        first = engine(q, bank)
         for _ in range(3):
-            assert answer(q, bank) == first
-        evaluate([(q, frozenset({"s1"}))] * 3, bank, mode="deriv")
+            assert engine(q, bank) == first
+        evaluate([(q, frozenset({"s1"}))] * 3, bank, mode=mode)
         assert DependencyBank(bank) is bank
         assert builds == [4]
         # a plain list is wrapped once per call, so evaluate builds once
-        evaluate([(q, frozenset({"s1"}))] * 3, small_bank, mode="deriv")
+        evaluate([(q, frozenset({"s1"}))] * 3, small_bank, mode=mode)
         assert builds == [4, 4]
 
     def test_unanalyzable_question(self, res):
@@ -167,9 +171,8 @@ class TestStructuralAnswer:
 
 class TestBagBaseline:
     def test_counts_shared_lemmas(self, res, small_bank):
-        index = build_bag_index(small_bank)
         q = parse_question("q", "l'ouvrier coupa quel courant ?", res.lexicon)
-        candidates = answer_baseline(q, index)
+        candidates = answer_baseline(q, small_bank)
         assert [c.sentence_id for c in candidates] == ["s1", "s3", "s4"]
         assert candidates[0].matched == ["couper", "courant", "ouvrier"]
         assert candidates[1].coverage == candidates[2].coverage == Fraction(2, 3)
@@ -185,12 +188,29 @@ class TestBagBaseline:
             for g in small_bank
         ]
         assert any(t.features.get("deriv_pattern") for g in enriched for t in g.tokens)
-        assert build_bag_index(enriched).bags == build_bag_index(small_bank).bags
+        assert DependencyBank(enriched).bag_index == DependencyBank(small_bank).bag_index
+
+    def test_repeated_ids_keep_their_own_text(self, res, small_bank):
+        # ranking is by bank position, so a later graph under the same id
+        # neither hides an earlier one nor lends it its text
+        bank = [depgraph.copy_graph(small_bank[0]), depgraph.copy_graph(small_bank[1])]
+        for graph in bank:
+            graph.sentence_id = "x"
+        q = parse_question("q", "l'ouvrier coupa quel courant ?", res.lexicon)
+        candidates = answer_baseline(q, bank)
+        assert [(c.sentence_id, c.coverage, c.text) for c in candidates] == [
+            ("x", Fraction(1), small_bank[0].text)]
+
+    def test_build_bag_index_returns_the_indexed_bank(self, small_bank):
+        bank = DependencyBank(small_bank)
+        assert build_bag_index(bank) is bank
+        assert "bag_index" in vars(bank)
+        assert build_bag_index(small_bank) == bank
 
     def test_k_must_be_positive(self, res, small_bank):
         q = parse_question("q", "l'ouvrier coupa quel courant ?", res.lexicon)
         with pytest.raises(ValueError, match="k must be positive"):
-            answer_baseline(q, build_bag_index(small_bank), k=0)
+            answer_baseline(q, small_bank, k=0)
 
 
 class TestEvaluate:

@@ -1,13 +1,12 @@
 import pytest
 
 import oracles
+from oracles import dep_signature, graph_equal
 from derivqa.depgraph import (
     BASE,
     DERIVATIONAL,
     Dependency,
     copy_graph,
-    dep_signature,
-    graph_equal,
     toy_parse,
 )
 from derivqa.lexica import NOUN, VERB

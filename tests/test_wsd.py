@@ -108,9 +108,6 @@ class TestDerivativeSelection:
             DerivativeRecord("formalisé", "ADJ", "é", "formaliser",
                              frozenset({2})),
         ],
-        "couper": [
-            DerivativeRecord("coupure", NOUN, "ure", "couper", frozenset()),
-        ],
     })
 
     def test_licensed_sense_selects(self):
@@ -123,9 +120,6 @@ class TestDerivativeSelection:
     def test_none_sense_keeps_everything(self):
         records = select_derivatives("formaliser", None, self.RESOURCE)
         assert {r.surface for r in records} == {"formalisation", "formalisé"}
-
-    def test_all_senses_record_always_selected(self):
-        assert len(select_derivatives("couper", 99, self.RESOURCE)) == 1
 
     def test_unknown_lemma(self):
         assert select_derivatives("absent", 1, self.RESOURCE) == []
