@@ -64,14 +64,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_overrides(config: pipeline.PipelineConfig, args) -> pipeline.PipelineConfig:
-    for name in ("mode", "k"):
+    for name in ("mode", "k", "require_full_match", "symmetrize"):
         value = getattr(args, name)
         if value is not None:
             setattr(config, name, value)
-    if args.require_full_match is not None:
-        config.require_full_match = args.require_full_match
-    if args.symmetrize is not None:
-        config.symmetrize = args.symmetrize
     config.validate()
     return config
 
@@ -106,12 +102,8 @@ def cmd_ask(res: pipeline.Resources, args) -> int:
     question = qaengine.parse_question("q", args.question, res.lexicon)
     wsd.disambiguate(question.graph, res.compilation, res.dictionary)
     bank = _load_bank(res, args)
-    if res.config.mode == "baseline":
-        candidates = qaengine.answer_baseline(question, bank, k=res.config.k)
-    else:
-        candidates = qaengine.answer(
-            question, bank, k=res.config.k,
-            require_full_match=res.config.require_full_match)
+    candidates = qaengine.answer_for_mode(question, bank, res.config.mode, res.config.k,
+                                          res.config.require_full_match)
     if not candidates:
         print("no answer")
         return EXIT_OK

@@ -14,9 +14,8 @@ import logging
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
-from pathlib import Path
 
-from .lexica import ADJ, ADV, CONTENT_POS, NOUN, VERB, normalize
+from .lexica import ADJ, ADV, CONTENT_POS, NOUN, VERB, _read_text, _write_lines, normalize
 
 log = logging.getLogger(__name__)
 
@@ -73,9 +72,9 @@ class TokenNode:
 class Dependency:
     """A labeled dependency; args are token indices into the owning graph.
 
-    PREPPH carries its preposition as a literal string next to the two
-    token arguments (head, dependent). Unknown labels are allowed so foreign
-    banks round-trip, but they never take part in matching.
+    The label is one of `KNOWN_LABELS`, and the two args are (head,
+    dependent). PREPPH carries its preposition as a literal string next to
+    them.
     """
 
     label: str
@@ -84,14 +83,15 @@ class Dependency:
     provenance: str = BASE
 
     def __post_init__(self):
+        if self.label not in KNOWN_LABELS:
+            raise ValueError(f"unknown dependency label {self.label!r}")
         if self.provenance not in PROVENANCES:
             raise ValueError(f"unknown provenance {self.provenance!r}")
         if self.label == PREPPH:
-            if len(self.args) != 2 or not self.prep:
+            if len(self.args) != 2 or not isinstance(self.prep, str) or not self.prep:
                 raise ValueError("PREPPH takes two token args and a preposition string")
-        elif self.label in KNOWN_LABELS:
-            if len(self.args) != 2 or self.prep is not None:
-                raise ValueError(f"{self.label} takes exactly two token args and no preposition")
+        elif len(self.args) != 2 or self.prep is not None:
+            raise ValueError(f"{self.label} takes exactly two token args and no preposition")
 
 
 @dataclass
@@ -117,7 +117,7 @@ class DependencyBank(tuple):
     so its index is kept.
 
     Two indexes are built on first use, once per bank. `postings` is an
-    inverted index over the graphs' known-label dependencies: (label, prep,
+    inverted index over the graphs' dependencies: (label, prep,
     word of arg 0, word of arg 1) -> ascending bank positions, where a word
     is the argument token's lemma or one of its alternates. `bag_index` is
     the bag engine's view, a pair: the significant lemmas of each graph by
@@ -159,8 +159,6 @@ def _dependency_postings(graphs) -> dict:
     for position, graph in enumerate(graphs):
         tokens = graph.tokens
         for dep in graph.deps:
-            if dep.label not in KNOWN_LABELS:
-                continue
             head, dependent = tokens[dep.args[0]], tokens[dep.args[1]]
             for x in (head.lemma, *head.alternates):
                 for y in (dependent.lemma, *dependent.alternates):
@@ -546,14 +544,14 @@ def save_depbank(graphs, path):
             ],
         }
         lines.append(json.dumps(record, ensure_ascii=False, separators=(",", ":")))
-    Path(path).write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    _write_lines(path, lines)
 
 
 def load_depbank(path) -> DependencyBank:
     """Read a bank written by `save_depbank`; sentence ids must be unique."""
     graphs = []
     seen = set()
-    text = Path(path).read_text(encoding="utf-8")
+    text = _read_text(path, lambda p, lineno, message: DepbankError(f"{p}:{lineno}: {message}"))
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
@@ -622,8 +620,6 @@ def _graph_from_record(record, where: str) -> DependencyGraph:
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise DepbankError(f"{rid}: bad dependency record: {exc}")
-        if not isinstance(dep.label, str) or not (dep.prep is None or isinstance(dep.prep, str)):
-            raise DepbankError(f"{rid}: dependency label and prep must be strings")
         if any(type(i) is not int or not 0 <= i < len(tokens) for i in dep.args):
             raise DepbankError(f"{rid}: dependency args not integers or out of range: "
                                f"{dep.args}")

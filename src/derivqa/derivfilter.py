@@ -5,13 +5,13 @@ import logging
 import random
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from pathlib import Path
 
 from .lexica import (
     VERB,
     VERBAL,
     DerivInstruction,
     Dictionary,
+    _write_lines,
     instructions_for,
 )
 from .morphogen import (
@@ -237,4 +237,4 @@ def save_resource(resource, path):
             record.source_lemma, record.surface, record.target_pos,
             record.suffix, senses,
         ]))
-    Path(path).write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    _write_lines(path, lines)

@@ -1,7 +1,7 @@
 """Lexical resources: sense dictionary, inflection lexicon, corpus wordlist,
 synonym table and the derivation code table.
 
-All resources are tab-separated text so they can be maintained by hand.
+All resources are tab-separated UTF-8 text so they can be maintained by hand.
 Loaders validate eagerly and report the offending line.
 """
 
@@ -143,9 +143,7 @@ def load_dictionary(path) -> Dictionary:
     """
     records = []
     seen = set()
-    for lineno, row in _read_rows(path):
-        if len(row) != DICT_COLUMNS:
-            raise LexiconError(path, lineno, f"expected {DICT_COLUMNS} columns, got {len(row)}")
+    for lineno, row in _read_rows(path, DICT_COLUMNS):
         (lemma, sense_id, pos, domain, class_code, operator, gloss,
          examples, conjugation, constructions, deriv_codes, level) = row
         try:
@@ -189,9 +187,7 @@ def senses_by_lemma(records) -> dict[str, list[SenseRecord]]:
 def load_code_table(path) -> dict[str, DerivInstruction]:
     """Load the code-letter table: code_letter, kind, target_pos, suffix."""
     table = {}
-    for lineno, row in _read_rows(path):
-        if len(row) != 4:
-            raise LexiconError(path, lineno, f"expected 4 columns, got {len(row)}")
+    for lineno, row in _read_rows(path, 4):
         letter, kind, target_pos, suffix = row
         if len(letter) != 1:
             raise LexiconError(path, lineno, f"code letter must be a single character: {letter!r}")
@@ -258,19 +254,11 @@ class InflectionLexicon:
     def readings(self, surface: str) -> list[InflectionEntry]:
         return self._by_form.get(normalize(surface), [])
 
-    def __contains__(self, surface: str) -> bool:
-        return normalize(surface) in self._by_form
-
-    def __len__(self):
-        return len(self.entries)
-
 
 def load_inflections(path) -> list[InflectionEntry]:
     """Load "form<TAB>lemma<TAB>tags" lines."""
     entries = []
-    for lineno, row in _read_rows(path):
-        if len(row) != 3:
-            raise LexiconError(path, lineno, f"expected 3 columns, got {len(row)}")
+    for lineno, row in _read_rows(path, 3):
         form, lemma, tags = row
         if not form or not lemma:
             raise LexiconError(path, lineno, "empty form or lemma")
@@ -287,18 +275,10 @@ class CorpusLexicon:
     def __contains__(self, form: str) -> bool:
         return normalize(form) in self.counts
 
-    def count(self, form: str) -> int:
-        return self.counts.get(normalize(form), 0)
-
-    def __len__(self):
-        return len(self.counts)
-
 
 def load_corpus_lexicon(path) -> CorpusLexicon:
     counts = {}
-    for lineno, row in _read_rows(path):
-        if len(row) != 2:
-            raise LexiconError(path, lineno, f"expected 2 columns, got {len(row)}")
+    for lineno, row in _read_rows(path, 2):
         form, count = row
         try:
             n = int(count)
@@ -327,9 +307,6 @@ class SynonymTable:
             result |= self.entries.get((lemma, sense_id), set())
         return result
 
-    def __len__(self):
-        return len(self.entries)
-
 
 def load_synonyms(path, pos_of=None) -> SynonymTable:
     """Load "lemma<TAB>sense-or-*<TAB>syn(;syn)*" rows.
@@ -339,9 +316,7 @@ def load_synonyms(path, pos_of=None) -> SynonymTable:
     synonymy never crosses part of speech here.
     """
     entries: dict[tuple[str, int | str], set[str]] = {}
-    for lineno, row in _read_rows(path):
-        if len(row) != 3:
-            raise LexiconError(path, lineno, f"expected 3 columns, got {len(row)}")
+    for lineno, row in _read_rows(path, 3):
         lemma, sense, syns = row
         key_sense: int | str
         if sense == WILDCARD_SENSE:
@@ -371,12 +346,27 @@ def _split_multi(cell: str) -> tuple[str, ...]:
     return tuple(part.strip() for part in cell.split(";") if part.strip())
 
 
-def _read_rows(path):
-    text = Path(path).read_text(encoding="utf-8")
-    for lineno, line in enumerate(text.splitlines(), start=1):
+def _read_text(path, error=LexiconError) -> str:
+    """The text of a UTF-8 file; a byte that is not UTF-8 raises
+    `error(path, lineno, message)` for the line that holds it."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = len((data[: exc.start].decode("utf-8") + "_").splitlines())
+        raise error(path, lineno, f"not valid UTF-8: byte 0x{data[exc.start]:02x}") from None
+
+
+def _read_rows(path, columns: int):
+    """(line number, cells) of each row of a TSV file, which must hold
+    `columns` cells; blank lines and `#` comment lines are skipped."""
+    for lineno, line in enumerate(_read_text(path).splitlines(), start=1):
         if not line.strip() or line.lstrip().startswith("#"):
             continue
-        yield lineno, line.split("\t")
+        row = line.split("\t")
+        if len(row) != columns:
+            raise LexiconError(path, lineno, f"expected {columns} columns, got {len(row)}")
+        yield lineno, row
 
 
 def _write_lines(path, lines):

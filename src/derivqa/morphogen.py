@@ -11,9 +11,8 @@ downstream filters keep only attested, licensed derivatives.
 
 import logging
 from dataclasses import dataclass, field
-from pathlib import Path
 
-from .lexica import LexiconError, normalize
+from .lexica import LexiconError, _read_rows, normalize
 
 log = logging.getLogger(__name__)
 
@@ -54,13 +53,7 @@ DEFAULT_EUPHONICS = (EuphonicRule("e", "", "vowel"),)
 def load_euphonic_rules(path) -> tuple[EuphonicRule, ...]:
     """Load "stem_tail<TAB>replacement<TAB>before" rows, in file order."""
     rules = []
-    text = Path(path).read_text(encoding="utf-8")
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip() or line.lstrip().startswith("#"):
-            continue
-        row = line.split("\t")
-        if len(row) != 3:
-            raise LexiconError(path, lineno, f"expected 3 columns, got {len(row)}")
+    for lineno, row in _read_rows(path, 3):
         tail, replacement, before = row
         if not tail:
             raise LexiconError(path, lineno, "empty stem tail")

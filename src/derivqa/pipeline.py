@@ -70,7 +70,8 @@ def load_config(path) -> PipelineConfig:
     """Read a JSON config; relative paths resolve against the config's dir."""
     path = Path(path)
     try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
+        raw = json.loads(lexica._read_text(
+            path, lambda p, lineno, message: ConfigError(f"{p}:{lineno}: {message}")))
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -186,9 +187,7 @@ def load_sentences(path) -> list:
     """Read "id<TAB>text" sentence rows."""
     rows = []
     seen = set()
-    for lineno, row in lexica._read_rows(path):
-        if len(row) != 2:
-            raise lexica.LexiconError(path, lineno, f"expected 2 columns, got {len(row)}")
+    for lineno, row in lexica._read_rows(path, 2):
         sid, text = (c.strip() for c in row)
         if sid in seen:
             raise lexica.LexiconError(path, lineno, f"duplicate sentence id {sid!r}")

@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .depgraph import (
-    KNOWN_LABELS,
     DependencyBank,
     DependencyGraph,
     ToyParseError,
@@ -72,17 +71,13 @@ def _arg_matches(q_token, t_token) -> bool:
 def dep_match(qgraph: DependencyGraph, qdep, tgraph: DependencyGraph, tdep) -> bool:
     """Whether a question dependency is satisfied by a sentence dependency.
 
-    Labels must be equal and known; prepositions must agree literally;
+    Labels must be equal; prepositions must agree literally;
     each question argument must equal the sentence argument's lemma or
     appear among its alternates. Provenance plays no role.
     `DependencyBank.sharing` finds candidates by these same rules, so a
     change here must be made there too.
     """
-    if qdep.label != tdep.label or qdep.label not in KNOWN_LABELS:
-        return False
-    if qdep.prep != tdep.prep:
-        return False
-    if len(qdep.args) != len(tdep.args):
+    if qdep.label != tdep.label or qdep.prep != tdep.prep:
         return False
     return all(
         _arg_matches(qgraph.tokens[qi], tgraph.tokens[ti])
@@ -182,6 +177,15 @@ def answer_baseline(question: QuestionStructure, bank, k: int = 5) -> list:
     return [candidate for _, _, candidate in scored[:k]]
 
 
+def answer_for_mode(question: QuestionStructure, bank, mode: str, k: int,
+                    require_full_match: bool) -> list:
+    """The bag engine's answers in `baseline` mode, the structural engine's
+    in every other mode."""
+    if mode == "baseline":
+        return answer_baseline(question, bank, k=k)
+    return answer(question, bank, k=k, require_full_match=require_full_match)
+
+
 @dataclass
 class EvalReport:
     """Reciprocal-rank evaluation of one mode over a question set."""
@@ -208,8 +212,8 @@ def evaluate(questions, bank, mode: str, k: int = 5,
     """Score a list of (QuestionStructure, gold id frozenset) pairs.
 
     `bank` must be enriched as the mode requires before the call; this
-    function only switches between the bag engine (`baseline`) and the
-    structural engine. Gold ids must name sentences present in the bank.
+    function only picks the engine, through `answer_for_mode`. Gold ids
+    must name sentences present in the bank.
     """
     bank = DependencyBank(bank)
     known_ids = {g.sentence_id for g in bank}
@@ -220,11 +224,7 @@ def evaluate(questions, bank, mode: str, k: int = 5,
         if unknown:
             raise ValueError(
                 f"{question.question_id}: gold ids not in bank: {sorted(unknown)}")
-        if mode == "baseline":
-            candidates = answer_baseline(question, bank, k=k)
-        else:
-            candidates = answer(question, bank, k=k,
-                                require_full_match=require_full_match)
+        candidates = answer_for_mode(question, bank, mode, k, require_full_match)
         rank, rr = score_candidates(candidates, gold)
         report.per_question[question.question_id] = rr
         report.ranks[question.question_id] = rank
@@ -244,9 +244,7 @@ def load_questions(path) -> list:
     """Read a question file: id, text, comma-separated gold sentence ids."""
     questions = []
     seen = set()
-    for lineno, row in _read_rows(path):
-        if len(row) != 3:
-            raise LexiconError(path, lineno, f"expected 3 columns, got {len(row)}")
+    for lineno, row in _read_rows(path, 3):
         qid, text, gold = (c.strip() for c in row)
         if qid in seen:
             raise LexiconError(path, lineno, f"duplicate question id {qid!r}")

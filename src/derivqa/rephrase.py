@@ -25,7 +25,6 @@ may use them.
 import logging
 import re
 from dataclasses import dataclass
-from pathlib import Path
 
 from .depgraph import (
     BASE,
@@ -37,7 +36,7 @@ from .depgraph import (
     TokenNode,
     copy_graph,
 )
-from .lexica import CONTENT_POS, Dictionary
+from .lexica import CONTENT_POS, Dictionary, _read_text
 from .wsd import select_derivatives
 
 log = logging.getLogger(__name__)
@@ -155,8 +154,7 @@ def parse_patterns(path) -> list:
         ))
         fields.clear()
 
-    text = Path(path).read_text(encoding="utf-8")
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(_read_text(path, PatternError).splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -230,8 +228,6 @@ def _enumerate_bindings(templates, deps, pivot: int) -> list:
         template = templates[index]
         for dep in deps:
             if dep.label != template.label or dep.prep != template.prep:
-                continue
-            if len(dep.args) != len(template.args):
                 continue
             trial = dict(binding)
             consistent = True

@@ -13,7 +13,7 @@ import logging
 from dataclasses import dataclass, field
 
 from .depgraph import ToyParseError, toy_parse
-from .lexica import CONTENT_POS, Dictionary
+from .lexica import CONTENT_POS, Dictionary, _write_lines
 
 log = logging.getLogger(__name__)
 
@@ -33,9 +33,8 @@ class DependencyConstraint:
 
     def satisfied_by(self, graph, token_index: int) -> bool:
         for dep in graph.deps:
-            if dep.label != self.label or dep.prep != self.prep:
-                continue
-            if len(dep.args) != 2 or dep.args[self.slot] != token_index:
+            if (dep.label != self.label or dep.prep != self.prep
+                    or dep.args[self.slot] != token_index):
                 continue
             if graph.tokens[dep.args[1 - self.slot]].lemma == self.other_lemma:
                 return True
@@ -85,7 +84,7 @@ def compile_rules(dictionary, lexicon) -> RuleCompilation:
             token = entry[0]
             constraints = []
             for dep in graph.deps:
-                if len(dep.args) != 2 or token.index not in dep.args:
+                if token.index not in dep.args:
                     continue
                 slot = dep.args.index(token.index)
                 other = graph.tokens[dep.args[1 - slot]].lemma
@@ -107,20 +106,19 @@ class WsdStats:
 def disambiguate(graph, compilation: RuleCompilation, dictionary, stats: WsdStats | None = None):
     """Assign sense ids to the graph's content tokens, in place."""
     by_lemma = Dictionary(dictionary).senses
+    if stats is None:
+        stats = WsdStats()
     for token in graph.tokens:
         if token.pos not in CONTENT_POS:
             continue
-        if stats:
-            stats.content_tokens += 1
+        stats.content_tokens += 1
         senses = [s for s in by_lemma.get(token.lemma, []) if s.pos == token.pos]
         if not senses:
             continue
-        if stats:
-            stats.dictionary_tokens += 1
+        stats.dictionary_tokens += 1
         if len(senses) == 1:
             token.sense_id = senses[0].sense_id
-            if stats:
-                stats.monosemous += 1
+            stats.monosemous += 1
             continue
         best = None
         best_specificity = 0
@@ -133,9 +131,8 @@ def disambiguate(graph, compilation: RuleCompilation, dictionary, stats: WsdStat
                 best, best_specificity = rule, spec
         if best is not None:
             token.sense_id = best.sense_id
-            if stats:
-                stats.rule_resolved += 1
-        elif stats:
+            stats.rule_resolved += 1
+        else:
             stats.unresolved += 1
     return graph
 
@@ -170,5 +167,4 @@ def dump_rules(compilation: RuleCompilation, path):
                 lines.append(f"{lemma}\t{rule.sense_id}\t{label}\t{c.slot}\t{c.other_lemma}")
     for lemma, sense_id, example, reason in compilation.skipped:
         lines.append(f"# skipped {lemma}/{sense_id}: {example} ({reason})")
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write("".join(line + "\n" for line in lines))
+    _write_lines(path, lines)

@@ -1,6 +1,13 @@
+import json
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from derivqa.cli import EXIT_CONFIG, EXIT_INPUT, EXIT_OK, main
+from derivqa.depgraph import save_depbank, toy_parse
+from derivqa.lexica import InflectionLexicon, load_inflections
+from derivqa.pipeline import packaged_data
 
 from conftest import FIXTURES
 
@@ -12,6 +19,24 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def write_small_setup(directory) -> list:
+    """Write the couper_family resources, the packaged patterns and a
+    one-graph bank under `directory`; return the `ask --bank` argv that
+    reads every one of them."""
+    family = FIXTURES / "couper_family"
+    for name in ("dictionary.tsv", "inflections.tsv", "corpus_lexicon.tsv", "synonyms.tsv"):
+        (directory / name).write_bytes((family / name).read_bytes())
+    (directory / "patterns.txt").write_bytes(packaged_data("patterns.txt").read_bytes())
+    raw = json.loads((family / "config.json").read_text(encoding="utf-8"))
+    raw["patterns"] = "patterns.txt"
+    (directory / "config.json").write_text(json.dumps(raw, indent=1), encoding="utf-8")
+    lexicon = InflectionLexicon(load_inflections(directory / "inflections.tsv"))
+    save_depbank([toy_parse("Jean a coupé le coupon .", lexicon, "s1")],
+                 directory / "bank.jsonl")
+    return ["--config", str(directory / "config.json"), "ask",
+            "--question", "Jean coupa le coupon ?", "--bank", str(directory / "bank.jsonl")]
 
 
 class TestBuildResource:
@@ -196,8 +221,6 @@ class TestExitCodes:
         assert "error:" in err and "indices must be contiguous integers" in err
 
     def test_bank_with_repeated_sentence_id(self, capsys, tmp_path, benchmark_resources):
-        from derivqa.depgraph import save_depbank, toy_parse
-
         bank = tmp_path / "bank.jsonl"
         save_depbank([toy_parse(text, benchmark_resources.lexicon, "x")
                       for text in ("l'ouvrier a coupé le courant .",
@@ -208,3 +231,78 @@ class TestExitCodes:
         assert code == EXIT_INPUT
         assert out == ""
         assert "error:" in err and "duplicate sentence id 'x'" in err
+
+    def test_bank_with_foreign_label(self, capsys, tmp_path, benchmark_resources):
+        bank = tmp_path / "bank.jsonl"
+        save_depbank([toy_parse("l'ouvrier a coupé le courant .",
+                                benchmark_resources.lexicon, "s1")], bank)
+        bank.write_text(bank.read_text(encoding="utf-8").replace('"SUBJECT"', '"FOREIGN"'),
+                        encoding="utf-8")
+        code, out, err = run(capsys, "--config", BENCHMARK_CONFIG,
+                             "ask", "--question", "l'ouvrier coupa quel courant ?",
+                             "--bank", str(bank))
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert "error:" in err and "unknown dependency label 'FOREIGN'" in err
+
+
+class TestEncoding:
+    def test_small_setup_answers(self, capsys, tmp_path):
+        code, out, err = run(capsys, *write_small_setup(tmp_path))
+        assert code == EXIT_OK
+        assert out == "1.\ts1\t1\tJean a coupé le coupon .\n"
+
+    @pytest.mark.parametrize("name, exit_code", [
+        ("config.json", EXIT_CONFIG),
+        ("dictionary.tsv", EXIT_INPUT),
+        ("patterns.txt", EXIT_INPUT),
+        ("bank.jsonl", EXIT_INPUT),
+    ])
+    def test_non_utf8_file(self, capsys, tmp_path, name, exit_code):
+        argv = write_small_setup(tmp_path)
+        path = tmp_path / name
+        data = path.read_bytes()
+        cut = data.index(b"\n") + 1
+        path.write_bytes(data[:cut] + b"\xe9" + data[cut:])  # a latin-1 byte opens line 2
+        code, out, err = run(capsys, *argv)
+        assert code == exit_code
+        assert f"{name}:2: not valid UTF-8: byte 0xe9" in err
+        assert "Traceback" not in err
+
+
+@pytest.fixture(scope="module")
+def small_setup(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("small")
+    return directory, write_small_setup(directory)
+
+
+EDITS = st.lists(st.tuples(st.sampled_from(["replace", "insert", "delete"]),
+                           st.integers(min_value=0), st.integers(0, 255)),
+                 min_size=1, max_size=4)
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(["config.json", "dictionary.tsv", "patterns.txt", "bank.jsonl"]),
+       edits=EDITS)
+@example(name="config.json", edits=[("insert", 0, 0xE9)])
+@example(name="dictionary.tsv", edits=[("insert", 0, 0xE9)])
+@example(name="patterns.txt", edits=[("insert", 0, 0xE9)])
+@example(name="bank.jsonl", edits=[("insert", 0, 0xE9)])
+def test_mutated_inputs_never_raise(small_setup, name, edits):
+    directory, argv = small_setup
+    path = directory / name
+    original = path.read_bytes()
+    data = bytearray(original)
+    for op, index, byte in edits:
+        i = index % (len(data) + 1)
+        if op == "insert":
+            data[i:i] = bytes([byte])
+        elif op == "replace":
+            data[i:i + 1] = bytes([byte])
+        else:
+            del data[i:i + 1]
+    path.write_bytes(bytes(data))
+    try:
+        assert main(argv) in (EXIT_OK, EXIT_INPUT, EXIT_CONFIG)
+    finally:
+        path.write_bytes(original)

@@ -53,9 +53,9 @@ class TestDependencyValidation:
         with pytest.raises(ValueError, match="provenance"):
             Dependency(SUBJECT, (0, 1), provenance="GUESS")
 
-    def test_unknown_labels_pass_through(self):
-        dep = Dependency("FOREIGN", (0,))
-        assert dep.args == (0,)
+    def test_unknown_labels_rejected(self):
+        with pytest.raises(ValueError, match="unknown dependency label 'FOREIGN'"):
+            Dependency("FOREIGN", (0, 1))
 
     def test_add_dep_checks_range_and_dedupes(self):
         graph = DependencyGraph("s", "t", [TokenNode(0, "a", "a", NOUN)])
@@ -337,13 +337,15 @@ class TestBankFieldTypes:
         with pytest.raises(DepbankError, match=rf"{field}\b[^:]*must be"):
             load_depbank(tmp_path / "bank.jsonl")
 
-    @pytest.mark.parametrize("dep", [
-        {"label": 5, "args": [0, 0]},
-        {"label": "PREPPH", "args": [0, 0], "prep": ["de"]},
-    ])
-    def test_rejects_bad_dependency_field(self, tmp_path, dep):
+    @pytest.mark.parametrize("dep, message", [
+        ({"label": 5, "args": [0, 0]}, "unknown dependency label 5"),
+        ({"label": "FOREIGN", "args": [0, 0]}, "unknown dependency label 'FOREIGN'"),
+        ({"label": "PREPPH", "args": [0, 0], "prep": ["de"]},
+         "PREPPH takes two token args and a preposition string"),
+    ], ids=["label-int", "label-foreign", "prep-list"])
+    def test_rejects_bad_dependency_field(self, tmp_path, dep, message):
         write_record(tmp_path / "bank.jsonl", deps=[dep])
-        with pytest.raises(DepbankError, match="label and prep"):
+        with pytest.raises(DepbankError, match=f"bad dependency record: {message}"):
             load_depbank(tmp_path / "bank.jsonl")
 
     @pytest.mark.parametrize("tokens", [

@@ -1,6 +1,6 @@
 import pytest
 
-from derivqa import lexica
+from derivqa import lexica, morphogen, pipeline, qaengine
 from derivqa.lexica import (
     ADJ,
     ADV,
@@ -134,7 +134,7 @@ class TestInflections:
         entries = load_inflections(path)
         lexicon = lexica.InflectionLexicon(entries)
         assert len(lexicon.readings("coupa")) == 2  # case-insensitive lookup
-        assert "COUPA" in lexicon
+        assert lexicon.readings("COUPA") == lexicon.readings("coupa")
         assert lexicon.readings("absent") == []
 
     def test_rejects_empty_form(self, tmp_path):
@@ -147,7 +147,8 @@ class TestCorpusLexicon:
     def test_counts_accumulate_and_normalize(self, tmp_path):
         path = write(tmp_path, "c.tsv", "Coupure\t3\ncoupure\t4\n")
         corpus = load_corpus_lexicon(path)
-        assert corpus.count("COUPURE") == 7
+        assert corpus.counts == {"coupure": 7}
+        assert "COUPURE" in corpus
         assert "coupure" in corpus
         assert "coupage" not in corpus
 
@@ -181,3 +182,28 @@ class TestSynonyms:
         path = write(tmp_path, "s.tsv", "laver\tx\tnettoyer\n")
         with pytest.raises(LexiconError, match="sense"):
             load_synonyms(path)
+
+
+@pytest.mark.parametrize("loader, columns", [
+    (load_dictionary, 12),
+    (load_code_table, 4),
+    (load_inflections, 3),
+    (load_corpus_lexicon, 2),
+    (load_synonyms, 3),
+    (pipeline.load_sentences, 2),
+    (qaengine.load_questions, 3),
+    (morphogen.load_euphonic_rules, 3),
+], ids=lambda value: getattr(value, "__name__", str(value)))
+def test_every_loader_rejects_a_row_one_column_short(tmp_path, loader, columns):
+    path = write(tmp_path, "f.tsv", "# a comment\n" + "\t".join(["x"] * (columns - 1)) + "\n")
+    with pytest.raises(LexiconError) as info:
+        loader(path)
+    assert str(info.value) == f"{path}:2: expected {columns} columns, got {columns - 1}"
+
+
+def test_non_utf8_byte_names_its_line(tmp_path):
+    path = tmp_path / "c.tsv"
+    path.write_bytes(b"# coup\xc3\xa9 is UTF-8\ncoupure\t3\ncoup\xe9\t4\n")  # then latin-1
+    with pytest.raises(LexiconError) as info:
+        load_corpus_lexicon(path)
+    assert str(info.value) == f"{path}:3: not valid UTF-8: byte 0xe9"

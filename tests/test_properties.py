@@ -56,8 +56,7 @@ PREPS = st.sampled_from(["de", "par"])
 @st.composite
 def graphs(draw, max_tokens=8, max_deps=6, with_alternates=False, mixed=False,
            lemmas=LEMMAS, min_deps=0):
-    """Random graphs; `mixed` also draws DERIVATIONAL dependencies and
-    dependencies with an unknown label."""
+    """Random graphs; `mixed` also draws DERIVATIONAL dependencies."""
     n = draw(st.integers(min_value=1, max_value=max_tokens))
     tokens = []
     for i in range(n):
@@ -73,9 +72,7 @@ def graphs(draw, max_tokens=8, max_deps=6, with_alternates=False, mixed=False,
         head = draw(st.integers(min_value=0, max_value=n - 1))
         dependent = draw(st.integers(min_value=0, max_value=n - 1))
         provenance = draw(st.sampled_from([BASE, DERIVATIONAL])) if mixed else BASE
-        if mixed and draw(st.integers(min_value=0, max_value=4)) == 0:
-            dep = Dependency("FOREIGN", (head, dependent), provenance=provenance)
-        elif draw(st.booleans()):
+        if draw(st.booleans()):
             dep = Dependency(PREPPH, (head, dependent), prep=draw(PREPS),
                              provenance=provenance)
         else:
