@@ -13,7 +13,6 @@ from . import depgraph, derivfilter, pipeline, qaengine, wsd
 from .lexica import LexiconError
 from .pipeline import ConfigError
 from .qaengine import QuestionError
-from .rephrase import PatternError
 
 log = logging.getLogger(__name__)
 
@@ -174,7 +173,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (LexiconError, PatternError, depgraph.DepbankError,
+    except (LexiconError, depgraph.DepbankError,
             depgraph.ToyParseError, QuestionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -15,7 +15,7 @@ import re
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .lexica import ADJ, ADV, CONTENT_POS, NOUN, VERB, _read_text, _write_lines, normalize
+from .lexica import ADJ, ADV, CONTENT_POS, NOUN, VERB, _read_lines, _write_lines, normalize
 
 log = logging.getLogger(__name__)
 
@@ -551,8 +551,8 @@ def load_depbank(path) -> DependencyBank:
     """Read a bank written by `save_depbank`; sentence ids must be unique."""
     graphs = []
     seen = set()
-    text = _read_text(path, lambda p, lineno, message: DepbankError(f"{p}:{lineno}: {message}"))
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    lines = _read_lines(path, lambda p, lineno, message: DepbankError(f"{p}:{lineno}: {message}"))
+    for lineno, line in lines:
         if not line.strip():
             continue
         try:
@@ -623,6 +623,5 @@ def _graph_from_record(record, where: str) -> DependencyGraph:
         if any(type(i) is not int or not 0 <= i < len(tokens) for i in dep.args):
             raise DepbankError(f"{rid}: dependency args not integers or out of range: "
                                f"{dep.args}")
-        if dep not in graph.deps:
-            graph.deps.append(dep)
+        graph.add_dep(dep)
     return graph

@@ -12,7 +12,6 @@ from .lexica import (
     DerivInstruction,
     Dictionary,
     _write_lines,
-    instructions_for,
 )
 from .morphogen import (
     DEFAULT_EUPHONICS,
@@ -66,29 +65,24 @@ class DerivationalResource:
         return sum(len(records) for records in self.by_lemma.values())
 
 
-def filter_by_instructions(candidates, senses, code_table,
-                           resolved=None) -> list[DerivativeRecord]:
+def filter_by_instructions(candidates, senses) -> list[DerivativeRecord]:
     """Keep candidates whose suffix equals the suffix of some instruction.
 
     All senses must belong to one lemma. Comparison is exact string equality
     on the suffix (euphonic adjustments happened at generation time, the
     candidate already records its effective suffix). The accepted record is
     licensed for every sense carrying a matching instruction and takes its
-    part of speech from the first such instruction. `resolved`, when given,
-    holds each sense's `instructions_for` list, in the order of `senses`.
+    part of speech from the first such instruction.
     """
     lemmas = {s.lemma for s in senses}
     if len(lemmas) > 1:
         raise ValueError(f"senses of several lemmas passed together: {sorted(lemmas)}")
-    if resolved is None:
-        resolved = [instructions_for(s, code_table) for s in senses]
-    per_sense = list(zip(senses, resolved))
     records = []
     for cand in candidates:
         licensed = set()
         target_pos = None
-        for sense, instructions in per_sense:
-            for ins in instructions:
+        for sense in senses:
+            for ins in sense.instructions:
                 if ins.suffix == cand.suffix:
                     licensed.add(sense.sense_id)
                     if target_pos is None:
@@ -104,7 +98,7 @@ def filter_by_instructions(candidates, senses, code_table,
     return records
 
 
-def build_resource(dictionary, model, corpus_lexicon, code_table,
+def build_resource(dictionary, model, corpus_lexicon,
                    euphonics=DEFAULT_EUPHONICS) -> DerivationalResource:
     """Run generate -> corpus filter -> instruction filter for every entry.
 
@@ -122,10 +116,10 @@ def build_resource(dictionary, model, corpus_lexicon, code_table,
             continue
         resource.stats.candidates_generated += len(candidates)
         resource.attested[lemma] = corpus_filter(candidates, corpus_lexicon)
-    return relicense(resource, dictionary, code_table)
+    return relicense(resource, dictionary)
 
 
-def relicense(resource, dictionary, code_table) -> DerivationalResource:
+def relicense(resource, dictionary) -> DerivationalResource:
     """Run the instruction filter over `resource`'s attested candidates with
     the senses of `dictionary`, which must hold the lemmas the resource was
     built from. `build_resource` ends with it; after `symmetrize_instructions`
@@ -139,12 +133,12 @@ def relicense(resource, dictionary, code_table) -> DerivationalResource:
     for lemma, attested in resource.attested.items():
         senses = index[lemma]
         stats.entries_processed += len(senses)
-        instruction_lists = [instructions_for(s, code_table) for s in senses]
-        stats.instructions_total += sum(len(ins) for ins in instruction_lists)
+        instruction_count = sum(len(s.instructions) for s in senses)
+        stats.instructions_total += instruction_count
         if attested is None:
-            stats.instructions_unmatched += sum(len(ins) for ins in instruction_lists)
+            stats.instructions_unmatched += instruction_count
             continue
-        records = filter_by_instructions(attested, senses, code_table, instruction_lists)
+        records = filter_by_instructions(attested, senses)
         # Collapse duplicate surfaces (euphonic variants can tie), keep first.
         unique = {}
         for r in records:
@@ -154,35 +148,34 @@ def relicense(resource, dictionary, code_table) -> DerivationalResource:
             by_lemma[lemma] = records
         stats.derivatives_accepted += len(records)
         matched_suffixes = {r.suffix for r in records}
-        for instructions in instruction_lists:
+        for sense in senses:
             stats.instructions_unmatched += sum(
-                1 for ins in instructions if ins.suffix not in matched_suffixes)
+                1 for ins in sense.instructions if ins.suffix not in matched_suffixes)
     return DerivationalResource(by_lemma=by_lemma, stats=stats, attested=resource.attested)
 
 
-def symmetrize_instructions(dictionary, resource, code_table) -> Dictionary:
+def symmetrize_instructions(dictionary, resource) -> Dictionary:
     """Give noun/adjective entries a back-instruction to their source verb.
 
     For every verbal sense whose instruction produced a derivative D found in
     the resource, every dictionary sense of D in the same domain gains a
     VERBAL instruction rebuilding the verb (suffix = verb ending after the
     common prefix of D and the verb). Returns a new `Dictionary` in which
-    each sense that gains an instruction is a copy with a new
-    `extra_instructions` list; every other record is the input's own. The
+    each sense that gains an instruction is a copy whose `instructions` end
+    with its back-instructions; every other record is the input's own. The
     input is untouched.
     """
     dictionary = Dictionary(dictionary)
     index = dictionary.senses
-    gained = {}  # id of a target record -> its new extra_instructions
+    gained = {}  # id of a target record -> its new instructions
     added = 0
     for sense in [s for s in dictionary if s.pos == VERB]:
-        instructions = instructions_for(sense, code_table)
         produced = {
             r.surface: r
             for r in resource.records_for(sense.lemma)
             if sense.sense_id in r.licensed_senses
         }
-        for ins in instructions:
+        for ins in sense.instructions:
             for surface, record in sorted(produced.items()):
                 if record.suffix != ins.suffix:
                     continue
@@ -193,13 +186,14 @@ def symmetrize_instructions(dictionary, resource, code_table) -> Dictionary:
                     if not verb_suffix:
                         continue
                     back = DerivInstruction(VERB, verb_suffix, VERBAL)
-                    if back in gained.get(id(target), target.extra_instructions):
+                    instructions = gained.get(id(target), target.instructions)
+                    if back in instructions:
                         continue
-                    gained.setdefault(id(target), list(target.extra_instructions)).append(back)
+                    gained[id(target)] = instructions + (back,)
                     added += 1
     log.info("symmetrize: added %d back-instructions", added)
     return Dictionary(
-        replace(s, extra_instructions=gained[id(s)]) if id(s) in gained else s
+        replace(s, instructions=gained[id(s)]) if id(s) in gained else s
         for s in dictionary)
 
 

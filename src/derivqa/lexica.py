@@ -1,12 +1,14 @@
 """Lexical resources: sense dictionary, inflection lexicon, corpus wordlist,
 synonym table and the derivation code table.
 
-All resources are tab-separated UTF-8 text so they can be maintained by hand.
-Loaders validate eagerly and report the offending line.
+All resources are tab-separated UTF-8 text so they can be maintained by hand;
+a line ends at `\\n` only. Loaders validate eagerly and report the offending
+line. The dictionary's derivation codes are resolved against the code table
+as it loads, so a `SenseRecord` carries instructions, never code letters.
 """
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
@@ -71,10 +73,10 @@ class DerivInstruction:
 class SenseRecord:
     """One sense of a dictionary entry.
 
-    `deriv_codes` is the raw positional code string from the dictionary;
-    parse it with `parse_derivation_codes`. `extra_instructions` holds
-    instructions added programmatically (e.g. symmetrized back-instructions)
-    that have no code letter of their own.
+    `instructions` holds the sense's derivational instructions: those of its
+    code letters, in code-string order, which `load_dictionary` resolves,
+    then any back-instructions `derivfilter.symmetrize_instructions` adds,
+    which have no code letter.
     """
 
     lemma: str
@@ -87,9 +89,8 @@ class SenseRecord:
     examples: tuple[str, ...] = ()
     conjugation_code: str = ""
     construction_codes: tuple[str, ...] = ()
-    deriv_codes: str = ""
     register_level: int | None = None
-    extra_instructions: list[DerivInstruction] = field(default_factory=list)
+    instructions: tuple[DerivInstruction, ...] = ()
 
     def __post_init__(self):
         if self.pos not in CONTENT_POS:
@@ -133,19 +134,23 @@ class Dictionary(tuple):
 DICT_COLUMNS = 12
 
 
-def load_dictionary(path) -> Dictionary:
+def load_dictionary(path, code_table) -> Dictionary:
     """Load sense records from a 12-column TSV file.
 
     Columns: lemma, sense_id, pos, domain, class, operator, gloss,
     examples (;-separated), conjugation, constructions (;-separated),
-    deriv_codes, level. Files for different parts of speech may be loaded
-    separately and concatenated by the caller, as `Dictionary(a + b)`.
+    derivation codes, level. The codes become each record's `instructions`
+    through `code_table` (see `load_code_table`); each distinct code string
+    is parsed once, so an unknown letter is logged once per string. Files
+    for different parts of speech may be loaded separately and concatenated
+    by the caller, as `Dictionary(a + b)`.
     """
     records = []
     seen = set()
+    resolved = {}  # code string -> its instructions
     for lineno, row in _read_rows(path, DICT_COLUMNS):
         (lemma, sense_id, pos, domain, class_code, operator, gloss,
-         examples, conjugation, constructions, deriv_codes, level) = row
+         examples, conjugation, constructions, codes, level) = row
         try:
             sense_num = int(sense_id)
         except ValueError:
@@ -154,6 +159,8 @@ def load_dictionary(path) -> Dictionary:
         if key in seen:
             raise LexiconError(path, lineno, f"duplicate sense {lemma}/{sense_num}")
         seen.add(key)
+        if codes not in resolved:
+            resolved[codes] = tuple(parse_derivation_codes(codes, code_table))
         try:
             rec = SenseRecord(
                 lemma=lemma,
@@ -166,8 +173,8 @@ def load_dictionary(path) -> Dictionary:
                 examples=_split_multi(examples),
                 conjugation_code=conjugation,
                 construction_codes=_split_multi(constructions),
-                deriv_codes=deriv_codes,
                 register_level=int(level) if level else None,
+                instructions=resolved[codes],
             )
         except ValueError as exc:
             raise LexiconError(path, lineno, str(exc))
@@ -200,13 +207,12 @@ def load_code_table(path) -> dict[str, DerivInstruction]:
     return table
 
 
-def parse_derivation_codes(raw: str, code_table, diagnostics: list | None = None) -> list[DerivInstruction]:
+def parse_derivation_codes(raw: str, code_table) -> list[DerivInstruction]:
     """Resolve a positional code string like "-Q- - - RB- - -" to instructions.
 
     Alphanumeric characters are code letters, everything else is filler.
     Letters missing from the table are skipped, never errors: the historical
-    code inventory is larger than any one table. Each is collected in
-    `diagnostics` when a list is given, and logged as a warning otherwise.
+    code inventory is larger than any one table. Each is logged as a warning.
     """
     instructions = []
     for ch in raw:
@@ -214,25 +220,10 @@ def parse_derivation_codes(raw: str, code_table, diagnostics: list | None = None
             continue
         hit = code_table.get(ch)
         if hit is None:
-            message = f"unknown derivation code {ch!r} in {raw!r}"
-            if diagnostics is None:
-                log.warning(message)
-            else:
-                diagnostics.append(message)
+            log.warning(f"unknown derivation code {ch!r} in {raw!r}")
             continue
         instructions.append(hit)
     return instructions
-
-
-def instructions_for(sense: SenseRecord, code_table) -> list[DerivInstruction]:
-    """All instructions of a sense: parsed codes plus programmatic extras.
-
-    Unknown code letters are skipped without a word here, since a resource
-    build resolves each sense several times; `pipeline.load_resources`
-    reports them once.
-    """
-    parsed = parse_derivation_codes(sense.deriv_codes, code_table, diagnostics=[])
-    return parsed + list(sense.extra_instructions)
 
 
 @dataclass(frozen=True)
@@ -353,14 +344,28 @@ def _read_text(path, error=LexiconError) -> str:
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        lineno = len((data[: exc.start].decode("utf-8") + "_").splitlines())
+        lineno = data.count(b"\n", 0, exc.start) + 1
         raise error(path, lineno, f"not valid UTF-8: byte 0x{data[exc.start]:02x}") from None
+
+
+def _read_lines(path, error=LexiconError):
+    """(line number, line) of each line of a UTF-8 file, read by `_read_text`.
+
+    A line ends at `\\n` only, and one `\\r` before it is dropped; every
+    other character, line and paragraph separators included, stays in the
+    line.
+    """
+    lines = _read_text(path, error).split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    for lineno, line in enumerate(lines, start=1):
+        yield lineno, line[:-1] if line.endswith("\r") else line
 
 
 def _read_rows(path, columns: int):
     """(line number, cells) of each row of a TSV file, which must hold
     `columns` cells; blank lines and `#` comment lines are skipped."""
-    for lineno, line in enumerate(_read_text(path).splitlines(), start=1):
+    for lineno, line in _read_lines(path):
         if not line.strip() or line.lstrip().startswith("#"):
             continue
         row = line.split("\t")

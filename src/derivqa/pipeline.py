@@ -116,7 +116,6 @@ class Resources:
     lexicon: lexica.InflectionLexicon
     corpus_lexicon: lexica.CorpusLexicon
     synonyms: lexica.SynonymTable
-    code_table: dict
     euphonics: tuple
     model: morphogen.SuffixModel
     resource: derivfilter.DerivationalResource
@@ -142,16 +141,13 @@ def load_resources(config: PipelineConfig) -> Resources:
     noun/adjective entries, then its candidates are licensed again by the
     augmented dictionary so those instructions take effect; candidates are
     generated and corpus-filtered once. Unknown code letters are logged
-    once per dictionary code string.
+    once per dictionary code string, as the dictionary loads.
     """
-    dictionary = lexica.load_dictionary(config.dictionary)
+    code_table = lexica.load_code_table(config.code_table or packaged_data("code_table.tsv"))
+    dictionary = lexica.load_dictionary(config.dictionary, code_table)
     entries = lexica.load_inflections(config.inflections)
     lexicon = lexica.InflectionLexicon(entries)
     corpus_lexicon = lexica.load_corpus_lexicon(config.corpus_lexicon)
-    code_table = lexica.load_code_table(config.code_table or packaged_data("code_table.tsv"))
-    # Called for its warnings only: the resource build resolves codes silently.
-    for codes in dict.fromkeys(sense.deriv_codes for sense in dictionary):
-        lexica.parse_derivation_codes(codes, code_table)
     euphonics = morphogen.load_euphonic_rules(
         config.euphonics or packaged_data("euphonics.tsv"))
     model = morphogen.learn_suffix_model(
@@ -159,12 +155,10 @@ def load_resources(config: PipelineConfig) -> Resources:
         min_stem_len=config.min_stem_len,
         max_stems_per_lemma=config.max_stems_per_lemma,
         min_syllables=config.min_syllables)
-    resource = derivfilter.build_resource(
-        dictionary, model, corpus_lexicon, code_table, euphonics)
+    resource = derivfilter.build_resource(dictionary, model, corpus_lexicon, euphonics)
     if config.symmetrize:
-        dictionary = derivfilter.symmetrize_instructions(
-            dictionary, resource, code_table)
-        resource = derivfilter.relicense(resource, dictionary, code_table)
+        dictionary = derivfilter.symmetrize_instructions(dictionary, resource)
+        resource = derivfilter.relicense(resource, dictionary)
     synonyms = lexica.load_synonyms(config.synonyms, pos_of=_pos_of(dictionary))
     patterns = rephrase.parse_patterns(config.patterns or packaged_data("patterns.txt"))
     compilation = wsd.compile_rules(dictionary, lexicon)
@@ -174,7 +168,6 @@ def load_resources(config: PipelineConfig) -> Resources:
         lexicon=lexicon,
         corpus_lexicon=corpus_lexicon,
         synonyms=synonyms,
-        code_table=code_table,
         euphonics=euphonics,
         model=model,
         resource=resource,

@@ -36,7 +36,7 @@ from .depgraph import (
     TokenNode,
     copy_graph,
 )
-from .lexica import CONTENT_POS, Dictionary, _read_text
+from .lexica import CONTENT_POS, Dictionary, LexiconError, _read_lines
 from .wsd import select_derivatives
 
 log = logging.getLogger(__name__)
@@ -45,13 +45,8 @@ PIVOT_VAR = "P"
 DERIV_VAR = "D"
 
 
-class PatternError(ValueError):
+class PatternError(LexiconError):
     """A pattern file failed validation."""
-
-    def __init__(self, path, lineno: int, message: str):
-        self.path = str(path)
-        self.lineno = lineno
-        super().__init__(f"{path}:{lineno}: {message}")
 
 
 @dataclass(frozen=True)
@@ -154,7 +149,7 @@ def parse_patterns(path) -> list:
         ))
         fields.clear()
 
-    for lineno, raw in enumerate(_read_text(path, PatternError).splitlines(), start=1):
+    for lineno, raw in _read_lines(path, PatternError):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -255,7 +250,7 @@ def _construction_ok(pattern: DerivationPattern, senses, sense_id) -> bool:
 
 
 def match_pattern(graph: DependencyGraph, pattern: DerivationPattern, pivot: int,
-                  resource, dictionary=None, use_alternates: bool = False) -> list:
+                  resource, dictionary, use_alternates: bool = False) -> list:
     """All ways `pattern` applies at the given pivot token.
 
     Bindings are sought in BASE dependencies only. A match is produced per
@@ -270,7 +265,7 @@ def match_pattern(graph: DependencyGraph, pattern: DerivationPattern, pivot: int
     bindings_list = _enumerate_bindings(pattern.inputs, base_deps, pivot)
     if not bindings_list:
         return []
-    by_lemma = Dictionary(dictionary).senses if dictionary is not None else {}
+    by_lemma = Dictionary(dictionary).senses
     pivot_lemmas = [(token.lemma, token.sense_id)]
     if use_alternates:
         pivot_lemmas.extend((alt, None) for alt in sorted(token.alternates))
@@ -323,7 +318,7 @@ def apply_pattern(graph: DependencyGraph, match: PatternMatch) -> TokenNode:
     return token
 
 
-def enrich(graph: DependencyGraph, synonyms, patterns, resource, dictionary=None,
+def enrich(graph: DependencyGraph, synonyms, patterns, resource, dictionary,
            compose: bool = False) -> DependencyGraph:
     """Synonym alternates, then every pattern match, in one new graph.
 

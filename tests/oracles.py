@@ -49,31 +49,28 @@ def suffix_inventory(entries, threshold: int, min_stem_len: int = 3) -> dict:
     return {suffix: len(s) for suffix, s in counts.items() if len(s) >= threshold}
 
 
-def instruction_filter(candidates, senses, code_table) -> dict:
+def instruction_filter(candidates, senses) -> dict:
     """Reference instruction filter: surface -> set of licensing sense ids."""
-    from derivqa.lexica import instructions_for
-
     licensed = {}
     for cand in candidates:
         for sense in senses:
-            for instruction in instructions_for(sense, code_table):
+            for instruction in sense.instructions:
                 if instruction.suffix == cand.suffix:
                     licensed.setdefault(cand.surface, set()).add(sense.sense_id)
     return licensed
 
 
-def plain_build(records, model, corpus_lexicon, code_table, euphonics):
+def plain_build(records, model, corpus_lexicon, euphonics):
     """Reference resource build: per lemma, generate -> corpus filter ->
     instruction filter, scanning every record. Returns (by_lemma, stats)."""
     from derivqa.derivfilter import DerivativeRecord, ResourceStats
-    from derivqa.lexica import instructions_for
     from derivqa.morphogen import TooShortError, corpus_filter, generate_candidates
 
     stats = ResourceStats()
     by_lemma = {}
     for lemma in sorted({r.lemma for r in records}):
         senses = sorted((r for r in records if r.lemma == lemma), key=lambda r: r.sense_id)
-        instructions = [(s, ins) for s in senses for ins in instructions_for(s, code_table)]
+        instructions = [(s, ins) for s in senses for ins in s.instructions]
         stats.entries_processed += len(senses)
         stats.instructions_total += len(instructions)
         try:
@@ -98,15 +95,15 @@ def plain_build(records, model, corpus_lexicon, code_table, euphonics):
     return by_lemma, stats
 
 
-def deep_symmetrize(records, by_lemma, code_table) -> list:
+def deep_symmetrize(records, by_lemma) -> list:
     """Reference symmetrize on a deep copy of every record: each same-domain
     non-verb sense of a verb's licensed derivative gains a VERBAL
     instruction for the verb's ending after the common prefix."""
-    from derivqa.lexica import VERB, VERBAL, DerivInstruction, instructions_for
+    from derivqa.lexica import VERB, VERBAL, DerivInstruction
 
     augmented = copy.deepcopy(list(records))
     for sense in [r for r in augmented if r.pos == VERB]:
-        for ins in instructions_for(sense, code_table):
+        for ins in sense.instructions:
             for record in sorted(by_lemma.get(sense.lemma, []), key=lambda r: r.surface):
                 licensed = not record.licensed_senses or sense.sense_id in record.licensed_senses
                 if not licensed or record.suffix != ins.suffix:
@@ -117,17 +114,17 @@ def deep_symmetrize(records, by_lemma, code_table) -> list:
                             or target.domain_code != sense.domain_code or not ending):
                         continue
                     back = DerivInstruction(VERB, ending, VERBAL)
-                    if back not in target.extra_instructions:
-                        target.extra_instructions.append(back)
+                    if back not in target.instructions:
+                        target.instructions += (back,)
     return augmented
 
 
-def double_build(records, model, corpus_lexicon, code_table, euphonics):
+def double_build(records, model, corpus_lexicon, euphonics):
     """Reference symmetrized build: build, deep-copying symmetrize, build
     again. Returns (by_lemma, stats, augmented records)."""
-    by_lemma, _ = plain_build(records, model, corpus_lexicon, code_table, euphonics)
-    augmented = deep_symmetrize(records, by_lemma, code_table)
-    by_lemma, stats = plain_build(augmented, model, corpus_lexicon, code_table, euphonics)
+    by_lemma, _ = plain_build(records, model, corpus_lexicon, euphonics)
+    augmented = deep_symmetrize(records, by_lemma)
+    by_lemma, stats = plain_build(augmented, model, corpus_lexicon, euphonics)
     return by_lemma, stats, augmented
 
 

@@ -33,7 +33,16 @@ from derivqa.derivfilter import (
     audit_precision,
     filter_by_instructions,
 )
-from derivqa.lexica import ADJ, NOUN, VERB, SenseRecord, senses_by_lemma
+from derivqa.lexica import (
+    ADJ,
+    NOUN,
+    VERB,
+    Dictionary,
+    SenseRecord,
+    load_code_table,
+    parse_derivation_codes,
+    senses_by_lemma,
+)
 from derivqa.morphogen import CandidateDerivative, corpus_filter, generate_candidates
 from derivqa.qaengine import QuestionStructure, answer, dep_match, evaluate
 from derivqa.rephrase import apply_pattern, enrich, match_pattern
@@ -49,7 +58,7 @@ def test_filter_accepts_exactly_the_attested_licensed_family(couper_family_resou
     start = time.monotonic()
     candidates = generate_candidates("couper", res.model, res.euphonics)
     attested = corpus_filter(candidates, res.corpus_lexicon)
-    records = filter_by_instructions(attested, senses, res.code_table)
+    records = filter_by_instructions(attested, senses)
     elapsed = time.monotonic() - start
 
     attested_surfaces = {c.surface for c in attested}
@@ -234,7 +243,7 @@ SUFFIX_POOL = ["ure", "age", "eur", "ant", "é", "able", "ment", "ation", "er",
 
 
 def test_filter_matches_oracle_on_random_pairs_and_audit_counts(benchmark_resources):
-    code_table = benchmark_resources.code_table
+    code_table = load_code_table(pipeline.packaged_data("code_table.tsv"))
     letters = sorted(code_table)
     rng = random.Random(20260819)
     pairs = 0
@@ -244,7 +253,8 @@ def test_filter_matches_oracle_on_random_pairs_and_audit_counts(benchmark_resour
             chosen = rng.sample(letters, rng.randint(0, len(letters)))
             senses.append(SenseRecord(
                 lemma="couper", sense_id=sense_id, pos=VERB,
-                conjugation_code="1", deriv_codes="-".join(chosen)))
+                conjugation_code="1",
+                instructions=tuple(parse_derivation_codes("-".join(chosen), code_table))))
         candidates = []
         for _ in range(10):
             suffix = rng.choice(SUFFIX_POOL)
@@ -252,11 +262,11 @@ def test_filter_matches_oracle_on_random_pairs_and_audit_counts(benchmark_resour
             candidates.append(CandidateDerivative("couper", stem, suffix, stem + suffix))
         pairs += len(candidates)
 
-        records = filter_by_instructions(candidates, senses, code_table)
+        records = filter_by_instructions(candidates, senses)
         got = {}
         for r in records:
             got.setdefault(r.surface, set()).update(r.licensed_senses)
-        expected = oracles.instruction_filter(candidates, senses, code_table)
+        expected = oracles.instruction_filter(candidates, senses)
         assert got == {surface: set(ids) for surface, ids in expected.items()}
         assert all(r.suffix for r in records)  # bare stems never pass
     assert pairs >= 1000
@@ -316,7 +326,7 @@ def test_matcher_and_answer_match_exhaustive_oracles(benchmark_resources):
         pattern = rng.choice(res.patterns)
         for pivot in range(len(graph.tokens)):
             token = graph.tokens[pivot]
-            matches = match_pattern(graph, pattern, pivot, res.resource)
+            matches = match_pattern(graph, pattern, pivot, res.resource, Dictionary())
             got = {frozenset(m.bindings.items()) for m in matches}
             expected = oracles.enumerate_bindings(pattern, base, pivot)
             eligible = [

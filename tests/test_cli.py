@@ -22,15 +22,17 @@ def run(capsys, *argv):
 
 
 def write_small_setup(directory) -> list:
-    """Write the couper_family resources, the packaged patterns and a
-    one-graph bank under `directory`; return the `ask --bank` argv that
-    reads every one of them."""
+    """Write the couper_family resources, the packaged patterns and code
+    table and a one-graph bank under `directory`; return the `ask --bank`
+    argv that reads every one of them."""
     family = FIXTURES / "couper_family"
     for name in ("dictionary.tsv", "inflections.tsv", "corpus_lexicon.tsv", "synonyms.tsv"):
         (directory / name).write_bytes((family / name).read_bytes())
-    (directory / "patterns.txt").write_bytes(packaged_data("patterns.txt").read_bytes())
+    for name in ("patterns.txt", "code_table.tsv"):
+        (directory / name).write_bytes(packaged_data(name).read_bytes())
     raw = json.loads((family / "config.json").read_text(encoding="utf-8"))
     raw["patterns"] = "patterns.txt"
+    raw["code_table"] = "code_table.tsv"
     (directory / "config.json").write_text(json.dumps(raw, indent=1), encoding="utf-8")
     lexicon = InflectionLexicon(load_inflections(directory / "inflections.tsv"))
     save_depbank([toy_parse("Jean a coupé le coupon .", lexicon, "s1")],
@@ -256,6 +258,7 @@ class TestEncoding:
         ("config.json", EXIT_CONFIG),
         ("dictionary.tsv", EXIT_INPUT),
         ("patterns.txt", EXIT_INPUT),
+        ("code_table.tsv", EXIT_INPUT),
         ("bank.jsonl", EXIT_INPUT),
     ])
     def test_non_utf8_file(self, capsys, tmp_path, name, exit_code):
@@ -282,11 +285,13 @@ EDITS = st.lists(st.tuples(st.sampled_from(["replace", "insert", "delete"]),
 
 
 @settings(max_examples=60, deadline=None)
-@given(name=st.sampled_from(["config.json", "dictionary.tsv", "patterns.txt", "bank.jsonl"]),
+@given(name=st.sampled_from(["config.json", "dictionary.tsv", "patterns.txt",
+                            "code_table.tsv", "bank.jsonl"]),
        edits=EDITS)
 @example(name="config.json", edits=[("insert", 0, 0xE9)])
 @example(name="dictionary.tsv", edits=[("insert", 0, 0xE9)])
 @example(name="patterns.txt", edits=[("insert", 0, 0xE9)])
+@example(name="code_table.tsv", edits=[("insert", 0, 0xE9)])
 @example(name="bank.jsonl", edits=[("insert", 0, 0xE9)])
 def test_mutated_inputs_never_raise(small_setup, name, edits):
     directory, argv = small_setup

@@ -217,6 +217,14 @@ class TestBankSerialization:
                 for t in reread.tokens
             ]
 
+    def test_line_separators_stay_inside_the_text(self, tmp_path, lexicon):
+        graph = toy_parse("l'ouvrier coupa le courant .", lexicon, "s1")
+        graph.text = "l'ouvrier\u2028coupa\u0085le courant ."
+        path = tmp_path / "bank.jsonl"
+        save_depbank([graph], path)
+        (reread,) = load_depbank(path)
+        assert reread.text == graph.text
+
     def test_rejects_invalid_json(self, tmp_path):
         path = tmp_path / "bank.jsonl"
         path.write_text("{not json}\n", encoding="utf-8")
@@ -356,6 +364,13 @@ class TestBankFieldTypes:
         write_record(tmp_path / "bank.jsonl", tokens=tokens)
         with pytest.raises(DepbankError, match="indices must be contiguous integers"):
             load_depbank(tmp_path / "bank.jsonl")
+
+    def test_repeated_dependency_loads_once(self, tmp_path):
+        dep = {"label": "SUBJECT", "args": [0, 1]}
+        write_record(tmp_path / "bank.jsonl", tokens=[GOOD_TOKEN, dict(GOOD_TOKEN, i=1)],
+                     deps=[dep, dep])
+        (graph,) = load_depbank(tmp_path / "bank.jsonl")
+        assert graph.deps == [Dependency(SUBJECT, (0, 1))]
 
     def test_rejects_non_integer_dependency_args(self, tmp_path):
         write_record(tmp_path / "bank.jsonl", tokens=[GOOD_TOKEN, dict(GOOD_TOKEN, i=1)],

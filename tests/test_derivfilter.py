@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 import oracles
-from derivqa import derivfilter
+from derivqa import lexica, pipeline
 from derivqa.derivfilter import (
     DerivationalResource,
     DerivativeRecord,
@@ -21,25 +21,28 @@ from derivqa.lexica import (
     VERB,
     Dictionary,
     SenseRecord,
-    instructions_for,
     load_code_table,
+    parse_derivation_codes,
 )
 from derivqa.morphogen import CandidateDerivative
 from derivqa.pipeline import packaged_data
 
-
-@pytest.fixture(scope="module")
-def code_table():
-    return load_code_table(packaged_data("code_table.tsv"))
+CODE_TABLE = load_code_table(packaged_data("code_table.tsv"))
 
 
 def verb_sense(lemma, sense_id, codes, domain="GEN"):
     return SenseRecord(lemma=lemma, sense_id=sense_id, pos=VERB, domain_code=domain,
-                       conjugation_code="1", deriv_codes=codes)
+                       conjugation_code="1",
+                       instructions=tuple(parse_derivation_codes(codes, CODE_TABLE)))
+
+
+def back_instructions(sense):
+    """The instructions symmetrize added: they have no code letter."""
+    return [ins for ins in sense.instructions if ins.code_letter is None]
 
 
 class TestInstructionFilter:
-    def test_exact_suffix_match_and_licensing(self, code_table):
+    def test_exact_suffix_match_and_licensing(self):
         senses = [
             verb_sense("couper", 1, "-U-E-"),
             verb_sense("couper", 2, "-U-"),
@@ -50,24 +53,24 @@ class TestInstructionFilter:
             CandidateDerivative("couper", "coup", "age", "coupage"),
             CandidateDerivative("couper", "coup", "", "coup"),
         ]
-        records = filter_by_instructions(candidates, senses, code_table)
+        records = filter_by_instructions(candidates, senses)
         by_surface = {r.surface: r for r in records}
         assert set(by_surface) == {"coupure", "coupeur"}
         assert by_surface["coupure"].licensed_senses == frozenset({1, 2})
         assert by_surface["coupeur"].licensed_senses == frozenset({1})
         assert by_surface["coupure"].target_pos == NOUN
 
-    def test_bare_stems_never_accepted(self, code_table):
+    def test_bare_stems_never_accepted(self):
         senses = [verb_sense("couper", 1, "-U-G-E-A-Q-L-D-B-")]
         candidates = [CandidateDerivative("couper", "coup", "", "coup")]
-        assert filter_by_instructions(candidates, senses, code_table) == []
+        assert filter_by_instructions(candidates, senses) == []
 
-    def test_rejects_mixed_lemmas(self, code_table):
+    def test_rejects_mixed_lemmas(self):
         senses = [verb_sense("couper", 1, "-U-"), verb_sense("laver", 1, "-G-")]
         with pytest.raises(ValueError, match="several lemmas"):
-            filter_by_instructions([], senses, code_table)
+            filter_by_instructions([], senses)
 
-    def test_matches_oracle(self, code_table):
+    def test_matches_oracle(self):
         senses = [
             verb_sense("couper", 1, "-U-G-"),
             verb_sense("couper", 2, "-E-A-"),
@@ -77,8 +80,8 @@ class TestInstructionFilter:
             CandidateDerivative("couper", "coup", s, "coup" + s)
             for s in ("ure", "age", "eur", "ant", "é", "able", "ment", "")
         ]
-        records = filter_by_instructions(candidates, senses, code_table)
-        expected = oracles.instruction_filter(candidates, senses, code_table)
+        records = filter_by_instructions(candidates, senses)
+        expected = oracles.instruction_filter(candidates, senses)
         assert {r.surface: set(r.licensed_senses) for r in records} == {
             surface: set(ids) for surface, ids in expected.items()
         }
@@ -104,44 +107,41 @@ class TestBuildResource:
             "coupure", "coupage", "coupeur", "coupant", "coupé",
         }
 
-    def test_too_short_entries_are_skipped(self, code_table, benchmark_resources):
+    def test_too_short_entries_are_skipped(self, benchmark_resources):
         model = benchmark_resources.model
         dictionary = [verb_sense("gir", 1, "-U-")]
         resource = build_resource(
-            dictionary, model, benchmark_resources.corpus_lexicon, code_table)
+            dictionary, model, benchmark_resources.corpus_lexicon)
         assert resource.by_lemma == {}
         assert resource.stats.entries_processed == 1
         assert resource.stats.candidates_generated == 0
         assert resource.stats.instructions_unmatched == 1
 
-    def test_unmatched_counts_per_instruction(self, code_table, benchmark_resources):
+    def test_unmatched_counts_per_instruction(self, benchmark_resources):
         # laver licenses -G-E-Q-L- in the benchmark; "laveur", "lavage", "lavé"
         # and "lavable" are all attested, so every instruction matches.
         res = benchmark_resources
         dictionary = [verb_sense("laver", 1, "-G-E-Q-L-")]
-        resource = build_resource(dictionary, res.model, res.corpus_lexicon,
-                                  code_table, res.euphonics)
+        resource = build_resource(dictionary, res.model, res.corpus_lexicon, res.euphonics)
         assert resource.stats.instructions_total == 4
         assert resource.stats.instructions_unmatched == 0
         # balayer licenses only -G-; balayage is attested, nothing unmatched.
         dictionary = [verb_sense("balayer", 1, "-G-U-")]
-        resource = build_resource(dictionary, res.model, res.corpus_lexicon,
-                                  code_table, res.euphonics)
+        resource = build_resource(dictionary, res.model, res.corpus_lexicon, res.euphonics)
         assert resource.stats.instructions_unmatched == 1  # no "balayure"
 
 
 class TestSymmetrize:
-    def test_adds_exactly_the_back_instructions(self, code_table, benchmark_resources):
+    def test_adds_exactly_the_back_instructions(self, benchmark_resources):
         res = benchmark_resources
         from derivqa import lexica
-        base_dictionary = lexica.load_dictionary(res.config.dictionary)
-        first = build_resource(base_dictionary, res.model, res.corpus_lexicon,
-                               code_table, res.euphonics)
-        augmented = symmetrize_instructions(base_dictionary, first, code_table)
+        base_dictionary = lexica.load_dictionary(res.config.dictionary, CODE_TABLE)
+        first = build_resource(base_dictionary, res.model, res.corpus_lexicon, res.euphonics)
+        augmented = symmetrize_instructions(base_dictionary, first)
         added = {
             (s.lemma, ins.suffix)
             for s in augmented
-            for ins in s.extra_instructions
+            for ins in back_instructions(s)
         }
         assert added == {("coupure", "er"), ("formalisation", "er")}
         # the copy's own index holds the augmented records
@@ -150,49 +150,47 @@ class TestSymmetrize:
             (lemma, ins.suffix)
             for lemma, senses in augmented.senses.items()
             for s in senses
-            for ins in s.extra_instructions
+            for ins in back_instructions(s)
         } == added
         # the originals were not touched
-        assert all(not s.extra_instructions for s in base_dictionary)
+        assert all(not back_instructions(s) for s in base_dictionary)
 
-    def test_back_instruction_respects_domain(self, code_table, benchmark_resources):
+    def test_back_instruction_respects_domain(self, benchmark_resources):
         # formalisation is MAT; only formaliser's MAT sense (2) donates, and
         # the GEN sense (1) does not create a second copy.
         res = benchmark_resources
         from derivqa import lexica
-        base_dictionary = lexica.load_dictionary(res.config.dictionary)
-        first = build_resource(base_dictionary, res.model, res.corpus_lexicon,
-                               code_table, res.euphonics)
-        augmented = symmetrize_instructions(base_dictionary, first, code_table)
+        base_dictionary = lexica.load_dictionary(res.config.dictionary, CODE_TABLE)
+        first = build_resource(base_dictionary, res.model, res.corpus_lexicon, res.euphonics)
+        augmented = symmetrize_instructions(base_dictionary, first)
         formalisation = [s for s in augmented if s.lemma == "formalisation"]
         assert len(formalisation) == 1
-        assert [ins.suffix for ins in formalisation[0].extra_instructions] == ["er"]
+        assert [ins.suffix for ins in back_instructions(formalisation[0])] == ["er"]
 
-    def test_copies_only_the_senses_that_gain(self, code_table, benchmark_resources):
+    def test_copies_only_the_senses_that_gain(self, benchmark_resources):
         res = benchmark_resources
         from derivqa import lexica
-        base_dictionary = lexica.load_dictionary(res.config.dictionary)
+        base_dictionary = lexica.load_dictionary(res.config.dictionary, CODE_TABLE)
         before = copy.deepcopy(list(base_dictionary))
         records = list(base_dictionary)
-        first = build_resource(base_dictionary, res.model, res.corpus_lexicon,
-                               code_table, res.euphonics)
-        augmented = symmetrize_instructions(base_dictionary, first, code_table)
-        gained = [s.lemma for s in augmented if s.extra_instructions]
+        first = build_resource(base_dictionary, res.model, res.corpus_lexicon, res.euphonics)
+        augmented = symmetrize_instructions(base_dictionary, first)
+        gained = [s.lemma for s in augmented if back_instructions(s)]
         assert gained == ["coupure", "formalisation"]
         assert len(augmented) == len(base_dictionary)
         for old, new in zip(base_dictionary, augmented):
             if new.lemma in gained:
                 assert new is not old
-                assert new.extra_instructions is not old.extra_instructions
+                assert new.instructions[:len(old.instructions)] == old.instructions
             else:
                 assert new is old
-        # the input dictionary, its records and their lists are untouched
+        # the input dictionary and its records are untouched
         assert list(base_dictionary) == before
         assert all(a is b for a, b in zip(base_dictionary, records))
 
     def test_symmetrizing_again_gains_nothing(self, benchmark_resources):
         res = benchmark_resources
-        again = symmetrize_instructions(res.dictionary, res.resource, res.code_table)
+        again = symmetrize_instructions(res.dictionary, res.resource)
         assert len(again) == len(res.dictionary)
         assert all(a is b for a, b in zip(again, res.dictionary))
 
@@ -206,25 +204,29 @@ class TestSymmetrize:
 class TestRelicense:
     def test_same_dictionary_gives_the_same_resource(self, benchmark_resources):
         res = benchmark_resources
-        again = relicense(res.resource, res.dictionary, res.code_table)
+        again = relicense(res.resource, res.dictionary)
         assert again == res.resource
         assert again.attested is res.resource.attested
 
-    def test_resolves_each_sense_once(self, benchmark_resources, monkeypatch):
-        res = benchmark_resources
-        resolved = []
-        monkeypatch.setattr(derivfilter, "instructions_for", lambda sense, table:
-                            resolved.append(sense) or instructions_for(sense, table))
-        again = relicense(res.resource, res.dictionary, res.code_table)
-        assert again == res.resource
-        assert sorted(map(id, resolved)) == sorted(map(id, res.dictionary))
-
-    def test_rejects_other_lemmas(self, code_table, benchmark_resources):
+    def test_rejects_other_lemmas(self, benchmark_resources):
         res = benchmark_resources
         resource = build_resource([verb_sense("laver", 1, "-G-")], res.model,
-                                  res.corpus_lexicon, code_table, res.euphonics)
+                                  res.corpus_lexicon, res.euphonics)
         with pytest.raises(ValueError, match="dictionary lemmas differ"):
-            relicense(resource, [verb_sense("couper", 1, "-G-")], code_table)
+            relicense(resource, [verb_sense("couper", 1, "-G-")])
+
+
+def test_load_resources_parses_each_code_string_once(benchmark_resources, monkeypatch):
+    res = benchmark_resources
+    parsed = []
+    parse = lexica.parse_derivation_codes
+    monkeypatch.setattr(lexica, "parse_derivation_codes",
+                        lambda raw, table: parsed.append(raw) or parse(raw, table))
+    again = pipeline.load_resources(res.config)
+    assert again.resource == res.resource
+    rows = res.config.dictionary.read_text(encoding="utf-8").split("\n")
+    codes = [row.split("\t")[10] for row in rows if row and not row.startswith("#")]
+    assert sorted(parsed) == sorted(set(codes))
 
 
 class TestAudit:

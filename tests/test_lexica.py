@@ -1,3 +1,5 @@
+import functools
+
 import pytest
 
 from derivqa import lexica, morphogen, pipeline, qaengine
@@ -19,6 +21,7 @@ from derivqa.lexica import (
 )
 from derivqa.pipeline import packaged_data
 
+CODE_TABLE = load_code_table(packaged_data("code_table.tsv"))
 DICT_ROW = ("vendre\t1\tVERB\tGEN\t2\tinstr\tcéder contre paiement\t"
             "le marchand vendit le navire .\t3\tT\t-E-\t1")
 
@@ -32,45 +35,60 @@ def write(tmp_path, name, text):
 class TestDictionary:
     def test_loads_fields(self, tmp_path):
         path = write(tmp_path, "d.tsv", "# comment\n" + DICT_ROW + "\n")
-        records = load_dictionary(path)
+        records = load_dictionary(path, CODE_TABLE)
         assert len(records) == 1
         rec = records[0]
         assert (rec.lemma, rec.sense_id, rec.pos) == ("vendre", 1, VERB)
         assert rec.examples == ("le marchand vendit le navire .",)
         assert rec.construction_codes == ("T",)
-        assert rec.deriv_codes == "-E-"
+        assert rec.instructions == (CODE_TABLE["E"],)
+
+    def test_resolves_each_code_string_once(self, tmp_path, caplog):
+        codes = "-Q- - - RB- - -"
+        rows = [
+            DICT_ROW.replace("-E-", codes),
+            DICT_ROW.replace("vendre\t1", "vendre\t2").replace("-E-", codes),
+            DICT_ROW.replace("vendre\t1", "vendre\t3"),
+        ]
+        path = write(tmp_path, "d.tsv", "\n".join(rows) + "\n")
+        with caplog.at_level("WARNING", logger="derivqa"):
+            records = load_dictionary(path, CODE_TABLE)
+        assert [[ins.code_letter for ins in r.instructions] for r in records] == [
+            ["Q", "B"], ["Q", "B"], ["E"]]
+        assert [r.getMessage() for r in caplog.records] == [
+            f"unknown derivation code 'R' in {codes!r}"]
 
     def test_rejects_wrong_column_count(self, tmp_path):
         path = write(tmp_path, "d.tsv", "vendre\t1\tVERB\n")
         with pytest.raises(LexiconError, match="expected 12 columns"):
-            load_dictionary(path)
+            load_dictionary(path, CODE_TABLE)
 
     def test_rejects_duplicate_sense(self, tmp_path):
         path = write(tmp_path, "d.tsv", DICT_ROW + "\n" + DICT_ROW + "\n")
         with pytest.raises(LexiconError, match="duplicate sense"):
-            load_dictionary(path)
+            load_dictionary(path, CODE_TABLE)
 
     def test_rejects_non_integer_sense(self, tmp_path):
         path = write(tmp_path, "d.tsv", DICT_ROW.replace("\t1\tVERB", "\tx\tVERB") + "\n")
         with pytest.raises(LexiconError, match="sense_id"):
-            load_dictionary(path)
+            load_dictionary(path, CODE_TABLE)
 
     def test_verb_requires_conjugation(self, tmp_path):
         row = DICT_ROW.replace("\t3\tT\t", "\t\tT\t")
         path = write(tmp_path, "d.tsv", row + "\n")
         with pytest.raises(LexiconError, match="conjugation"):
-            load_dictionary(path)
+            load_dictionary(path, CODE_TABLE)
 
     def test_non_verb_rejects_verb_only_codes(self, tmp_path):
         row = "navire\t1\tNOUN\tGEN\t2\t\tbateau\tle navire .\t3\t\t- -\t1"
         path = write(tmp_path, "d.tsv", row + "\n")
         with pytest.raises(LexiconError, match="verb-only"):
-            load_dictionary(path)
+            load_dictionary(path, CODE_TABLE)
 
     def test_error_message_carries_path_and_line(self, tmp_path):
         path = write(tmp_path, "d.tsv", "# one\n\nbad row\n")
         with pytest.raises(LexiconError) as info:
-            load_dictionary(path)
+            load_dictionary(path, CODE_TABLE)
         assert str(info.value).startswith(f"{path}:3:")
 
     def test_senses_by_lemma_groups_and_sorts(self, tmp_path):
@@ -79,14 +97,14 @@ class TestDictionary:
             DICT_ROW.replace("vendre\t1", "vendre\t2"),
             DICT_ROW.replace("vendre\t1", "acheter\t1"),
         ]
-        records = load_dictionary(write(tmp_path, "d.tsv", "\n".join(rows) + "\n"))
+        records = load_dictionary(write(tmp_path, "d.tsv", "\n".join(rows) + "\n"), CODE_TABLE)
         index = senses_by_lemma(records)
         assert sorted(index) == ["acheter", "vendre"]
         assert [s.sense_id for s in index["vendre"]] == [1, 2]
         assert records.senses == index
 
     def test_dictionary_is_a_read_only_sequence(self, tmp_path):
-        records = load_dictionary(write(tmp_path, "d.tsv", DICT_ROW + "\n"))
+        records = load_dictionary(write(tmp_path, "d.tsv", DICT_ROW + "\n"), CODE_TABLE)
         assert isinstance(records, Dictionary)
         assert Dictionary(records) is records
         assert records.senses is records.senses
@@ -108,14 +126,11 @@ class TestCodeTable:
 
     def test_parse_codes_skips_unknown_letters(self, caplog):
         table = load_code_table(packaged_data("code_table.tsv"))
-        diagnostics = []
         with caplog.at_level("WARNING", logger="derivqa"):
-            instructions = parse_derivation_codes("-Q- - - RB- - -", table, diagnostics)
-            assert caplog.records == []
-            assert parse_derivation_codes("-Q- - - RB- - -", table) == instructions
+            instructions = parse_derivation_codes("-Q- - - RB- - -", table)
         assert [i.suffix for i in instructions] == ["é", "ation"]
-        assert diagnostics == ["unknown derivation code 'R' in '-Q- - - RB- - -'"]
-        assert [r.getMessage() for r in caplog.records] == diagnostics
+        assert [r.getMessage() for r in caplog.records] == [
+            "unknown derivation code 'R' in '-Q- - - RB- - -'"]
 
     def test_parse_codes_ignores_punctuation(self):
         table = load_code_table(packaged_data("code_table.tsv"))
@@ -185,7 +200,8 @@ class TestSynonyms:
 
 
 @pytest.mark.parametrize("loader, columns", [
-    (load_dictionary, 12),
+    pytest.param(functools.partial(load_dictionary, code_table=CODE_TABLE), 12,
+                 id="load_dictionary-12"),
     (load_code_table, 4),
     (load_inflections, 3),
     (load_corpus_lexicon, 2),
@@ -207,3 +223,21 @@ def test_non_utf8_byte_names_its_line(tmp_path):
     with pytest.raises(LexiconError) as info:
         load_corpus_lexicon(path)
     assert str(info.value) == f"{path}:3: not valid UTF-8: byte 0xe9"
+
+
+def test_non_utf8_byte_line_counts_newlines_only(tmp_path):
+    path = tmp_path / "c.tsv"
+    path.write_bytes(b"a\t1\nb\x0c\t2\n\xff\t3\n")
+    with pytest.raises(LexiconError) as info:
+        load_corpus_lexicon(path)
+    assert str(info.value) == f"{path}:3: not valid UTF-8: byte 0xff"
+
+
+def test_lines_end_at_newline_only(tmp_path):
+    # U+0085 and U+2028 stay inside their cells; a CR before LF is dropped
+    path = write(tmp_path, "c.tsv", "coup\u0085age\t2\r\ncoup\u2028ure\t3\nbad\n")
+    with pytest.raises(LexiconError) as info:
+        load_corpus_lexicon(path)
+    assert str(info.value) == f"{path}:3: expected 2 columns, got 1"
+    path = write(tmp_path, "c.tsv", "coup\u0085age\t2\r\ncoup\u2028ure\t3\n")
+    assert load_corpus_lexicon(path).counts == {"coup\u0085age": 2, "coup\u2028ure": 3}

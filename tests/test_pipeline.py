@@ -110,7 +110,7 @@ class TestLoadResources:
         path = write_config(tmp_path, {"min_syllables": 2})
         res = load_resources(load_config(path))
         assert [p.pattern_id for p in res.patterns][:2] == ["v2n_eur_svo", "v2n_eur_subj"]
-        assert "E" in res.code_table
+        assert any(ins.code_letter == "E" for s in res.dictionary for ins in s.instructions)
         # the packaged euphonics file carries only the mute-e rule, so the
         # éd->ess surface is absent without the benchmark's euphonics file
         assert res.resource.records_for("succéder") == []
@@ -123,7 +123,7 @@ class TestLoadResources:
         res = load_resources(load_config(config))
         assert res.config.symmetrize is False
         assert res.resource.records_for("coupure") == []
-        assert all(not s.extra_instructions for s in res.dictionary)
+        assert all(ins.code_letter for s in res.dictionary for ins in s.instructions)
 
     def test_symmetrize_on_rebuilds(self, benchmark_resources):
         assert [r.surface for r in benchmark_resources.resource.records_for("coupure")] == ["couper"]

@@ -27,7 +27,17 @@ from derivqa.depgraph import (
     load_depbank,
     save_depbank,
 )
-from derivqa.lexica import ADJ, ADV, NOUN, VERB, CorpusLexicon, InflectionEntry, load_dictionary
+from derivqa.lexica import (
+    ADJ,
+    ADV,
+    NOUN,
+    VERB,
+    CorpusLexicon,
+    Dictionary,
+    InflectionEntry,
+    load_code_table,
+    load_dictionary,
+)
 from derivqa.morphogen import (
     CandidateDerivative,
     corpus_filter,
@@ -187,12 +197,13 @@ def test_symmetrized_build_matches_plain_double_build(tmp_path_factory, lexicon,
 
     res = pipeline.load_resources(pipeline.load_config(tmp / "config.json"))
     by_lemma, stats, augmented = oracles.double_build(
-        load_dictionary(tmp / "dictionary.tsv"), res.model, res.corpus_lexicon,
-        res.code_table, res.euphonics)
+        load_dictionary(tmp / "dictionary.tsv",
+                        load_code_table(pipeline.packaged_data("code_table.tsv"))),
+        res.model, res.corpus_lexicon, res.euphonics)
     assert res.resource.by_lemma == by_lemma
     assert res.resource.stats == stats
-    assert [s.extra_instructions for s in res.dictionary] == \
-        [s.extra_instructions for s in augmented]
+    assert [s.instructions for s in res.dictionary] == \
+        [s.instructions for s in augmented]
     assert list(res.dictionary) == augmented
 
 
@@ -240,7 +251,7 @@ def test_matcher_bindings_match_exhaustive_enumeration(benchmark_resources, grap
     resource = benchmark_resources.resource
     base = [d for d in graph.deps if d.provenance == BASE]
     for pivot in range(len(graph.tokens)):
-        matches = match_pattern(graph, pattern, pivot, resource)
+        matches = match_pattern(graph, pattern, pivot, resource, Dictionary())
         got = {frozenset(m.bindings.items()) for m in matches}
         expected = oracles.enumerate_bindings(pattern, base, pivot)
         if graph.tokens[pivot].pos != pattern.pivot_pos:

@@ -9,7 +9,7 @@ from derivqa.depgraph import (
     copy_graph,
     toy_parse,
 )
-from derivqa.lexica import NOUN, VERB
+from derivqa.lexica import NOUN, VERB, Dictionary
 from derivqa.pipeline import MODES, enrich_for_mode, load_sentences, packaged_data
 from derivqa.rephrase import (
     DepTemplate,
@@ -197,9 +197,9 @@ class TestMatchPattern:
     def test_construction_gate_waived_without_codes(self, res, patterns):
         graph = parsed(res, "l'ouvrier a coupé le courant .")
         pivot = next(t.index for t in graph.tokens if t.lemma == "couper")
-        # no dictionary at all: the CONSTR line cannot be checked, match anyway
+        # an empty dictionary: the CONSTR line cannot be checked, match anyway
         matches = match_pattern(graph, patterns["v2n_eur_svo"], pivot,
-                                res.resource, dictionary=None)
+                                res.resource, Dictionary())
         assert [m.derivative.surface for m in matches] == ["coupeur"]
 
     def test_alternate_pivot_lemmas(self, res, patterns):
