@@ -112,9 +112,7 @@ class DependencyGraph:
 class DependencyBank(tuple):
     """The graphs of a bank in bank order: a read-only sequence.
 
-    `load_depbank` and `pipeline.build_bank` return one. Like `tuple()`,
-    `DependencyBank(bank)` gives back `bank` itself when it already is one,
-    so its index is kept.
+    `load_depbank` and `pipeline.build_bank` return one.
 
     Two indexes are built on first use, once per bank. `postings` is an
     inverted index over the graphs' dependencies: (label, prep,
@@ -124,11 +122,6 @@ class DependencyBank(tuple):
     bank position, and lemma -> ascending bank positions. A graph changed
     after an index is built is not seen by it.
     """
-
-    def __new__(cls, graphs=()):
-        if type(graphs) is cls:
-            return graphs
-        return super().__new__(cls, graphs)
 
     @cached_property
     def postings(self) -> dict:
@@ -557,7 +550,7 @@ def load_depbank(path) -> DependencyBank:
             continue
         try:
             record = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise DepbankError(f"{path}:{lineno}: not valid JSON: {exc}")
         graph = _graph_from_record(record, f"{path}:{lineno}")
         if graph.sentence_id in seen:

@@ -98,7 +98,7 @@ def filter_by_instructions(candidates, senses) -> list[DerivativeRecord]:
     return records
 
 
-def build_resource(dictionary, model, corpus_lexicon,
+def build_resource(dictionary: Dictionary, model, corpus_lexicon,
                    euphonics=DEFAULT_EUPHONICS) -> DerivationalResource:
     """Run generate -> corpus filter -> instruction filter for every entry.
 
@@ -107,7 +107,7 @@ def build_resource(dictionary, model, corpus_lexicon,
     The resource keeps each lemma's corpus-attested candidates for `relicense`.
     """
     resource = DerivationalResource()
-    for lemma in sorted(Dictionary(dictionary).senses):
+    for lemma in sorted(dictionary.senses):
         try:
             candidates = generate_candidates(lemma, model, euphonics)
         except TooShortError as exc:
@@ -119,13 +119,13 @@ def build_resource(dictionary, model, corpus_lexicon,
     return relicense(resource, dictionary)
 
 
-def relicense(resource, dictionary) -> DerivationalResource:
+def relicense(resource, dictionary: Dictionary) -> DerivationalResource:
     """Run the instruction filter over `resource`'s attested candidates with
     the senses of `dictionary`, which must hold the lemmas the resource was
     built from. `build_resource` ends with it; after `symmetrize_instructions`
     it gives what a fresh build would, stats included, generating nothing.
     """
-    index = Dictionary(dictionary).senses
+    index = dictionary.senses
     if index.keys() != resource.attested.keys():
         raise ValueError("dictionary lemmas differ from those the resource was built from")
     stats = ResourceStats(candidates_generated=resource.stats.candidates_generated)
@@ -154,7 +154,7 @@ def relicense(resource, dictionary) -> DerivationalResource:
     return DerivationalResource(by_lemma=by_lemma, stats=stats, attested=resource.attested)
 
 
-def symmetrize_instructions(dictionary, resource) -> Dictionary:
+def symmetrize_instructions(dictionary: Dictionary, resource) -> Dictionary:
     """Give noun/adjective entries a back-instruction to their source verb.
 
     For every verbal sense whose instruction produced a derivative D found in
@@ -165,7 +165,6 @@ def symmetrize_instructions(dictionary, resource) -> Dictionary:
     with its back-instructions; every other record is the input's own. The
     input is untouched.
     """
-    dictionary = Dictionary(dictionary)
     index = dictionary.senses
     gained = {}  # id of a target record -> its new instructions
     added = 0

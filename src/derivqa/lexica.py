@@ -111,20 +111,12 @@ class Dictionary(tuple):
     """The sense records of a dictionary, in file order: a read-only sequence.
 
     `load_dictionary` and `derivfilter.symmetrize_instructions` return one.
-    Like `tuple()`, `Dictionary(d)` gives back `d` itself when it already is
-    one, so its index is kept; any other sequence of records is wrapped
-    anew.
 
     `senses` maps each lemma to its records sorted by sense id, built on
     first use by `senses_by_lemma` and once per dictionary. A record whose
     `lemma` or `sense_id` changes after the index is built is not seen by
     it under the new values.
     """
-
-    def __new__(cls, records=()):
-        if type(records) is cls:
-            return records
-        return super().__new__(cls, records)
 
     @cached_property
     def senses(self) -> dict[str, list[SenseRecord]]:
@@ -196,8 +188,9 @@ def load_code_table(path) -> dict[str, DerivInstruction]:
     table = {}
     for lineno, row in _read_rows(path, 4):
         letter, kind, target_pos, suffix = row
-        if len(letter) != 1:
-            raise LexiconError(path, lineno, f"code letter must be a single character: {letter!r}")
+        if len(letter) != 1 or not letter.isalnum():
+            raise LexiconError(path, lineno,
+                               f"code letter must be a single letter or digit: {letter!r}")
         if letter in table:
             raise LexiconError(path, lineno, f"duplicate code letter {letter!r}")
         try:
@@ -212,17 +205,20 @@ def parse_derivation_codes(raw: str, code_table) -> list[DerivInstruction]:
 
     Alphanumeric characters are code letters, everything else is filler.
     Letters missing from the table are skipped, never errors: the historical
-    code inventory is larger than any one table. Each is logged as a warning.
+    code inventory is larger than any one table. Each is logged as a warning,
+    once per call.
     """
     instructions = []
+    unknown = set()
     for ch in raw:
         if not ch.isalnum():
             continue
         hit = code_table.get(ch)
-        if hit is None:
+        if hit is not None:
+            instructions.append(hit)
+        elif ch not in unknown:
+            unknown.add(ch)
             log.warning(f"unknown derivation code {ch!r} in {raw!r}")
-            continue
-        instructions.append(hit)
     return instructions
 
 

@@ -76,7 +76,6 @@ class SuffixModel:
 @dataclass(frozen=True, slots=True)
 class CandidateDerivative:
     source_lemma: str
-    stem: str
     suffix: str
     surface: str
 
@@ -178,8 +177,6 @@ def generate_candidates(lemma: str, model: SuffixModel,
     Every stem is also emitted bare (suffix "") to cover conversion, e.g.
     couper -> coup. Recall is the goal; precision comes from the corpus and
     instruction filters. Duplicate surfaces are dropped, first one wins.
-    A candidate's stem is recorded as its surface minus its suffix, so the
-    stem stays recoverable even when a euphonic rule reshaped the joint.
     """
     candidates = []
     seen = set()
@@ -189,10 +186,8 @@ def generate_candidates(lemma: str, model: SuffixModel,
                 if len(surface) < model.min_stem_len + 1 or surface in seen:
                     continue
                 seen.add(surface)
-                recorded_stem = surface[: len(surface) - len(suffix)] if suffix else surface
                 candidates.append(CandidateDerivative(
                     source_lemma=lemma,
-                    stem=recorded_stem,
                     suffix=suffix,
                     surface=surface,
                 ))

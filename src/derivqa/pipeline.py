@@ -74,7 +74,7 @@ def load_config(path) -> PipelineConfig:
             path, lambda p, lineno, message: ConfigError(f"{p}:{lineno}: {message}")))
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: config must be a JSON object")
@@ -124,8 +124,8 @@ class Resources:
     skipped_sentences: list = field(default_factory=list)
 
 
-def _pos_of(dictionary):
-    by_lemma = lexica.Dictionary(dictionary).senses
+def _pos_of(dictionary: lexica.Dictionary):
+    by_lemma = dictionary.senses
 
     def lookup(lemma: str):
         kinds = {s.pos for s in by_lemma.get(lemma, [])}
@@ -219,7 +219,7 @@ def build_bank(res: Resources, mode: str, sentences=None,
         if res.config.sentences is None:
             raise ConfigError("config has no sentences file")
         sentences = load_sentences(res.config.sentences)
-    bank = []
+    graphs = []
     res.skipped_sentences = []
     for sid, text in sentences:
         try:
@@ -229,8 +229,8 @@ def build_bank(res: Resources, mode: str, sentences=None,
             res.skipped_sentences.append((sid, str(exc)))
             continue
         wsd.disambiguate(graph, res.compilation, res.dictionary, stats=wsd_stats)
-        bank.append(enrich_for_mode(graph, res, mode))
-    return depgraph.DependencyBank(bank)
+        graphs.append(enrich_for_mode(graph, res, mode))
+    return depgraph.DependencyBank(graphs)
 
 
 def parse_questions(res: Resources, rows) -> list:

@@ -113,22 +113,20 @@ def _max_matching(qgraph: DependencyGraph, tgraph: DependencyGraph) -> list:
     return sorted((qi, ti) for ti, qi in owner.items())
 
 
-def answer(question: QuestionStructure, bank, k: int = 5,
+def answer(question: QuestionStructure, bank: DependencyBank, k: int = 5,
            require_full_match: bool = False) -> list:
     """Rank bank sentences by dependency coverage of the question.
 
     Coverage is the matched fraction of the question's dependencies.
     Sentences with zero coverage are not candidates. Ties keep bank order.
     Only the graphs the bank's dependency index finds sharing a dependency
-    with the question are matched; any other sequence of graphs is wrapped
-    in a `DependencyBank` first.
+    with the question are matched.
     """
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
     total = len(question.deps)
     if total == 0:
         return []
-    bank = DependencyBank(bank)
     scored = []
     for position in bank.sharing(question.graph):
         graph = bank[position]
@@ -142,26 +140,23 @@ def answer(question: QuestionStructure, bank, k: int = 5,
     return [candidate for _, _, candidate in scored[:k]]
 
 
-def build_bag_index(bank) -> DependencyBank:
-    """`bank` as a `DependencyBank` with its bag index built."""
-    bank = DependencyBank(bank)
+def build_bag_index(bank: DependencyBank) -> DependencyBank:
+    """`bank` itself, with its bag index built."""
     bank.bag_index  # built on first use, then kept by the bank
     return bank
 
 
-def answer_baseline(question: QuestionStructure, bank, k: int = 5) -> list:
+def answer_baseline(question: QuestionStructure, bank: DependencyBank, k: int = 5) -> list:
     """Rank bank sentences by count of shared significant lemmas.
 
     Sentences sharing none are not candidates. Ties keep bank order. The
-    bank's bag index finds the sentences; any other sequence of graphs is
-    wrapped in a `DependencyBank` first.
+    bank's bag index finds the sentences.
     """
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
     q_bag = _significant_lemmas(question.graph)
     if not q_bag:
         return []
-    bank = DependencyBank(bank)
     bags, postings = bank.bag_index
     hits = set()
     for lemma in q_bag:
@@ -177,7 +172,7 @@ def answer_baseline(question: QuestionStructure, bank, k: int = 5) -> list:
     return [candidate for _, _, candidate in scored[:k]]
 
 
-def answer_for_mode(question: QuestionStructure, bank, mode: str, k: int,
+def answer_for_mode(question: QuestionStructure, bank: DependencyBank, mode: str, k: int,
                     require_full_match: bool) -> list:
     """The bag engine's answers in `baseline` mode, the structural engine's
     in every other mode."""
@@ -196,7 +191,6 @@ class EvalReport:
     mean_score: Fraction = Fraction(0)
     no_answer_count: int = 0
     wrong_only_count: int = 0
-    answered: int = 0
 
 
 def score_candidates(candidates, gold) -> tuple:
@@ -207,7 +201,7 @@ def score_candidates(candidates, gold) -> tuple:
     return None, Fraction(0)
 
 
-def evaluate(questions, bank, mode: str, k: int = 5,
+def evaluate(questions, bank: DependencyBank, mode: str, k: int = 5,
              require_full_match: bool = False) -> EvalReport:
     """Score a list of (QuestionStructure, gold id frozenset) pairs.
 
@@ -215,7 +209,6 @@ def evaluate(questions, bank, mode: str, k: int = 5,
     function only picks the engine, through `answer_for_mode`. Gold ids
     must name sentences present in the bank.
     """
-    bank = DependencyBank(bank)
     known_ids = {g.sentence_id for g in bank}
     report = EvalReport(mode=mode)
     total = Fraction(0)
@@ -233,8 +226,6 @@ def evaluate(questions, bank, mode: str, k: int = 5,
             report.no_answer_count += 1
         elif rank is None:
             report.wrong_only_count += 1
-        else:
-            report.answered += 1
     if questions:
         report.mean_score = total / len(questions)
     return report

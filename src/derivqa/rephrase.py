@@ -250,7 +250,7 @@ def _construction_ok(pattern: DerivationPattern, senses, sense_id) -> bool:
 
 
 def match_pattern(graph: DependencyGraph, pattern: DerivationPattern, pivot: int,
-                  resource, dictionary, use_alternates: bool = False) -> list:
+                  resource, dictionary: Dictionary, use_alternates: bool = False) -> list:
     """All ways `pattern` applies at the given pivot token.
 
     Bindings are sought in BASE dependencies only. A match is produced per
@@ -265,7 +265,7 @@ def match_pattern(graph: DependencyGraph, pattern: DerivationPattern, pivot: int
     bindings_list = _enumerate_bindings(pattern.inputs, base_deps, pivot)
     if not bindings_list:
         return []
-    by_lemma = Dictionary(dictionary).senses
+    by_lemma = dictionary.senses
     pivot_lemmas = [(token.lemma, token.sense_id)]
     if use_alternates:
         pivot_lemmas.extend((alt, None) for alt in sorted(token.alternates))

@@ -47,7 +47,6 @@ class WsdRule:
     pos: str
     sense_id: int
     constraints: tuple
-    example: str
 
     def specificity(self, graph, token_index: int) -> int:
         return sum(1 for c in self.constraints if c.satisfied_by(graph, token_index))
@@ -89,33 +88,30 @@ def compile_rules(dictionary, lexicon) -> RuleCompilation:
                 slot = dep.args.index(token.index)
                 other = graph.tokens[dep.args[1 - slot]].lemma
                 constraints.append(DependencyConstraint(dep.label, slot, other, dep.prep))
-            rule = WsdRule(sense.lemma, sense.pos, sense.sense_id, tuple(constraints), example)
+            rule = WsdRule(sense.lemma, sense.pos, sense.sense_id, tuple(constraints))
             compilation.rules.setdefault((sense.lemma, sense.pos), []).append(rule)
     return compilation
 
 
 @dataclass
 class WsdStats:
-    content_tokens: int = 0
-    dictionary_tokens: int = 0
     monosemous: int = 0
     rule_resolved: int = 0
     unresolved: int = 0
 
 
-def disambiguate(graph, compilation: RuleCompilation, dictionary, stats: WsdStats | None = None):
+def disambiguate(graph, compilation: RuleCompilation, dictionary: Dictionary,
+                 stats: WsdStats | None = None):
     """Assign sense ids to the graph's content tokens, in place."""
-    by_lemma = Dictionary(dictionary).senses
+    by_lemma = dictionary.senses
     if stats is None:
         stats = WsdStats()
     for token in graph.tokens:
         if token.pos not in CONTENT_POS:
             continue
-        stats.content_tokens += 1
         senses = [s for s in by_lemma.get(token.lemma, []) if s.pos == token.pos]
         if not senses:
             continue
-        stats.dictionary_tokens += 1
         if len(senses) == 1:
             token.sense_id = senses[0].sense_id
             stats.monosemous += 1

@@ -23,6 +23,7 @@ from derivqa.depgraph import (
     PREPPH,
     SUBJECT,
     Dependency,
+    DependencyBank,
     DependencyGraph,
     TokenNode,
     copy_graph,
@@ -113,7 +114,7 @@ def test_derivational_rephrasing_rescues_the_synonym_only_failure():
 # -- 4: reciprocal-rank arithmetic on a hand-built run ------------------------
 
 def test_reciprocal_rank_mean_arithmetic():
-    bank = [
+    bank = DependencyBank([
         make_graph("t1",
                    [("va", VERB), ("homme", NOUN), ("roi", NOUN),
                     ("voit", VERB), ("chat", NOUN)],
@@ -124,7 +125,7 @@ def test_reciprocal_rank_mean_arithmetic():
         make_graph("t3", [("va", VERB), ("homme", NOUN)], [(SUBJECT, 0, 1)]),
         make_graph("t4", [("va", VERB), ("homme", NOUN)], [(SUBJECT, 0, 1)]),
         make_graph("t5", [("va", VERB), ("homme", NOUN)], [(SUBJECT, 0, 1)]),
-    ]
+    ])
 
     def question(qid, tokens, deps):
         return QuestionStructure(qid, qid, make_graph(qid, tokens, deps))
@@ -259,7 +260,7 @@ def test_filter_matches_oracle_on_random_pairs_and_audit_counts(benchmark_resour
         for _ in range(10):
             suffix = rng.choice(SUFFIX_POOL)
             stem = rng.choice(["coup", "coupe", "tranch"])
-            candidates.append(CandidateDerivative("couper", stem, suffix, stem + suffix))
+            candidates.append(CandidateDerivative("couper", suffix, stem + suffix))
         pairs += len(candidates)
 
         records = filter_by_instructions(candidates, senses)
@@ -344,7 +345,7 @@ def test_matcher_and_answer_match_exhaustive_oracles(benchmark_resources):
                                                              max_tokens=5,
                                                              max_deps=4))
         best = oracles.max_coverage_pairs(question.graph, graph, dep_match)
-        candidates = answer(question, [graph], k=1) if question.deps else []
+        candidates = answer(question, DependencyBank([graph]), k=1) if question.deps else []
         if not question.deps or best == 0:
             assert candidates == []
         else:
@@ -357,8 +358,8 @@ def test_matcher_and_answer_match_exhaustive_oracles(benchmark_resources):
         assert [t.lemma for t in enriched.tokens[:len(graph.tokens)]] == \
             [t.lemma for t in graph.tokens]
         if question.deps:
-            before = answer(question, [graph], k=1)
-            after = answer(question, [enriched], k=1)
+            before = answer(question, DependencyBank([graph]), k=1)
+            after = answer(question, DependencyBank([enriched]), k=1)
             cov_before = before[0].coverage if before else Fraction(0)
             cov_after = after[0].coverage if after else Fraction(0)
             assert cov_after >= cov_before

@@ -272,6 +272,18 @@ class TestEncoding:
         assert f"{name}:2: not valid UTF-8: byte 0xe9" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("name, exit_code, message", [
+        ("config.json", EXIT_CONFIG, "config.json: invalid JSON: maximum recursion depth"),
+        ("bank.jsonl", EXIT_INPUT, "bank.jsonl:1: not valid JSON: maximum recursion depth"),
+    ], ids=["config.json", "bank.jsonl"])
+    def test_deeply_nested_json(self, capsys, tmp_path, name, exit_code, message):
+        argv = write_small_setup(tmp_path)
+        (tmp_path / name).write_text("[" * 200_000 + "]" * 200_000 + "\n", encoding="utf-8")
+        code, out, err = run(capsys, *argv)
+        assert code == exit_code
+        assert message in err
+        assert "Traceback" not in err
+
 
 @pytest.fixture(scope="module")
 def small_setup(tmp_path_factory):

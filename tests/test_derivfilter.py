@@ -48,10 +48,10 @@ class TestInstructionFilter:
             verb_sense("couper", 2, "-U-"),
         ]
         candidates = [
-            CandidateDerivative("couper", "coup", "ure", "coupure"),
-            CandidateDerivative("couper", "coup", "eur", "coupeur"),
-            CandidateDerivative("couper", "coup", "age", "coupage"),
-            CandidateDerivative("couper", "coup", "", "coup"),
+            CandidateDerivative("couper", "ure", "coupure"),
+            CandidateDerivative("couper", "eur", "coupeur"),
+            CandidateDerivative("couper", "age", "coupage"),
+            CandidateDerivative("couper", "", "coup"),
         ]
         records = filter_by_instructions(candidates, senses)
         by_surface = {r.surface: r for r in records}
@@ -62,7 +62,7 @@ class TestInstructionFilter:
 
     def test_bare_stems_never_accepted(self):
         senses = [verb_sense("couper", 1, "-U-G-E-A-Q-L-D-B-")]
-        candidates = [CandidateDerivative("couper", "coup", "", "coup")]
+        candidates = [CandidateDerivative("couper", "", "coup")]
         assert filter_by_instructions(candidates, senses) == []
 
     def test_rejects_mixed_lemmas(self):
@@ -77,7 +77,7 @@ class TestInstructionFilter:
             verb_sense("couper", 3, "-U-Q-"),
         ]
         candidates = [
-            CandidateDerivative("couper", "coup", s, "coup" + s)
+            CandidateDerivative("couper", s, "coup" + s)
             for s in ("ure", "age", "eur", "ant", "é", "able", "ment", "")
         ]
         records = filter_by_instructions(candidates, senses)
@@ -109,7 +109,7 @@ class TestBuildResource:
 
     def test_too_short_entries_are_skipped(self, benchmark_resources):
         model = benchmark_resources.model
-        dictionary = [verb_sense("gir", 1, "-U-")]
+        dictionary = Dictionary([verb_sense("gir", 1, "-U-")])
         resource = build_resource(
             dictionary, model, benchmark_resources.corpus_lexicon)
         assert resource.by_lemma == {}
@@ -121,12 +121,12 @@ class TestBuildResource:
         # laver licenses -G-E-Q-L- in the benchmark; "laveur", "lavage", "lavé"
         # and "lavable" are all attested, so every instruction matches.
         res = benchmark_resources
-        dictionary = [verb_sense("laver", 1, "-G-E-Q-L-")]
+        dictionary = Dictionary([verb_sense("laver", 1, "-G-E-Q-L-")])
         resource = build_resource(dictionary, res.model, res.corpus_lexicon, res.euphonics)
         assert resource.stats.instructions_total == 4
         assert resource.stats.instructions_unmatched == 0
         # balayer licenses only -G-; balayage is attested, nothing unmatched.
-        dictionary = [verb_sense("balayer", 1, "-G-U-")]
+        dictionary = Dictionary([verb_sense("balayer", 1, "-G-U-")])
         resource = build_resource(dictionary, res.model, res.corpus_lexicon, res.euphonics)
         assert resource.stats.instructions_unmatched == 1  # no "balayure"
 
@@ -210,10 +210,10 @@ class TestRelicense:
 
     def test_rejects_other_lemmas(self, benchmark_resources):
         res = benchmark_resources
-        resource = build_resource([verb_sense("laver", 1, "-G-")], res.model,
+        resource = build_resource(Dictionary([verb_sense("laver", 1, "-G-")]), res.model,
                                   res.corpus_lexicon, res.euphonics)
         with pytest.raises(ValueError, match="dictionary lemmas differ"):
-            relicense(resource, [verb_sense("couper", 1, "-G-")])
+            relicense(resource, Dictionary([verb_sense("couper", 1, "-G-")]))
 
 
 def test_load_resources_parses_each_code_string_once(benchmark_resources, monkeypatch):

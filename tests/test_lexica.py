@@ -106,7 +106,6 @@ class TestDictionary:
     def test_dictionary_is_a_read_only_sequence(self, tmp_path):
         records = load_dictionary(write(tmp_path, "d.tsv", DICT_ROW + "\n"), CODE_TABLE)
         assert isinstance(records, Dictionary)
-        assert Dictionary(records) is records
         assert records.senses is records.senses
         with pytest.raises(TypeError):
             records[0] = records[0]
@@ -131,6 +130,21 @@ class TestCodeTable:
         assert [i.suffix for i in instructions] == ["é", "ation"]
         assert [r.getMessage() for r in caplog.records] == [
             "unknown derivation code 'R' in '-Q- - - RB- - -'"]
+
+    def test_parse_codes_warns_once_per_letter(self, caplog):
+        with caplog.at_level("WARNING", logger="derivqa"):
+            assert parse_derivation_codes("-R-R-", CODE_TABLE) == []
+            assert parse_derivation_codes("-Q-Q-", CODE_TABLE) == [CODE_TABLE["Q"]] * 2
+        assert [r.getMessage() for r in caplog.records] == [
+            "unknown derivation code 'R' in '-R-R-'"]
+
+    def test_rejects_a_letter_that_is_filler(self, tmp_path):
+        path = write(tmp_path, "t.tsv", "Q\tVERBAL_ADJECTIVE\tADJ\té\n"
+                                        "-\tNOMINAL\tNOUN\teur\n")
+        with pytest.raises(LexiconError) as info:
+            load_code_table(path)
+        assert str(info.value) == (
+            f"{path}:2: code letter must be a single letter or digit: '-'")
 
     def test_parse_codes_ignores_punctuation(self):
         table = load_code_table(packaged_data("code_table.tsv"))

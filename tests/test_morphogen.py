@@ -175,17 +175,7 @@ class TestGeneration:
         assert surfaces == ["coup", "coupe", "coupure", "coupee", "coupeure"]
         # duplicate surfaces keep the first (shorter-stem) candidate
         by_surface = {c.surface: c for c in candidates}
-        assert by_surface["coupe"].stem == "coup"
         assert by_surface["coupe"].suffix == "e"
-        assert by_surface["coupure"].stem == "coup"
-
-    def test_recorded_stem_reflects_euphonic_spelling(self):
-        model = SuffixModel(suffixes={"ure": 2}, min_stem_len=3,
-                            max_stems_per_lemma=1, min_syllables=2)
-        candidates = generate_candidates("coupe", model)
-        coupure = next(c for c in candidates if c.surface == "coupure")
-        assert coupure.stem == "coup"
-        assert coupure.stem + coupure.suffix == coupure.surface
 
     def test_minimum_surface_length(self):
         model = SuffixModel(suffixes={}, min_stem_len=3,
@@ -203,8 +193,8 @@ class TestCorpusFilter:
         from derivqa.lexica import CorpusLexicon
         corpus = CorpusLexicon({"coupure": 10})
         candidates = [
-            CandidateDerivative("couper", "coup", "ure", "coupure"),
-            CandidateDerivative("couper", "coup", "age", "coupage"),
+            CandidateDerivative("couper", "ure", "coupure"),
+            CandidateDerivative("couper", "age", "coupage"),
         ]
         kept = corpus_filter(candidates, corpus)
         assert [c.surface for c in kept] == ["coupure"]

@@ -22,6 +22,7 @@ from derivqa.depgraph import (
     PREPPH,
     SUBJECT,
     Dependency,
+    DependencyBank,
     DependencyGraph,
     TokenNode,
     load_depbank,
@@ -128,11 +129,10 @@ def test_suffix_model_matches_brute_force_inventory(entries, threshold, min_stem
 
 # --- corpus filter ----------------------------------------------------------
 
-@given(st.lists(st.tuples(WORDS, WORDS), max_size=20), st.sets(WORDS, max_size=10))
-def test_corpus_filter_is_idempotent_and_sound(pairs, attested):
+@given(st.lists(WORDS, max_size=20), st.sets(WORDS, max_size=10))
+def test_corpus_filter_is_idempotent_and_sound(surfaces, attested):
     corpus = CorpusLexicon({w: 1 for w in attested})
-    candidates = [CandidateDerivative("lemma", stem, "", surface)
-                  for stem, surface in pairs]
+    candidates = [CandidateDerivative("lemma", "", surface) for surface in surfaces]
     once = corpus_filter(candidates, corpus)
     assert corpus_filter(once, corpus) == once
     assert all(c.surface in corpus for c in once)
@@ -276,7 +276,7 @@ def test_matcher_bindings_match_exhaustive_enumeration(benchmark_resources, grap
 def test_answer_coverage_matches_exhaustive_pairing(qgraph, tgraph):
     question = QuestionStructure("q", "text", qgraph)
     best = oracles.max_coverage_pairs(qgraph, tgraph, dep_match)
-    candidates = answer(question, [tgraph], k=1)
+    candidates = answer(question, DependencyBank([tgraph]), k=1)
     if not qgraph.deps:
         assert candidates == []
         return
@@ -302,7 +302,7 @@ def test_answer_ranking_matches_exhaustive_scan(qgraph, bank, full):
     for position, graph in enumerate(bank):
         graph.sentence_id = f"s{position}"
     question = QuestionStructure("q", "text", qgraph)
-    got = answer(question, bank, k=len(bank), require_full_match=full)
+    got = answer(question, DependencyBank(bank), k=len(bank), require_full_match=full)
     scored = []
     for position, graph in enumerate(bank):
         if not qgraph.deps:
@@ -340,7 +340,7 @@ def test_bag_ranking_matches_exhaustive_scan(qgraph, bank, k):
         graph.sentence_id = f"s{position}"
         graph.text = f"text {position}"
     question = QuestionStructure("q", "text", qgraph)
-    got = answer_baseline(question, bank, k=k)
+    got = answer_baseline(question, DependencyBank(bank), k=k)
     assert [(c.sentence_id, c.coverage) for c in got] == oracles.bag_ranking(qgraph, bank, k)
     assert all(c.text == f"text {c.sentence_id[1:]}" for c in got)
 

@@ -39,7 +39,7 @@ def small_bank(res):
         ("s3", "l'ouvrier surveilla le courant ."),
         ("s4", "l'ouvrier a coupé le linge ."),
     ]
-    return [toy_parse(text, res.lexicon, sid) for sid, text in texts]
+    return DependencyBank(toy_parse(text, res.lexicon, sid) for sid, text in texts)
 
 
 class TestDepMatch:
@@ -125,10 +125,10 @@ class TestStructuralAnswer:
             answer(q, small_bank, k=0)
 
     def test_ties_keep_bank_order(self, res):
-        bank = [
+        bank = DependencyBank([
             toy_parse("l'ouvrier surveilla le courant .", res.lexicon, "a"),
             toy_parse("le magistrat observa le courant .", res.lexicon, "b"),
-        ]
+        ])
         q = parse_question("q", "l'ouvrier coupa quel courant ?", res.lexicon)
         # both match only via nothing -> no candidates; use subject overlap
         q2 = parse_question("q2", "l'ouvrier surveilla quel courant ?", res.lexicon)
@@ -152,11 +152,7 @@ class TestStructuralAnswer:
         for _ in range(3):
             assert engine(q, bank) == first
         evaluate([(q, frozenset({"s1"}))] * 3, bank, mode=mode)
-        assert DependencyBank(bank) is bank
         assert builds == [4]
-        # a plain list is wrapped once per call, so evaluate builds once
-        evaluate([(q, frozenset({"s1"}))] * 3, small_bank, mode=mode)
-        assert builds == [4, 4]
 
     def test_unanalyzable_question(self, res):
         with pytest.raises(QuestionError, match="unanalyzable"):
@@ -187,7 +183,8 @@ class TestBagBaseline:
     def test_repeated_ids_keep_their_own_text(self, res, small_bank):
         # ranking is by bank position, so a later graph under the same id
         # neither hides an earlier one nor lends it its text
-        bank = [depgraph.copy_graph(small_bank[0]), depgraph.copy_graph(small_bank[1])]
+        bank = DependencyBank([depgraph.copy_graph(small_bank[0]),
+                               depgraph.copy_graph(small_bank[1])])
         for graph in bank:
             graph.sentence_id = "x"
         q = parse_question("q", "l'ouvrier coupa quel courant ?", res.lexicon)
@@ -197,9 +194,9 @@ class TestBagBaseline:
 
     def test_build_bag_index_returns_the_indexed_bank(self, small_bank):
         bank = DependencyBank(small_bank)
+        assert "bag_index" not in vars(bank)
         assert build_bag_index(bank) is bank
         assert "bag_index" in vars(bank)
-        assert build_bag_index(small_bank) == bank
 
     def test_k_must_be_positive(self, res, small_bank):
         q = parse_question("q", "l'ouvrier coupa quel courant ?", res.lexicon)
@@ -224,7 +221,6 @@ class TestEvaluate:
         assert report.ranks == {"q1": 1, "q2": None, "q3": None}
         assert report.no_answer_count == 1   # q2 has no candidates
         assert report.wrong_only_count == 1  # q3 retrieves only wrong sentences
-        assert report.answered == 1
         assert report.mean_score == Fraction(1, 3)
 
     def test_unknown_gold_id_is_an_error(self, res, small_bank):

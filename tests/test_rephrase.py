@@ -178,8 +178,8 @@ class TestMatchPattern:
     def test_construction_gate_blocks_intransitive(self, res, patterns):
         # succéder is coded Ti, whose prefix "T" satisfies CONSTR T; make a
         # strictly intransitive clone to verify the gate actually rejects.
-        # The clone is a Dictionary with a copy of its index, or a plain
-        # list that is indexed per call.
+        # The clone is a Dictionary with a copy of its index, or a new
+        # Dictionary of copied records that builds its own.
         graph = parsed(res, "Domitien succéda à l'empereur Titus .")
         pivot = next(t.index for t in graph.tokens if t.lemma == "succéder")
         with_dict = match_pattern(graph, patterns["v2n_eur_svo"], pivot,
@@ -187,7 +187,8 @@ class TestMatchPattern:
         assert [m.derivative.surface for m in with_dict] == ["successeur"]
 
         import copy
-        for intrans in (copy.deepcopy(res.dictionary), copy.deepcopy(list(res.dictionary))):
+        for intrans in (copy.deepcopy(res.dictionary),
+                        Dictionary(copy.deepcopy(list(res.dictionary)))):
             for sense in intrans:
                 if sense.lemma == "succéder":
                     sense.construction_codes = ("I",)

@@ -2,7 +2,7 @@ import pytest
 
 from derivqa.depgraph import toy_parse
 from derivqa.derivfilter import DerivationalResource, DerivativeRecord
-from derivqa.lexica import NOUN, VERB
+from derivqa.lexica import NOUN, VERB, Dictionary
 from derivqa.wsd import (
     DependencyConstraint,
     WsdStats,
@@ -57,8 +57,8 @@ class TestCompilation:
 
 class TestDisambiguation:
     def test_rule_separates_senses(self, res):
-        # a plain list of records is indexed per call, to the same effect
-        for dictionary in (res.dictionary, list(res.dictionary)):
+        # a new Dictionary of the same records builds its own index, to the same effect
+        for dictionary in (res.dictionary, Dictionary(list(res.dictionary))):
             graph = toy_parse("le mathématicien formalise une théorie .", res.lexicon)
             disambiguate(graph, res.compilation, dictionary)
             verb = next(t for t in graph.tokens if t.lemma == "formaliser")
