@@ -72,9 +72,17 @@ def _apply_overrides(config: pipeline.PipelineConfig, args) -> pipeline.Pipeline
 
 
 def _load_bank(res, args):
-    if getattr(args, "bank", None):
-        return depgraph.load_depbank(args.bank)
-    return pipeline.build_bank(res, res.config.mode)
+    """The `--bank` file, refused unless it was built under this run's mode
+    and fingerprint; without `--bank`, a bank built from the config."""
+    if not getattr(args, "bank", None):
+        return pipeline.build_bank(res, res.config.mode)
+    bank = depgraph.load_depbank(args.bank)
+    built, wanted = (bank.mode, bank.fingerprint), (res.config.mode, res.fingerprint)
+    if built != wanted:
+        raise depgraph.DepbankError(
+            f"{args.bank}: bank built with {depgraph._describe(*built)}, "
+            f"but this run has {depgraph._describe(*wanted)}; rerun preprocess")
+    return bank
 
 
 def cmd_build_resource(res: pipeline.Resources, args) -> int:

@@ -112,7 +112,9 @@ class DependencyGraph:
 class DependencyBank(tuple):
     """The graphs of a bank in bank order: a read-only sequence.
 
-    `load_depbank` and `pipeline.build_bank` return one.
+    `load_depbank` and `pipeline.build_bank` return one. `mode` and
+    `fingerprint` name the configuration the bank was built under
+    (`pipeline.Resources.fingerprint`); both are None when unknown.
 
     Two indexes are built on first use, once per bank. `postings` is an
     inverted index over the graphs' dependencies: (label, prep,
@@ -122,6 +124,12 @@ class DependencyBank(tuple):
     bank position, and lemma -> ascending bank positions. A graph changed
     after an index is built is not seen by it.
     """
+
+    def __new__(cls, graphs=(), mode: str | None = None, fingerprint: str | None = None):
+        bank = super().__new__(cls, graphs)
+        bank.mode = mode
+        bank.fingerprint = fingerprint
+        return bank
 
     @cached_property
     def postings(self) -> dict:
@@ -504,46 +512,49 @@ def toy_parse(sentence: str, lexicon, sentence_id: str = "s0") -> DependencyGrap
 
 
 # ---------------------------------------------------------------------------
-# Bank serialization (JSON lines)
+# Bank serialization (JSON lines, format 2)
 # ---------------------------------------------------------------------------
 
+BANK_FORMAT = 2
+
+
 def save_depbank(graphs, path):
-    """Write one JSON object per graph, with stable field ordering."""
-    lines = []
+    """Write a header line, then one row per graph.
+
+    The header is `{"derivqa_bank":2,"mode":M,"fingerprint":F}`, taken from
+    the bank's `mode` and `fingerprint`; a plain sequence of graphs writes
+    nulls. A row is `[id, text, tokens, deps]`, with each token
+    `[surface, lemma, pos, features, sense, alternates]` (its index is its
+    position) and each dependency `[label, arg0, arg1, prep, provenance]`.
+    """
+    header = {"derivqa_bank": BANK_FORMAT,
+              "mode": getattr(graphs, "mode", None),
+              "fingerprint": getattr(graphs, "fingerprint", None)}
+    lines = [json.dumps(header, separators=(",", ":"))]
     for g in graphs:
-        record = {
-            "id": g.sentence_id,
-            "text": g.text,
-            "tokens": [
-                {
-                    "i": t.index,
-                    "surface": t.surface,
-                    "lemma": t.lemma,
-                    "pos": t.pos,
-                    "features": {k: t.features[k] for k in sorted(t.features)},
-                    "sense": t.sense_id,
-                    "alternates": sorted(t.alternates),
-                }
-                for t in g.tokens
-            ],
-            "deps": [
-                {
-                    "label": d.label,
-                    "args": list(d.args),
-                    "prep": d.prep,
-                    "provenance": d.provenance,
-                }
-                for d in g.deps
-            ],
-        }
-        lines.append(json.dumps(record, ensure_ascii=False, separators=(",", ":")))
+        row = [
+            g.sentence_id,
+            g.text,
+            [[t.surface, t.lemma, t.pos, t.features, t.sense_id, sorted(t.alternates)]
+             for t in g.tokens],
+            [[d.label, *d.args, d.prep, d.provenance] for d in g.deps],
+        ]
+        lines.append(json.dumps(row, ensure_ascii=False, separators=(",", ":"),
+                                sort_keys=True))
     _write_lines(path, lines)
 
 
 def load_depbank(path) -> DependencyBank:
-    """Read a bank written by `save_depbank`; sentence ids must be unique."""
+    """Read a bank written by `save_depbank`; sentence ids must be unique.
+
+    The first non-blank line must be a format-2 header. A later header
+    identical to it is skipped, so banks saved under one configuration may
+    be concatenated; a differing one is an error.
+    """
     graphs = []
     seen = set()
+    shared = {}
+    header = None
     lines = _read_lines(path, lambda p, lineno, message: DepbankError(f"{p}:{lineno}: {message}"))
     for lineno, line in lines:
         if not line.strip():
@@ -552,69 +563,91 @@ def load_depbank(path) -> DependencyBank:
             record = json.loads(line)
         except (json.JSONDecodeError, RecursionError) as exc:
             raise DepbankError(f"{path}:{lineno}: not valid JSON: {exc}")
-        graph = _graph_from_record(record, f"{path}:{lineno}")
-        if graph.sentence_id in seen:
-            raise DepbankError(f"{path}:{lineno}: duplicate sentence id "
-                               f"{graph.sentence_id!r}")
-        seen.add(graph.sentence_id)
-        graphs.append(graph)
-    return DependencyBank(graphs)
+        if header is None:
+            if not _is_header(record):
+                raise DepbankError(f"{path}:{lineno}: not a derivqa_bank {BANK_FORMAT} "
+                                   "header; rerun preprocess")
+            header = record["mode"], record["fingerprint"]
+        elif _is_header(record):
+            other = record["mode"], record["fingerprint"]
+            if other != header:
+                raise DepbankError(f"{path}:{lineno}: bank header differs from the first one "
+                                   f"({_describe(*other)} against {_describe(*header)}); "
+                                   "rerun preprocess")
+        else:
+            graph = _graph_from_row(record, f"{path}:{lineno}", shared)
+            if graph.sentence_id in seen:
+                raise DepbankError(f"{path}:{lineno}: duplicate sentence id "
+                                   f"{graph.sentence_id!r}")
+            seen.add(graph.sentence_id)
+            graphs.append(graph)
+    if header is None:
+        raise DepbankError(f"{path}: no derivqa_bank {BANK_FORMAT} header; rerun preprocess")
+    return DependencyBank(graphs, *header)
 
 
-def _graph_from_record(record, where: str) -> DependencyGraph:
-    try:
-        sentence_id = record["id"]
-        text = record["text"]
-        raw_tokens = record["tokens"]
-        raw_deps = record["deps"]
-    except (KeyError, TypeError) as exc:
-        raise DepbankError(f"{where}: missing field {exc}")
+def _is_header(record) -> bool:
+    return (type(record) is dict
+            and record.keys() == {"derivqa_bank", "mode", "fingerprint"}
+            and type(record["derivqa_bank"]) is int and record["derivqa_bank"] == BANK_FORMAT
+            and all(value is None or type(value) is str
+                    for value in (record["mode"], record["fingerprint"])))
+
+
+def _describe(mode, fingerprint) -> str:
+    """A bank configuration, as error messages name it."""
+    return f"mode={mode} fingerprint={fingerprint}"
+
+
+def _graph_from_row(row, where: str, shared: dict) -> DependencyGraph:
+    """One graph row, checked; `shared` maps each dependency row already read
+    to its `Dependency`, so equal dependencies of a bank are one object."""
+    if type(row) is not list or len(row) != 4:
+        raise DepbankError(f"{where}: a graph row must be a list [id, text, tokens, deps]")
+    sentence_id, text, raw_tokens, raw_deps = row
     rid = f"{where} (id={sentence_id!r})"
-    if not isinstance(sentence_id, str) or not isinstance(text, str):
+    if type(sentence_id) is not str or type(text) is not str:
         raise DepbankError(f"{rid}: id and text must be strings")
-    if not isinstance(raw_tokens, list) or not isinstance(raw_deps, list):
+    if type(raw_tokens) is not list or type(raw_deps) is not list:
         raise DepbankError(f"{rid}: tokens and deps must be lists")
     tokens = []
-    for pos_expected, raw in enumerate(raw_tokens):
-        try:
-            index = raw["i"]
-            if type(index) is not int or index != pos_expected:
-                raise DepbankError(f"{rid}: token indices must be contiguous integers from 0")
-            surface, lemma, pos = raw["surface"], raw["lemma"], raw["pos"]
-            features = raw.get("features") or {}
-            sense = raw.get("sense")
-            alternates = raw.get("alternates") or []
-        except (KeyError, TypeError) as exc:
-            raise DepbankError(f"{rid}: bad token record: {exc}")
-        if not (isinstance(surface, str) and isinstance(lemma, str) and isinstance(pos, str)):
-            raise DepbankError(f"{rid}: token {pos_expected}: surface, lemma and pos "
-                               "must be strings")
-        if not isinstance(features, dict):
-            raise DepbankError(f"{rid}: token {pos_expected}: features must be an object")
-        for value in features.values():
-            if type(value) is not str:
-                raise DepbankError(f"{rid}: token {pos_expected}: features values must be "
-                                   "strings")
-        if sense is not None and (not isinstance(sense, int) or isinstance(sense, bool)):
-            raise DepbankError(f"{rid}: token {pos_expected}: sense must be an integer or null")
-        if not isinstance(alternates, list) or not all(isinstance(a, str) for a in alternates):
-            raise DepbankError(f"{rid}: token {pos_expected}: alternates must be a list "
-                               "of strings")
-        tokens.append(TokenNode(pos_expected, surface, lemma, pos, dict(features),
-                                sense, set(alternates)))
-    graph = DependencyGraph(sentence_id, text, tokens)
+    for index, raw in enumerate(raw_tokens):
+        if type(raw) is not list or len(raw) != 6:
+            raise DepbankError(f"{rid}: token {index} must be a list [surface, lemma, pos, "
+                               "features, sense, alternates]")
+        surface, lemma, pos, features, sense, alternates = raw
+        if type(surface) is not str or type(lemma) is not str or type(pos) is not str:
+            raise DepbankError(f"{rid}: token {index}: surface, lemma and pos must be strings")
+        if type(features) is not dict or (
+                features and not all(type(v) is str for v in features.values())):
+            raise DepbankError(f"{rid}: token {index}: features must be an object of strings")
+        if sense is not None and type(sense) is not int:
+            raise DepbankError(f"{rid}: token {index}: sense must be an integer or null")
+        if type(alternates) is not list or (
+                alternates and not all(type(a) is str for a in alternates)):
+            raise DepbankError(f"{rid}: token {index}: alternates must be a list of strings")
+        tokens.append(TokenNode(index, surface, lemma, pos, features, sense, set(alternates)))
+    n = len(tokens)
+    deps = []
     for raw in raw_deps:
-        try:
-            dep = Dependency(
-                label=raw["label"],
-                args=tuple(raw["args"]),
-                prep=raw.get("prep"),
-                provenance=raw.get("provenance", BASE),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise DepbankError(f"{rid}: bad dependency record: {exc}")
-        if any(type(i) is not int or not 0 <= i < len(tokens) for i in dep.args):
+        if type(raw) is not list or len(raw) != 5:
+            raise DepbankError(f"{rid}: a dependency must be a list [label, arg0, arg1, "
+                               "prep, provenance]")
+        label, arg0, arg1, prep, provenance = raw
+        if type(arg0) is not int or type(arg1) is not int or not (0 <= arg0 < n and 0 <= arg1 < n):
             raise DepbankError(f"{rid}: dependency args not integers or out of range: "
-                               f"{dep.args}")
-        graph.add_dep(dep)
-    return graph
+                               f"{[arg0, arg1]}")
+        key = (label, arg0, arg1, prep, provenance)
+        try:
+            dep = shared[key]
+        except (KeyError, TypeError):
+            # A key that cannot be hashed holds a list or an object, which
+            # Dependency rejects, so it is never stored.
+            try:
+                dep = Dependency(label, (arg0, arg1), prep, provenance)
+            except (TypeError, ValueError) as exc:
+                raise DepbankError(f"{rid}: bad dependency record: {exc}")
+            shared[key] = dep
+        if dep not in deps:
+            deps.append(dep)
+    return DependencyGraph(sentence_id, text, tokens, deps)

@@ -12,6 +12,13 @@ from dataclasses import dataclass, field
 from importlib import resources as importlib_resources
 from pathlib import Path
 
+try:
+    # hashlib loads OpenSSL, which adds 3.6 MB to every process's resident
+    # memory; the interpreter's own sha256 hashes a few hundred KB in ms.
+    from _sha256 import sha256
+except ImportError:
+    from hashlib import sha256
+
 from . import depgraph, derivfilter, lexica, morphogen, qaengine, rephrase, wsd
 
 log = logging.getLogger(__name__)
@@ -26,6 +33,13 @@ class ConfigError(ValueError):
 _PATH_FIELDS = ("dictionary", "inflections", "corpus_lexicon", "synonyms",
                 "patterns", "sentences", "questions", "euphonics", "code_table")
 _REQUIRED_PATHS = ("dictionary", "inflections", "corpus_lexicon", "synonyms")
+# Packaged files that stand in for an optional path the config leaves out.
+_DEFAULT_DATA = {"patterns": "patterns.txt", "euphonics": "euphonics.tsv",
+                 "code_table": "code_table.tsv"}
+# What shapes a bank besides the mode, so what its fingerprint covers.
+_BANK_RESOURCES = _REQUIRED_PATHS + tuple(_DEFAULT_DATA)
+_BANK_TUNABLES = ("suffix_threshold", "min_stem_len", "max_stems_per_lemma",
+                  "min_syllables", "symmetrize")
 
 
 @dataclass
@@ -107,6 +121,23 @@ def packaged_data(filename: str) -> Path:
     return Path(importlib_resources.files("derivqa") / "data" / filename)
 
 
+def _resource_path(config: PipelineConfig, name: str) -> Path:
+    return getattr(config, name) or packaged_data(_DEFAULT_DATA[name])
+
+
+def _fingerprint(config: PipelineConfig) -> str:
+    """sha256 over the bytes of every file and the value of every tunable
+    that shapes a bank; paths are not hashed."""
+    digest = sha256()
+    for name in _BANK_TUNABLES:
+        digest.update(f"{name}={getattr(config, name)!r}\n".encode())
+    for name in _BANK_RESOURCES:
+        data = _resource_path(config, name).read_bytes()
+        digest.update(f"{name} {len(data)}\n".encode())
+        digest.update(data)
+    return digest.hexdigest()
+
+
 @dataclass
 class Resources:
     """Everything the commands need, loaded and cross-compiled once."""
@@ -121,6 +152,7 @@ class Resources:
     resource: derivfilter.DerivationalResource
     patterns: list
     compilation: wsd.RuleCompilation
+    fingerprint: str
     skipped_sentences: list = field(default_factory=list)
 
 
@@ -141,15 +173,17 @@ def load_resources(config: PipelineConfig) -> Resources:
     noun/adjective entries, then its candidates are licensed again by the
     augmented dictionary so those instructions take effect; candidates are
     generated and corpus-filtered once. Unknown code letters are logged
-    once per dictionary code string, as the dictionary loads.
+    once per dictionary code string, as the dictionary loads. `fingerprint`
+    identifies the files and tunables a bank built from these resources
+    depends on.
     """
-    code_table = lexica.load_code_table(config.code_table or packaged_data("code_table.tsv"))
+    fingerprint = _fingerprint(config)
+    code_table = lexica.load_code_table(_resource_path(config, "code_table"))
     dictionary = lexica.load_dictionary(config.dictionary, code_table)
     entries = lexica.load_inflections(config.inflections)
     lexicon = lexica.InflectionLexicon(entries)
     corpus_lexicon = lexica.load_corpus_lexicon(config.corpus_lexicon)
-    euphonics = morphogen.load_euphonic_rules(
-        config.euphonics or packaged_data("euphonics.tsv"))
+    euphonics = morphogen.load_euphonic_rules(_resource_path(config, "euphonics"))
     model = morphogen.learn_suffix_model(
         entries, config.suffix_threshold,
         min_stem_len=config.min_stem_len,
@@ -160,7 +194,7 @@ def load_resources(config: PipelineConfig) -> Resources:
         dictionary = derivfilter.symmetrize_instructions(dictionary, resource)
         resource = derivfilter.relicense(resource, dictionary)
     synonyms = lexica.load_synonyms(config.synonyms, pos_of=_pos_of(dictionary))
-    patterns = rephrase.parse_patterns(config.patterns or packaged_data("patterns.txt"))
+    patterns = rephrase.parse_patterns(_resource_path(config, "patterns"))
     compilation = wsd.compile_rules(dictionary, lexicon)
     return Resources(
         config=config,
@@ -173,6 +207,7 @@ def load_resources(config: PipelineConfig) -> Resources:
         resource=resource,
         patterns=patterns,
         compilation=compilation,
+        fingerprint=fingerprint,
     )
 
 
@@ -213,7 +248,8 @@ def build_bank(res: Resources, mode: str, sentences=None,
     """Parse, disambiguate, and enrich the corpus sentences for one mode.
 
     Unparsable sentences are skipped with a log line and recorded on the
-    resource bundle; they never abort the run.
+    resource bundle; they never abort the run. The bank carries `mode` and
+    the resources' fingerprint.
     """
     if sentences is None:
         if res.config.sentences is None:
@@ -230,7 +266,7 @@ def build_bank(res: Resources, mode: str, sentences=None,
             continue
         wsd.disambiguate(graph, res.compilation, res.dictionary, stats=wsd_stats)
         graphs.append(enrich_for_mode(graph, res, mode))
-    return depgraph.DependencyBank(graphs)
+    return depgraph.DependencyBank(graphs, mode, res.fingerprint)
 
 
 def parse_questions(res: Resources, rows) -> list:

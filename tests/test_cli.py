@@ -4,9 +4,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from derivqa import pipeline
 from derivqa.cli import EXIT_CONFIG, EXIT_INPUT, EXIT_OK, main
 from derivqa.depgraph import save_depbank, toy_parse
-from derivqa.lexica import InflectionLexicon, load_inflections
 from derivqa.pipeline import packaged_data
 
 from conftest import FIXTURES
@@ -23,8 +23,8 @@ def run(capsys, *argv):
 
 def write_small_setup(directory) -> list:
     """Write the couper_family resources, the packaged patterns and code
-    table and a one-graph bank under `directory`; return the `ask --bank`
-    argv that reads every one of them."""
+    table and a one-graph bank built from them under `directory`; return the
+    `ask --bank` argv that reads every one of them."""
     family = FIXTURES / "couper_family"
     for name in ("dictionary.tsv", "inflections.tsv", "corpus_lexicon.tsv", "synonyms.tsv"):
         (directory / name).write_bytes((family / name).read_bytes())
@@ -34,8 +34,8 @@ def write_small_setup(directory) -> list:
     raw["patterns"] = "patterns.txt"
     raw["code_table"] = "code_table.tsv"
     (directory / "config.json").write_text(json.dumps(raw, indent=1), encoding="utf-8")
-    lexicon = InflectionLexicon(load_inflections(directory / "inflections.tsv"))
-    save_depbank([toy_parse("Jean a coupé le coupon .", lexicon, "s1")],
+    res = pipeline.load_resources(pipeline.load_config(directory / "config.json"))
+    save_depbank(pipeline.build_bank(res, res.config.mode, [("s1", "Jean a coupé le coupon .")]),
                  directory / "bank.jsonl")
     return ["--config", str(directory / "config.json"), "ask",
             "--question", "Jean coupa le coupon ?", "--bank", str(directory / "bank.jsonl")]
@@ -139,6 +139,83 @@ class TestEvaluate:
         assert out.strip() == "deriv\t0.8636363636363636\t3"
 
 
+def copy_benchmark_setup(directory, **overrides) -> str:
+    """Copy the benchmark fixture's config and files into `directory`, with
+    config fields replaced by `overrides`; return the config path."""
+    benchmark = FIXTURES / "benchmark"
+    raw = json.loads((benchmark / "config.json").read_text(encoding="utf-8"))
+    for value in raw.values():
+        if isinstance(value, str) and value.endswith(".tsv"):
+            (directory / value).write_bytes((benchmark / value).read_bytes())
+    raw.update(overrides)
+    (directory / "config.json").write_text(json.dumps(raw), encoding="utf-8")
+    return str(directory / "config.json")
+
+
+class TestBankConfiguration:
+    """`ask` and `evaluate --bank` refuse a bank built under another mode or
+    fingerprint (resource files and bank-shaping tunables)."""
+
+    @pytest.mark.parametrize("mode, expected", [
+        ("baseline", "baseline\t0.17803030303030304\t14"),
+        ("base", "base\t0.4090909090909091\t13"),
+        ("deriv", "deriv\t0.8636363636363636\t3"),
+        ("all", "all\t1.0\t0"),
+    ])
+    def test_preprocessed_bank_scores_as_a_fresh_build(self, capsys, tmp_path, mode, expected):
+        bank = str(tmp_path / "bank.jsonl")
+        assert run(capsys, "--config", BENCHMARK_CONFIG, "--mode", mode, "evaluate") == (
+            EXIT_OK, expected + "\n", "")
+        code, _, _ = run(capsys, "--config", BENCHMARK_CONFIG, "--mode", mode,
+                         "preprocess", "--out", bank)
+        assert code == EXIT_OK
+        assert run(capsys, "--config", BENCHMARK_CONFIG, "--mode", mode,
+                   "evaluate", "--bank", bank) == (EXIT_OK, expected + "\n", "")
+
+    def test_bank_from_another_mode(self, capsys, tmp_path):
+        bank = str(tmp_path / "bank.jsonl")
+        run(capsys, "--config", BENCHMARK_CONFIG, "--mode", "base", "preprocess", "--out", bank)
+        code, out, err = run(capsys, "--config", BENCHMARK_CONFIG, "--mode", "deriv",
+                             "evaluate", "--bank", bank)
+        assert (code, out) == (EXIT_INPUT, "")
+        assert len(err.splitlines()) == 1
+        assert "bank built with mode=base fingerprint=" in err
+        assert "but this run has mode=deriv fingerprint=" in err
+        assert err.rstrip().endswith("; rerun preprocess")
+
+    def test_bank_built_without_symmetrize(self, capsys, tmp_path):
+        config = copy_benchmark_setup(tmp_path, symmetrize=False)
+        bank = str(tmp_path / "bank.jsonl")
+        run(capsys, "--config", config, "preprocess", "--out", bank)
+        assert run(capsys, "--config", config, "ask", "--question",
+                   "quelle coupure du flux ?", "--bank", bank)[0] == EXIT_OK
+        code, out, err = run(capsys, "--config", config, "--symmetrize", "ask",
+                             "--question", "quelle coupure du flux ?", "--bank", bank)
+        assert (code, out) == (EXIT_INPUT, "")
+        assert "rerun preprocess" in err
+
+    def test_bank_built_before_a_dictionary_edit(self, capsys, tmp_path):
+        config = copy_benchmark_setup(tmp_path)
+        bank = str(tmp_path / "bank.jsonl")
+        run(capsys, "--config", config, "preprocess", "--out", bank)
+        dictionary = tmp_path / "dictionary.tsv"
+        data = dictionary.read_bytes()
+        dictionary.write_bytes(data.replace(b"sectionner", b"sectionnes", 1))
+        assert run(capsys, "--config", config, "stats")[0] == EXIT_OK
+        code, out, err = run(capsys, "--config", config, "evaluate", "--bank", bank)
+        assert (code, out) == (EXIT_INPUT, "")
+        assert "rerun preprocess" in err
+
+    def test_bank_saved_from_a_plain_list(self, capsys, tmp_path, benchmark_resources):
+        bank = tmp_path / "bank.jsonl"
+        save_depbank([toy_parse("l'ouvrier a coupé le courant .",
+                                benchmark_resources.lexicon, "s1")], bank)
+        code, out, err = run(capsys, "--config", BENCHMARK_CONFIG, "ask",
+                             "--question", "l'ouvrier coupa quel courant ?", "--bank", str(bank))
+        assert (code, out) == (EXIT_INPUT, "")
+        assert "bank built with mode=None fingerprint=None" in err
+
+
 class TestStats:
     def test_stats_lines(self, capsys, tmp_path):
         dump = tmp_path / "rules.tsv"
@@ -212,15 +289,16 @@ class TestExitCodes:
         assert code == EXIT_INPUT
         assert "not valid JSON" in err
 
-    def test_bank_with_boolean_token_index(self, capsys, tmp_path):
+    def test_bank_with_boolean_dependency_arg(self, capsys, tmp_path):
         bank = tmp_path / "bank.jsonl"
-        bank.write_text('{"id":"s1","text":"x","tokens":[{"i":false,"surface":"a",'
-                        '"lemma":"a","pos":"NOUN"}],"deps":[]}\n', encoding="utf-8")
+        bank.write_text('{"derivqa_bank":2,"mode":null,"fingerprint":null}\n'
+                        '["s1","x",[["a","a","NOUN",{},null,[]]],'
+                        '[["MODIFIER",false,0,null,"BASE"]]]\n', encoding="utf-8")
         code, out, err = run(capsys, "--config", BENCHMARK_CONFIG,
                              "ask", "--question", "quelle coupure du flux ?",
                              "--bank", str(bank))
         assert code == EXIT_INPUT
-        assert "error:" in err and "indices must be contiguous integers" in err
+        assert "error:" in err and "args not integers or out of range: [False, 0]" in err
 
     def test_bank_with_repeated_sentence_id(self, capsys, tmp_path, benchmark_resources):
         bank = tmp_path / "bank.jsonl"
@@ -305,6 +383,11 @@ EDITS = st.lists(st.tuples(st.sampled_from(["replace", "insert", "delete"]),
 @example(name="patterns.txt", edits=[("insert", 0, 0xE9)])
 @example(name="code_table.tsv", edits=[("insert", 0, 0xE9)])
 @example(name="bank.jsonl", edits=[("insert", 0, 0xE9)])
+# The bank's header: the 2 of "derivqa_bank":2, the opening brace, and the
+# first byte of the fingerprint, which starts at byte 48 in a deriv bank.
+@example(name="bank.jsonl", edits=[("replace", 16, ord("3"))])
+@example(name="bank.jsonl", edits=[("delete", 0, 0)])
+@example(name="bank.jsonl", edits=[("replace", 48, ord("x"))])
 def test_mutated_inputs_never_raise(small_setup, name, edits):
     directory, argv = small_setup
     path = directory / name

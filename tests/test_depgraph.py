@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from derivqa.depgraph import (
@@ -195,6 +197,29 @@ class TestGraphComparison:
         assert len(a.deps) == 1
 
 
+NULL_HEADER = '{"derivqa_bank":2,"mode":null,"fingerprint":null}'
+GOOD_TOKEN = ["chef", "chef", "NOUN", {}, None, []]
+TOKEN_FIELDS = ("surface", "lemma", "pos", "features", "sense", "alternates")
+
+
+def token(**fields):
+    """GOOD_TOKEN with the named fields replaced."""
+    return [fields.get(name, value) for name, value in zip(TOKEN_FIELDS, GOOD_TOKEN)]
+
+
+def write_bank(path, *lines, header=NULL_HEADER):
+    """Write `header`, then one line per row: a string as it is, anything
+    else as JSON."""
+    lines = [header, *(row if isinstance(row, str) else json.dumps(row) for row in lines)]
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+
+
+def write_record(path, **fields):
+    record = {"id": "s1", "text": "x", "tokens": [GOOD_TOKEN], "deps": []}
+    record.update(fields)
+    write_bank(path, list(record.values()))
+
+
 class TestBankSerialization:
     def test_round_trip(self, tmp_path, lexicon):
         graphs = [
@@ -204,8 +229,11 @@ class TestBankSerialization:
         graphs[0].tokens[1].alternates.add("artisan")
         graphs[0].tokens[1].sense_id = 1
         path = tmp_path / "bank.jsonl"
-        save_depbank(graphs, path)
+        save_depbank(DependencyBank(graphs, "deriv", "f00d"), path)
+        assert path.read_text(encoding="utf-8").splitlines()[0] == (
+            '{"derivqa_bank":2,"mode":"deriv","fingerprint":"f00d"}')
         loaded = load_depbank(path)
+        assert (loaded.mode, loaded.fingerprint) == ("deriv", "f00d")
         assert [g.sentence_id for g in loaded] == ["s1", "s2"]
         for original, reread in zip(graphs, loaded):
             assert graph_equal(original, reread)
@@ -216,6 +244,23 @@ class TestBankSerialization:
                 (t.surface, t.lemma, t.pos, t.features, t.sense_id, t.alternates)
                 for t in reread.tokens
             ]
+
+    def test_plain_list_saves_a_null_header(self, tmp_path, lexicon):
+        path = tmp_path / "bank.jsonl"
+        save_depbank([toy_parse("l'ouvrier coupa le courant .", lexicon, "s1")], path)
+        assert path.read_text(encoding="utf-8").splitlines()[0] == NULL_HEADER
+        loaded = load_depbank(path)
+        assert (len(loaded), loaded.mode, loaded.fingerprint) == (1, None, None)
+
+    def test_empty_bank_is_a_header_and_round_trips(self, tmp_path):
+        path = tmp_path / "bank.jsonl"
+        save_depbank(DependencyBank((), "base", "f00d"), path)
+        assert path.read_text(encoding="utf-8") == (
+            '{"derivqa_bank":2,"mode":"base","fingerprint":"f00d"}\n')
+        loaded = load_depbank(path)
+        assert (len(loaded), loaded.mode, loaded.fingerprint) == (0, "base", "f00d")
+        save_depbank(loaded, tmp_path / "again.jsonl")
+        assert (tmp_path / "again.jsonl").read_bytes() == path.read_bytes()
 
     def test_line_separators_stay_inside_the_text(self, tmp_path, lexicon):
         graph = toy_parse("l'ouvrier coupa le courant .", lexicon, "s1")
@@ -231,44 +276,68 @@ class TestBankSerialization:
         with pytest.raises(DepbankError, match="not valid JSON"):
             load_depbank(path)
 
-    def test_rejects_gapped_token_indices(self, tmp_path):
+    @pytest.mark.parametrize("text, message", [
+        ('{"id":"s1","text":"x","tokens":[],"deps":[]}\n',
+         "bank.jsonl:1: not a derivqa_bank 2 header; rerun preprocess"),
+        ('\n["s1","x",[],[]]\n', "bank.jsonl:2: not a derivqa_bank 2 header; rerun preprocess"),
+        ('{"derivqa_bank":1,"mode":null,"fingerprint":null}\n',
+         "bank.jsonl:1: not a derivqa_bank 2 header"),
+        ('{"derivqa_bank":true,"mode":null,"fingerprint":null}\n',
+         "bank.jsonl:1: not a derivqa_bank 2 header"),
+        ('{"derivqa_bank":2,"mode":3,"fingerprint":null}\n',
+         "bank.jsonl:1: not a derivqa_bank 2 header"),
+        ('{"derivqa_bank":2,"mode":null}\n', "bank.jsonl:1: not a derivqa_bank 2 header"),
+        ("", "bank.jsonl: no derivqa_bank 2 header; rerun preprocess"),
+        (NULL_HEADER + '\n["s1","x",[],[]]\n'
+         '{"derivqa_bank":2,"mode":"deriv","fingerprint":null}\n',
+         r"bank.jsonl:3: bank header differs from the first one \(mode=deriv fingerprint=None "
+         r"against mode=None fingerprint=None\); rerun preprocess"),
+    ], ids=["v1-record", "no-header", "format-1", "format-true", "mode-int", "short-header",
+            "empty-file", "second-header-differs"])
+    def test_rejects_a_missing_or_foreign_header(self, tmp_path, text, message):
         path = tmp_path / "bank.jsonl"
-        path.write_text(
-            '{"id":"s1","text":"x","tokens":[{"i":1,"surface":"a","lemma":"a",'
-            '"pos":"NOUN"}],"deps":[]}\n', encoding="utf-8")
-        with pytest.raises(DepbankError, match="contiguous"):
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(DepbankError, match=message):
             load_depbank(path)
 
-    def test_rejects_missing_fields(self, tmp_path):
+    def test_repeated_identical_header_is_skipped(self, tmp_path):
         path = tmp_path / "bank.jsonl"
-        path.write_text('{"id":"s1","text":"x"}\n', encoding="utf-8")
-        with pytest.raises(DepbankError, match="missing field"):
+        write_bank(path, ["s1", "x", [GOOD_TOKEN], []], NULL_HEADER, ["s2", "y", [], []])
+        assert [g.sentence_id for g in load_depbank(path)] == ["s1", "s2"]
+
+    @pytest.mark.parametrize("row, message", [
+        (["s1", "x", [GOOD_TOKEN]], r"graph row must be a list \[id, text, tokens, deps\]"),
+        ({"id": "s1", "text": "x", "tokens": [], "deps": []}, "graph row must be a list"),
+        (["s1", "x", [GOOD_TOKEN[:5]], []], "token 0 must be a list"),
+        (["s1", "x", [GOOD_TOKEN + [0]], []], "token 0 must be a list"),
+        (["s1", "x", [{"surface": "chef"}], []], "token 0 must be a list"),
+        (["s1", "x", [GOOD_TOKEN], [["SUBJECT", 0, 0, None]]], "dependency must be a list"),
+        (["s1", "x", [GOOD_TOKEN], [{"label": "SUBJECT", "args": [0, 0]}]],
+         "dependency must be a list"),
+    ], ids=["record-short", "record-object", "token-short", "token-long", "token-object",
+            "dependency-short", "dependency-object"])
+    def test_rejects_rows_of_the_wrong_shape(self, tmp_path, row, message):
+        path = tmp_path / "bank.jsonl"
+        write_bank(path, row)
+        with pytest.raises(DepbankError, match=message):
             load_depbank(path)
 
     def test_rejects_out_of_range_dep(self, tmp_path):
-        path = tmp_path / "bank.jsonl"
-        path.write_text(
-            '{"id":"s1","text":"x","tokens":[{"i":0,"surface":"a","lemma":"a",'
-            '"pos":"NOUN"}],"deps":[{"label":"SUBJECT","args":[0,3]}]}\n',
-            encoding="utf-8")
+        write_record(tmp_path / "bank.jsonl", deps=[["SUBJECT", 0, 3, None, "BASE"]])
         with pytest.raises(DepbankError, match="out of range"):
-            load_depbank(path)
+            load_depbank(tmp_path / "bank.jsonl")
 
     def test_rejects_bad_provenance(self, tmp_path):
-        path = tmp_path / "bank.jsonl"
-        path.write_text(
-            '{"id":"s1","text":"x","tokens":[{"i":0,"surface":"a","lemma":"a",'
-            '"pos":"NOUN"}],"deps":[{"label":"MODIFIER","args":[0,0],'
-            '"provenance":"GUESS"}]}\n', encoding="utf-8")
-        with pytest.raises(DepbankError, match="bad dependency"):
-            load_depbank(path)
+        write_record(tmp_path / "bank.jsonl", deps=[["MODIFIER", 0, 0, None, "GUESS"]])
+        with pytest.raises(DepbankError, match="bad dependency record: unknown provenance"):
+            load_depbank(tmp_path / "bank.jsonl")
 
     def test_rejects_repeated_sentence_id(self, tmp_path, lexicon):
         graphs = [toy_parse("l'ouvrier a coupé le courant .", lexicon, "x"),
                   toy_parse("le domestique lave le linge .", lexicon, "x")]
         path = tmp_path / "bank.jsonl"
         save_depbank(graphs, path)
-        with pytest.raises(DepbankError, match=r"bank.jsonl:2: duplicate sentence id 'x'"):
+        with pytest.raises(DepbankError, match=r"bank.jsonl:3: duplicate sentence id 'x'"):
             load_depbank(path)
 
     def test_banks_are_read_only_sequences(self, tmp_path, benchmark_resources):
@@ -276,10 +345,11 @@ class TestBankSerialization:
 
         from derivqa.pipeline import build_bank
 
-        built = build_bank(benchmark_resources, "deriv", sentences=[
+        built = build_bank(benchmark_resources, "base", sentences=[
             ("s1", "l'ouvrier a coupé le courant ."),
             ("s2", "le domestique lave le linge ."),
         ])
+        assert (built.mode, built.fingerprint) == ("base", benchmark_resources.fingerprint)
         path = tmp_path / "bank.jsonl"
         save_depbank(built, path)
         loaded = load_depbank(path)
@@ -291,46 +361,38 @@ class TestBankSerialization:
             with pytest.raises(TypeError):
                 bank[0] = second
             assert not hasattr(bank, "append")
+            assert (bank.mode, bank.fingerprint) == (built.mode, built.fingerprint)
         for original, reread in zip(built, loaded):
             assert graph_equal(original, reread)
         save_depbank(loaded, tmp_path / "again.jsonl")
         assert (tmp_path / "again.jsonl").read_bytes() == path.read_bytes()
 
 
-GOOD_TOKEN = {"i": 0, "surface": "chef", "lemma": "chef", "pos": "NOUN",
-              "features": {}, "sense": None, "alternates": []}
-
-
-def write_record(path, **fields):
-    import json
-
-    record = {"id": "s1", "text": "x", "tokens": [GOOD_TOKEN], "deps": []}
-    record.update(fields)
-    path.write_text(json.dumps(record) + "\n", encoding="utf-8")
-
-
 class TestBankFieldTypes:
     def test_good_record_loads(self, tmp_path):
-        write_record(tmp_path / "bank.jsonl", tokens=[dict(GOOD_TOKEN, sense=2,
-                                                           alternates=["patron"])])
+        write_record(tmp_path / "bank.jsonl",
+                     tokens=[token(sense=2, alternates=["patron"], features={"proper": "true"})])
         (graph,) = load_depbank(tmp_path / "bank.jsonl")
-        assert graph.tokens[0].sense_id == 2
-        assert graph.tokens[0].alternates == {"patron"}
+        assert graph.tokens[0] == TokenNode(0, "chef", "chef", "NOUN", {"proper": "true"},
+                                            2, {"patron"})
 
     @pytest.mark.parametrize("field, value", [
         ("alternates", "chef"),
         ("alternates", [1]),
+        ("alternates", None),
         ("surface", 5),
         ("lemma", None),
         ("pos", ["NOUN"]),
         ("features", ["proper"]),
+        ("features", None),
         ("features", {"deriv_pattern": 0}),
         ("features", {"proper": ["x"]}),
         ("sense", "two"),
         ("sense", True),
+        ("sense", 1.0),
     ])
     def test_rejects_bad_token_field(self, tmp_path, field, value):
-        write_record(tmp_path / "bank.jsonl", tokens=[dict(GOOD_TOKEN, **{field: value})])
+        write_record(tmp_path / "bank.jsonl", tokens=[token(**{field: value})])
         with pytest.raises(DepbankError, match=rf"{field}\b[^:]*must be"):
             load_depbank(tmp_path / "bank.jsonl")
 
@@ -346,34 +408,38 @@ class TestBankFieldTypes:
             load_depbank(tmp_path / "bank.jsonl")
 
     @pytest.mark.parametrize("dep, message", [
-        ({"label": 5, "args": [0, 0]}, "unknown dependency label 5"),
-        ({"label": "FOREIGN", "args": [0, 0]}, "unknown dependency label 'FOREIGN'"),
-        ({"label": "PREPPH", "args": [0, 0], "prep": ["de"]},
-         "PREPPH takes two token args and a preposition string"),
-    ], ids=["label-int", "label-foreign", "prep-list"])
+        ([5, 0, 0, None, "BASE"], "unknown dependency label 5"),
+        (["FOREIGN", 0, 0, None, "BASE"], "unknown dependency label 'FOREIGN'"),
+        (["PREPPH", 0, 0, ["de"], "BASE"], "PREPPH takes two token args and a preposition string"),
+        (["PREPPH", 0, 0, None, "BASE"], "PREPPH takes two token args and a preposition string"),
+        (["SUBJECT", 0, 0, "de", "BASE"], "SUBJECT takes exactly two token args and no prep"),
+        (["SUBJECT", 0, 0, None, ["BASE"]], "unhashable type: 'list'"),
+    ], ids=["label-int", "label-foreign", "prep-list", "prep-missing", "prep-extra",
+            "provenance-list"])
     def test_rejects_bad_dependency_field(self, tmp_path, dep, message):
         write_record(tmp_path / "bank.jsonl", deps=[dep])
         with pytest.raises(DepbankError, match=f"bad dependency record: {message}"):
             load_depbank(tmp_path / "bank.jsonl")
 
-    @pytest.mark.parametrize("tokens", [
-        [dict(GOOD_TOKEN, i=False)],
-        [GOOD_TOKEN, dict(GOOD_TOKEN, i=1.0)],
-    ])
-    def test_rejects_non_integer_token_index(self, tmp_path, tokens):
-        write_record(tmp_path / "bank.jsonl", tokens=tokens)
-        with pytest.raises(DepbankError, match="indices must be contiguous integers"):
-            load_depbank(tmp_path / "bank.jsonl")
-
     def test_repeated_dependency_loads_once(self, tmp_path):
-        dep = {"label": "SUBJECT", "args": [0, 1]}
-        write_record(tmp_path / "bank.jsonl", tokens=[GOOD_TOKEN, dict(GOOD_TOKEN, i=1)],
-                     deps=[dep, dep])
+        dep = ["SUBJECT", 0, 1, None, "BASE"]
+        write_record(tmp_path / "bank.jsonl", tokens=[GOOD_TOKEN, GOOD_TOKEN], deps=[dep, dep])
         (graph,) = load_depbank(tmp_path / "bank.jsonl")
         assert graph.deps == [Dependency(SUBJECT, (0, 1))]
 
-    def test_rejects_non_integer_dependency_args(self, tmp_path):
-        write_record(tmp_path / "bank.jsonl", tokens=[GOOD_TOKEN, dict(GOOD_TOKEN, i=1)],
-                     deps=[{"label": "SUBJECT", "args": [True, False]}])
-        with pytest.raises(DepbankError, match="args not integers"):
+    @pytest.mark.parametrize("args", [[True, False], [0, 1.0], [0, "1"], [0, -1]])
+    def test_rejects_non_integer_dependency_args(self, tmp_path, args):
+        write_record(tmp_path / "bank.jsonl", tokens=[GOOD_TOKEN, GOOD_TOKEN],
+                     deps=[["SUBJECT", *args, None, "BASE"]])
+        with pytest.raises(DepbankError, match="args not integers or out of range"):
             load_depbank(tmp_path / "bank.jsonl")
+
+    def test_equal_dependencies_of_a_bank_are_one_object(self, tmp_path):
+        dep = ["SUBJECT", 0, 0, None, "BASE"]
+        derived = ["SUBJECT", 0, 0, None, "DERIVATIONAL"]
+        write_bank(tmp_path / "bank.jsonl", ["s1", "x", [GOOD_TOKEN], [dep]],
+                   ["s2", "y", [GOOD_TOKEN], [dep, derived]])
+        first, second = load_depbank(tmp_path / "bank.jsonl")
+        assert first.deps[0] is second.deps[0]
+        assert second.deps == [Dependency(SUBJECT, (0, 0)),
+                               Dependency(SUBJECT, (0, 0), provenance=DERIVATIONAL)]

@@ -148,6 +148,68 @@ class TestLoadResources:
         assert unknown == ["unknown derivation code 'R' in '-Q- - - RB- - -'"]
 
 
+RESOURCE_FILES = {"dictionary": "dictionary.tsv", "inflections": "inflections.tsv",
+                  "corpus_lexicon": "corpus_lexicon.tsv", "synonyms": "synonyms.tsv",
+                  "patterns": "patterns.txt", "euphonics": "euphonics.tsv",
+                  "code_table": "code_table.tsv"}
+
+
+def fingerprint_of(directory, edit=None, **overrides) -> str:
+    """Resources.fingerprint of the couper_family setup, every resource file
+    named and copied under `directory` (packaged ones included), with
+    sentences and questions; `edit` names a file that gets one more byte, a
+    blank line, and `overrides` replace config fields."""
+    directory.mkdir(exist_ok=True)
+    family = FIXTURES / "couper_family"
+    raw = json.loads((family / "config.json").read_text(encoding="utf-8"))
+    for name, filename in RESOURCE_FILES.items():
+        source = family / filename if name in raw else packaged_data(filename)
+        data = source.read_bytes() + (b"\n" if name == edit else b"")
+        (directory / filename).write_bytes(data)
+        raw[name] = filename
+    benchmark = FIXTURES / "benchmark"
+    for name in ("sentences", "questions"):
+        (directory / f"{name}.tsv").write_bytes((benchmark / f"{name}.tsv").read_bytes())
+        raw[name] = f"{name}.tsv"
+    raw.update(overrides)
+    (directory / "config.json").write_text(json.dumps(raw), encoding="utf-8")
+    return load_resources(load_config(directory / "config.json")).fingerprint
+
+
+class TestFingerprint:
+    def test_every_resource_file_changes_it(self, tmp_path):
+        reference = fingerprint_of(tmp_path / "reference")
+        assert len(reference) == 64 and set(reference) <= set("0123456789abcdef")
+        for name in RESOURCE_FILES:
+            assert fingerprint_of(tmp_path / name, edit=name) != reference, name
+
+    @pytest.mark.parametrize("field, value", [
+        ("suffix_threshold", 2),
+        ("min_stem_len", 4),
+        ("max_stems_per_lemma", 3),
+        ("min_syllables", 3),
+        ("symmetrize", True),
+    ])
+    def test_every_bank_tunable_changes_it(self, tmp_path, field, value):
+        assert fingerprint_of(tmp_path / "a") != fingerprint_of(tmp_path / "b", **{field: value})
+
+    def test_what_shapes_no_bank_leaves_it(self, tmp_path):
+        reference = fingerprint_of(tmp_path / "reference")
+        assert fingerprint_of(tmp_path / "elsewhere") == reference
+        (tmp_path / "other.tsv").write_text("q1\tquelle coupure ?\ts1\n", encoding="utf-8")
+        assert fingerprint_of(tmp_path / "query", k=1, require_full_match=True, mode="base",
+                              sentences="../other.tsv", questions="../other.tsv") == reference
+
+    def test_packaged_defaults_hash_as_their_bytes(self, tmp_path):
+        path = write_config(tmp_path)
+        implicit = load_resources(load_config(path)).fingerprint
+        raw = json.loads(path.read_text(encoding="utf-8"))
+        for name in ("patterns", "euphonics", "code_table"):
+            raw[name] = str(packaged_data(RESOURCE_FILES[name]))
+        path.write_text(json.dumps(raw), encoding="utf-8")
+        assert load_resources(load_config(path)).fingerprint == implicit
+
+
 class TestSentences:
     def test_load_sentences(self, tmp_path):
         path = tmp_path / "s.tsv"

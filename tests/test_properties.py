@@ -4,6 +4,7 @@ brute-force references in oracles.py, plus structural invariants."""
 import json
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -24,6 +25,7 @@ from derivqa.depgraph import (
     Dependency,
     DependencyBank,
     DependencyGraph,
+    DepbankError,
     TokenNode,
     load_depbank,
     save_depbank,
@@ -209,22 +211,69 @@ def test_symmetrized_build_matches_plain_double_build(tmp_path_factory, lexicon,
 
 # --- depbank round-trip -----------------------------------------------------
 
+# Texts with the characters a line-based reader could trip on.
+TEXTS = st.text(alphabet="ab é'\"\\\n\r\u0085\u2028", max_size=12)
+HEADERS = st.tuples(st.none() | st.sampled_from(pipeline.MODES),
+                    st.none() | st.text(alphabet="0123456789abcdef", min_size=1, max_size=64))
+
+
+@st.composite
+def banks(draw):
+    """Up to four graphs with distinct ids, drawn texts, senses and features:
+    a plain list, or a DependencyBank carrying a drawn mode and fingerprint."""
+    drawn = draw(st.lists(graphs(with_alternates=True, mixed=True), max_size=4,
+                          unique_by=lambda g: g.sentence_id))
+    for graph in drawn:
+        graph.text = draw(TEXTS)
+        for token in graph.tokens:
+            token.sense_id = draw(st.none() | st.integers(-2, 40))
+            token.features = draw(st.dictionaries(
+                st.sampled_from(["proper", "deriv_pattern", "deriv_source"]), WORDS, max_size=2))
+    if draw(st.booleans()):
+        return drawn
+    return DependencyBank(drawn, *draw(HEADERS))
+
+
+def header_of(bank) -> tuple:
+    return getattr(bank, "mode", None), getattr(bank, "fingerprint", None)
+
+
+def token_fields(graph) -> list:
+    return [(t.surface, t.lemma, t.pos, t.features, t.sense_id, t.alternates)
+            for t in graph.tokens]
+
+
 @settings(max_examples=60)
-@given(graphs(with_alternates=True))
-def test_depbank_round_trip(tmp_path_factory, graph):
-    path = tmp_path_factory.mktemp("bank") / "bank.jsonl"
-    save_depbank([graph], path)
-    (loaded,) = load_depbank(path)
-    assert loaded.sentence_id == graph.sentence_id
-    assert graph_equal(loaded, graph)
-    assert [
-        (t.surface, t.lemma, t.pos, t.features, t.sense_id, t.alternates)
-        for t in loaded.tokens
-    ] == [
-        (t.surface, t.lemma, t.pos, t.features, t.sense_id, t.alternates)
-        for t in graph.tokens
-    ]
-    assert loaded.deps == graph.deps
+@given(banks(), banks())
+def test_depbank_round_trip(tmp_path_factory, bank, other):
+    directory = tmp_path_factory.mktemp("bank")
+    path = directory / "bank.jsonl"
+    save_depbank(bank, path)
+    loaded = load_depbank(path)
+    assert (loaded.mode, loaded.fingerprint) == header_of(bank)
+    assert len(loaded) == len(bank)
+    for graph, reread in zip(bank, loaded):
+        assert (reread.sentence_id, reread.text) == (graph.sentence_id, graph.text)
+        assert graph_equal(reread, graph)
+        assert token_fields(reread) == token_fields(graph)
+        assert reread.deps == graph.deps
+    save_depbank(loaded, directory / "again.jsonl")
+    assert (directory / "again.jsonl").read_bytes() == path.read_bytes()
+
+    # Saves under one header concatenate into one bank; under two, they are refused.
+    taken = {g.sentence_id for g in bank}
+    rest = [g for g in other if g.sentence_id not in taken]
+    joined = directory / "joined.jsonl"
+    save_depbank(DependencyBank(rest, *header_of(bank)), directory / "rest.jsonl")
+    joined.write_bytes(path.read_bytes() + (directory / "rest.jsonl").read_bytes())
+    both = load_depbank(joined)
+    assert (both.mode, both.fingerprint) == header_of(bank)
+    assert [token_fields(g) for g in both] == [token_fields(g) for g in [*bank, *rest]]
+    if header_of(other) != header_of(bank):
+        save_depbank(DependencyBank(rest, *header_of(other)), directory / "rest.jsonl")
+        joined.write_bytes(path.read_bytes() + (directory / "rest.jsonl").read_bytes())
+        with pytest.raises(DepbankError, match="bank header differs from the first one"):
+            load_depbank(joined)
 
 
 # --- pattern matcher vs exhaustive binding enumeration -----------------------
