@@ -80,8 +80,8 @@ def _load_bank(res, args):
     built, wanted = (bank.mode, bank.fingerprint), (res.config.mode, res.fingerprint)
     if built != wanted:
         raise depgraph.DepbankError(
-            f"{args.bank}: bank built with {depgraph._describe(*built)}, "
-            f"but this run has {depgraph._describe(*wanted)}; rerun preprocess")
+            f"{args.bank}: bank built with {depgraph.describe_bank(*built)}, "
+            f"but this run has {depgraph.describe_bank(*wanted)}; rerun preprocess")
     return bank
 
 

@@ -572,7 +572,7 @@ def load_depbank(path) -> DependencyBank:
             other = record["mode"], record["fingerprint"]
             if other != header:
                 raise DepbankError(f"{path}:{lineno}: bank header differs from the first one "
-                                   f"({_describe(*other)} against {_describe(*header)}); "
+                                   f"({describe_bank(*other)} against {describe_bank(*header)}); "
                                    "rerun preprocess")
         else:
             graph = _graph_from_row(record, f"{path}:{lineno}", shared)
@@ -594,7 +594,7 @@ def _is_header(record) -> bool:
                     for value in (record["mode"], record["fingerprint"])))
 
 
-def _describe(mode, fingerprint) -> str:
+def describe_bank(mode, fingerprint) -> str:
     """A bank configuration, as error messages name it."""
     return f"mode={mode} fingerprint={fingerprint}"
 

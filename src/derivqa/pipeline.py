@@ -9,15 +9,9 @@ import dataclasses
 import json
 import logging
 from dataclasses import dataclass, field
+from hashlib import sha256
 from importlib import resources as importlib_resources
 from pathlib import Path
-
-try:
-    # hashlib loads OpenSSL, which adds 3.6 MB to every process's resident
-    # memory; the interpreter's own sha256 hashes a few hundred KB in ms.
-    from _sha256 import sha256
-except ImportError:
-    from hashlib import sha256
 
 from . import depgraph, derivfilter, lexica, morphogen, qaengine, rephrase, wsd
 

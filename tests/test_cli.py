@@ -23,20 +23,22 @@ def run(capsys, *argv):
 
 def write_small_setup(directory) -> list:
     """Write the couper_family resources, the packaged patterns and code
-    table and a one-graph bank built from them under `directory`; return the
-    `ask --bank` argv that reads every one of them."""
+    table, a one-sentence corpus and the bank built from them under
+    `directory`; return the `ask --bank` argv that reads every one of them.
+    Without its last two items, the argv builds the bank from the corpus."""
     family = FIXTURES / "couper_family"
     for name in ("dictionary.tsv", "inflections.tsv", "corpus_lexicon.tsv", "synonyms.tsv"):
         (directory / name).write_bytes((family / name).read_bytes())
     for name in ("patterns.txt", "code_table.tsv"):
         (directory / name).write_bytes(packaged_data(name).read_bytes())
+    (directory / "sentences.tsv").write_text("s1\tJean a coupé le coupon .\n", encoding="utf-8")
     raw = json.loads((family / "config.json").read_text(encoding="utf-8"))
     raw["patterns"] = "patterns.txt"
     raw["code_table"] = "code_table.tsv"
+    raw["sentences"] = "sentences.tsv"
     (directory / "config.json").write_text(json.dumps(raw, indent=1), encoding="utf-8")
     res = pipeline.load_resources(pipeline.load_config(directory / "config.json"))
-    save_depbank(pipeline.build_bank(res, res.config.mode, [("s1", "Jean a coupé le coupon .")]),
-                 directory / "bank.jsonl")
+    save_depbank(pipeline.build_bank(res, res.config.mode), directory / "bank.jsonl")
     return ["--config", str(directory / "config.json"), "ask",
             "--question", "Jean coupa le coupon ?", "--bank", str(directory / "bank.jsonl")]
 
@@ -328,9 +330,11 @@ class TestExitCodes:
 
 class TestEncoding:
     def test_small_setup_answers(self, capsys, tmp_path):
-        code, out, err = run(capsys, *write_small_setup(tmp_path))
-        assert code == EXIT_OK
-        assert out == "1.\ts1\t1\tJean a coupé le coupon .\n"
+        argv = write_small_setup(tmp_path)
+        for args in (argv, argv[:-2]):
+            code, out, err = run(capsys, *args)
+            assert code == EXIT_OK
+            assert out == "1.\ts1\t1\tJean a coupé le coupon .\n"
 
     @pytest.mark.parametrize("name, exit_code", [
         ("config.json", EXIT_CONFIG),
@@ -376,7 +380,7 @@ EDITS = st.lists(st.tuples(st.sampled_from(["replace", "insert", "delete"]),
 
 @settings(max_examples=60, deadline=None)
 @given(name=st.sampled_from(["config.json", "dictionary.tsv", "patterns.txt",
-                            "code_table.tsv", "bank.jsonl"]),
+                            "code_table.tsv", "sentences.tsv", "bank.jsonl"]),
        edits=EDITS)
 @example(name="config.json", edits=[("insert", 0, 0xE9)])
 @example(name="dictionary.tsv", edits=[("insert", 0, 0xE9)])
@@ -389,6 +393,8 @@ EDITS = st.lists(st.tuples(st.sampled_from(["replace", "insert", "delete"]),
 @example(name="bank.jsonl", edits=[("delete", 0, 0)])
 @example(name="bank.jsonl", edits=[("replace", 48, ord("x"))])
 def test_mutated_inputs_never_raise(small_setup, name, edits):
+    """Both with the bank, which any resource edit makes foreign, and
+    without it, so a question is answered under the edited resources."""
     directory, argv = small_setup
     path = directory / name
     original = path.read_bytes()
@@ -404,5 +410,6 @@ def test_mutated_inputs_never_raise(small_setup, name, edits):
     path.write_bytes(bytes(data))
     try:
         assert main(argv) in (EXIT_OK, EXIT_INPUT, EXIT_CONFIG)
+        assert main(argv[:-2]) in (EXIT_OK, EXIT_INPUT, EXIT_CONFIG)
     finally:
         path.write_bytes(original)
