@@ -49,7 +49,6 @@ class UnknownTokenError(ToyParseError):
     """A token is neither closed-class, in the lexicon, nor a proper noun."""
 
     def __init__(self, token: str):
-        self.token = token
         super().__init__(f"token outside lexicon: {token!r}")
 
 
@@ -561,7 +560,7 @@ def load_depbank(path) -> DependencyBank:
             continue
         try:
             record = json.loads(line)
-        except (json.JSONDecodeError, RecursionError) as exc:
+        except (ValueError, RecursionError) as exc:
             raise DepbankError(f"{path}:{lineno}: not valid JSON: {exc}")
         if header is None:
             if not _is_header(record):

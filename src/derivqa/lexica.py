@@ -44,8 +44,6 @@ class LexiconError(ValueError):
     """A resource file failed validation."""
 
     def __init__(self, path, lineno: int, message: str):
-        self.path = str(path)
-        self.lineno = lineno
         super().__init__(f"{path}:{lineno}: {message}")
 
 
@@ -83,13 +81,9 @@ class SenseRecord:
     sense_id: int
     pos: str
     domain_code: str = ""
-    class_code: str = ""
-    operator: str = ""
-    gloss: str = ""
     examples: tuple[str, ...] = ()
     conjugation_code: str = ""
     construction_codes: tuple[str, ...] = ()
-    register_level: int | None = None
     instructions: tuple[DerivInstruction, ...] = ()
 
     def __post_init__(self):
@@ -131,22 +125,23 @@ def load_dictionary(path, code_table) -> Dictionary:
 
     Columns: lemma, sense_id, pos, domain, class, operator, gloss,
     examples (;-separated), conjugation, constructions (;-separated),
-    derivation codes, level. The codes become each record's `instructions`
-    through `code_table` (see `load_code_table`); each distinct code string
-    is parsed once, so an unknown letter is logged once per string. Files
-    for different parts of speech may be loaded separately and concatenated
-    by the caller, as `Dictionary(a + b)`.
+    derivation codes, level. Class, operator and gloss are read and
+    dropped; level must be empty or an integer, and is not kept. The codes
+    become each record's `instructions` through `code_table` (see
+    `load_code_table`); each distinct code string is parsed once, so an
+    unknown letter is logged once per string. Files for different parts of
+    speech may be loaded separately and concatenated by the caller, as
+    `Dictionary(a + b)`.
     """
     records = []
     seen = set()
     resolved = {}  # code string -> its instructions
     for lineno, row in _read_rows(path, DICT_COLUMNS):
-        (lemma, sense_id, pos, domain, class_code, operator, gloss,
+        (lemma, sense_id, pos, domain, _class, _operator, _gloss,
          examples, conjugation, constructions, codes, level) = row
-        try:
-            sense_num = int(sense_id)
-        except ValueError:
-            raise LexiconError(path, lineno, f"sense_id is not an integer: {sense_id!r}")
+        sense_num = _int_cell(path, lineno, "sense_id", sense_id)
+        if level:
+            _int_cell(path, lineno, "level", level)
         key = (lemma, sense_num)
         if key in seen:
             raise LexiconError(path, lineno, f"duplicate sense {lemma}/{sense_num}")
@@ -159,13 +154,9 @@ def load_dictionary(path, code_table) -> Dictionary:
                 sense_id=sense_num,
                 pos=pos,
                 domain_code=domain,
-                class_code=class_code,
-                operator=operator,
-                gloss=gloss,
                 examples=_split_multi(examples),
                 conjugation_code=conjugation,
                 construction_codes=_split_multi(constructions),
-                register_level=int(level) if level else None,
                 instructions=resolved[codes],
             )
         except ValueError as exc:
@@ -233,9 +224,8 @@ class InflectionLexicon:
     """Surface form -> readings multimap over inflection entries."""
 
     def __init__(self, entries):
-        self.entries = list(entries)
         self._by_form: dict[str, list[InflectionEntry]] = {}
-        for e in self.entries:
+        for e in entries:
             self._by_form.setdefault(normalize(e.surface_form), []).append(e)
 
     def readings(self, surface: str) -> list[InflectionEntry]:
@@ -267,10 +257,7 @@ def load_corpus_lexicon(path) -> CorpusLexicon:
     counts = {}
     for lineno, row in _read_rows(path, 2):
         form, count = row
-        try:
-            n = int(count)
-        except ValueError:
-            raise LexiconError(path, lineno, f"count is not an integer: {count!r}")
+        n = _int_cell(path, lineno, "count", count)
         if n < 1:
             raise LexiconError(path, lineno, f"count must be positive: {n}")
         key = normalize(form)
@@ -295,12 +282,13 @@ class SynonymTable:
         return result
 
 
-def load_synonyms(path, pos_of=None) -> SynonymTable:
+def load_synonyms(path, dictionary: Dictionary) -> SynonymTable:
     """Load "lemma<TAB>sense-or-*<TAB>syn(;syn)*" rows.
 
-    `pos_of`, when given, maps a lemma to its part of speech (or None for
-    unknown); rows pairing words of different known pos are rejected, since
-    synonymy never crosses part of speech here.
+    A row pairing two lemmas whose senses in `dictionary` each have one part
+    of speech, and not the same one, is rejected, since synonymy never
+    crosses part of speech here; a lemma with no senses there, or with senses
+    of several parts of speech, is not checked.
     """
     entries: dict[tuple[str, int | str], set[str]] = {}
     for lineno, row in _read_rows(path, 3):
@@ -319,14 +307,26 @@ def load_synonyms(path, pos_of=None) -> SynonymTable:
         for syn in synonyms:
             if syn == lemma:
                 raise LexiconError(path, lineno, f"synonym equals its head lemma: {lemma!r}")
-            if pos_of is not None:
-                head_pos, syn_pos = pos_of(lemma), pos_of(syn)
-                if head_pos and syn_pos and head_pos != syn_pos:
-                    raise LexiconError(
-                        path, lineno,
-                        f"pos mismatch: {lemma} is {head_pos}, {syn} is {syn_pos}")
+            head_pos, syn_pos = _only_pos(dictionary, lemma), _only_pos(dictionary, syn)
+            if head_pos and syn_pos and head_pos != syn_pos:
+                raise LexiconError(
+                    path, lineno, f"pos mismatch: {lemma} is {head_pos}, {syn} is {syn_pos}")
         entries.setdefault((lemma, key_sense), set()).update(synonyms)
     return SynonymTable(entries)
+
+
+def _only_pos(dictionary: Dictionary, lemma: str) -> str | None:
+    """The part of speech of all of `lemma`'s senses, or None if they have
+    none or several."""
+    kinds = {s.pos for s in dictionary.senses.get(lemma, ())}
+    return kinds.pop() if len(kinds) == 1 else None
+
+
+def _int_cell(path, lineno: int, column: str, cell: str) -> int:
+    try:
+        return int(cell)
+    except ValueError:
+        raise LexiconError(path, lineno, f"{column} is not an integer: {cell!r}") from None
 
 
 def _split_multi(cell: str) -> tuple[str, ...]:

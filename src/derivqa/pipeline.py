@@ -78,11 +78,13 @@ def load_config(path) -> PipelineConfig:
     """Read a JSON config; relative paths resolve against the config's dir."""
     path = Path(path)
     try:
-        raw = json.loads(lexica._read_text(
-            path, lambda p, lineno, message: ConfigError(f"{p}:{lineno}: {message}")))
+        text = lexica._read_text(
+            path, lambda p, lineno, message: ConfigError(f"{p}:{lineno}: {message}"))
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except (json.JSONDecodeError, RecursionError) as exc:
+    try:
+        raw = json.loads(text)
+    except (ValueError, RecursionError) as exc:
         raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: config must be a JSON object")
@@ -96,7 +98,10 @@ def load_config(path) -> PipelineConfig:
         if key in _PATH_FIELDS and value is not None:
             if not isinstance(value, str):
                 raise ConfigError(f"{path}: {key} must be a path string")
-            value = (base / value).resolve()
+            try:
+                value = (base / value).resolve()
+            except ValueError as exc:
+                raise ConfigError(f"{path}: {key}: {exc}") from exc
         setattr(config, key, value)
     for name in ("symmetrize", "require_full_match"):
         if not isinstance(getattr(config, name), bool):
@@ -139,25 +144,13 @@ class Resources:
     config: PipelineConfig
     dictionary: lexica.Dictionary
     lexicon: lexica.InflectionLexicon
-    corpus_lexicon: lexica.CorpusLexicon
     synonyms: lexica.SynonymTable
-    euphonics: tuple
     model: morphogen.SuffixModel
     resource: derivfilter.DerivationalResource
     patterns: list
     compilation: wsd.RuleCompilation
     fingerprint: str
     skipped_sentences: list = field(default_factory=list)
-
-
-def _pos_of(dictionary: lexica.Dictionary):
-    by_lemma = dictionary.senses
-
-    def lookup(lemma: str):
-        kinds = {s.pos for s in by_lemma.get(lemma, [])}
-        return kinds.pop() if len(kinds) == 1 else None
-
-    return lookup
 
 
 def load_resources(config: PipelineConfig) -> Resources:
@@ -187,16 +180,14 @@ def load_resources(config: PipelineConfig) -> Resources:
     if config.symmetrize:
         dictionary = derivfilter.symmetrize_instructions(dictionary, resource)
         resource = derivfilter.relicense(resource, dictionary)
-    synonyms = lexica.load_synonyms(config.synonyms, pos_of=_pos_of(dictionary))
+    synonyms = lexica.load_synonyms(config.synonyms, dictionary)
     patterns = rephrase.parse_patterns(_resource_path(config, "patterns"))
     compilation = wsd.compile_rules(dictionary, lexicon)
     return Resources(
         config=config,
         dictionary=dictionary,
         lexicon=lexicon,
-        corpus_lexicon=corpus_lexicon,
         synonyms=synonyms,
-        euphonics=euphonics,
         model=model,
         resource=resource,
         patterns=patterns,

@@ -9,7 +9,7 @@ FIXTURES = TESTS_DIR / "fixtures"
 # Make tests/oracles.py importable from every test module.
 sys.path.insert(0, str(TESTS_DIR))
 
-from derivqa import pipeline, qaengine  # noqa: E402
+from derivqa import lexica, morphogen, pipeline, qaengine  # noqa: E402
 from derivqa.depgraph import Dependency, DependencyGraph, TokenNode  # noqa: E402
 
 
@@ -21,6 +21,18 @@ def benchmark_config():
 @pytest.fixture(scope="session")
 def benchmark_resources(benchmark_config):
     return pipeline.load_resources(benchmark_config)
+
+
+def filter_inputs(config):
+    """The corpus lexicon and euphonic rules a config names, loaded as
+    `pipeline.load_resources` loads them to build the resource."""
+    return (lexica.load_corpus_lexicon(config.corpus_lexicon),
+            morphogen.load_euphonic_rules(pipeline._resource_path(config, "euphonics")))
+
+
+@pytest.fixture(scope="session")
+def benchmark_filter_inputs(benchmark_config):
+    return filter_inputs(benchmark_config)
 
 
 @pytest.fixture(scope="session")
@@ -37,6 +49,11 @@ def couper_family_config():
 @pytest.fixture(scope="session")
 def couper_family_resources(couper_family_config):
     return pipeline.load_resources(couper_family_config)
+
+
+@pytest.fixture(scope="session")
+def couper_family_filter_inputs(couper_family_config):
+    return filter_inputs(couper_family_config)
 
 
 def make_graph(sentence_id, tokens, deps=(), text=""):

@@ -52,13 +52,15 @@ from derivqa.wsd import disambiguate, select_derivatives
 
 # -- 1: over-generation plus corpus and instruction filters, single family --
 
-def test_filter_accepts_exactly_the_attested_licensed_family(couper_family_resources):
+def test_filter_accepts_exactly_the_attested_licensed_family(couper_family_resources,
+                                                            couper_family_filter_inputs):
     res = couper_family_resources
+    corpus_lexicon, euphonics = couper_family_filter_inputs
     senses = senses_by_lemma(res.dictionary)["couper"]
 
     start = time.monotonic()
-    candidates = generate_candidates("couper", res.model, res.euphonics)
-    attested = corpus_filter(candidates, res.corpus_lexicon)
+    candidates = generate_candidates("couper", res.model, euphonics)
+    attested = corpus_filter(candidates, corpus_lexicon)
     records = filter_by_instructions(attested, senses)
     elapsed = time.monotonic() - start
 

@@ -11,6 +11,11 @@ from derivqa.pipeline import packaged_data
 
 from conftest import FIXTURES
 
+# JSON the parser refuses: nesting past the recursion limit raises
+# RecursionError, and an integer past Python's 4,300 digits a plain ValueError.
+NESTED = "[" * 200_000 + "]" * 200_000 + "\n"
+LONG_INT = "1" * 5_000
+
 BENCHMARK_CONFIG = str(FIXTURES / "benchmark" / "config.json")
 COUPER_FAMILY_CONFIG = str(FIXTURES / "couper_family" / "config.json")
 
@@ -354,17 +359,35 @@ class TestEncoding:
         assert f"{name}:2: not valid UTF-8: byte 0xe9" in err
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("name, exit_code, message", [
-        ("config.json", EXIT_CONFIG, "config.json: invalid JSON: maximum recursion depth"),
-        ("bank.jsonl", EXIT_INPUT, "bank.jsonl:1: not valid JSON: maximum recursion depth"),
-    ], ids=["config.json", "bank.jsonl"])
-    def test_deeply_nested_json(self, capsys, tmp_path, name, exit_code, message):
+    @pytest.mark.parametrize("name, edit, exit_code, message", [
+        ("config.json", lambda text: NESTED, EXIT_CONFIG,
+         "config.json: invalid JSON: maximum recursion depth"),
+        ("bank.jsonl", lambda text: NESTED, EXIT_INPUT,
+         "bank.jsonl:1: not valid JSON: maximum recursion depth"),
+        ("config.json", lambda text: text.replace('"k": 5', f'"k": {LONG_INT}'), EXIT_CONFIG,
+         "config.json: invalid JSON: Exceeds the limit (4300 digits)"),
+        ("bank.jsonl", lambda text: text + f'["s2","t",[],[{LONG_INT}]]\n', EXIT_INPUT,
+         "bank.jsonl:3: not valid JSON: Exceeds the limit (4300 digits)"),
+    ], ids=["config.json", "bank.jsonl", "config.json-long-integer", "bank.jsonl-long-integer"])
+    def test_deeply_nested_json(self, capsys, tmp_path, name, edit, exit_code, message):
         argv = write_small_setup(tmp_path)
-        (tmp_path / name).write_text("[" * 200_000 + "]" * 200_000 + "\n", encoding="utf-8")
+        path = tmp_path / name
+        path.write_text(edit(path.read_text(encoding="utf-8")), encoding="utf-8")
         code, out, err = run(capsys, *argv)
         assert code == exit_code
         assert message in err
+        assert len(err.splitlines()) == 1
         assert "Traceback" not in err
+
+    def test_nul_in_config_path(self, capsys, tmp_path):
+        argv = write_small_setup(tmp_path)
+        path = tmp_path / "config.json"
+        raw = json.loads(path.read_text(encoding="utf-8"))
+        raw["patterns"] = "pat\u0000terns.txt"
+        path.write_text(json.dumps(raw), encoding="utf-8")
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_CONFIG
+        assert err == f"config error: {path}: patterns: embedded null byte\n"
 
 
 @pytest.fixture(scope="module")

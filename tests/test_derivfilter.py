@@ -19,6 +19,8 @@ from derivqa.lexica import (
     ADJ,
     NOUN,
     VERB,
+    VERBAL,
+    DerivInstruction,
     Dictionary,
     SenseRecord,
     load_code_table,
@@ -107,36 +109,36 @@ class TestBuildResource:
             "coupure", "coupage", "coupeur", "coupant", "coupé",
         }
 
-    def test_too_short_entries_are_skipped(self, benchmark_resources):
+    def test_too_short_entries_are_skipped(self, benchmark_resources, benchmark_filter_inputs):
         model = benchmark_resources.model
+        corpus_lexicon, _ = benchmark_filter_inputs
         dictionary = Dictionary([verb_sense("gir", 1, "-U-")])
-        resource = build_resource(
-            dictionary, model, benchmark_resources.corpus_lexicon)
+        resource = build_resource(dictionary, model, corpus_lexicon)
         assert resource.by_lemma == {}
         assert resource.stats.entries_processed == 1
         assert resource.stats.candidates_generated == 0
         assert resource.stats.instructions_unmatched == 1
 
-    def test_unmatched_counts_per_instruction(self, benchmark_resources):
+    def test_unmatched_counts_per_instruction(self, benchmark_resources, benchmark_filter_inputs):
         # laver licenses -G-E-Q-L- in the benchmark; "laveur", "lavage", "lavé"
         # and "lavable" are all attested, so every instruction matches.
         res = benchmark_resources
         dictionary = Dictionary([verb_sense("laver", 1, "-G-E-Q-L-")])
-        resource = build_resource(dictionary, res.model, res.corpus_lexicon, res.euphonics)
+        resource = build_resource(dictionary, res.model, *benchmark_filter_inputs)
         assert resource.stats.instructions_total == 4
         assert resource.stats.instructions_unmatched == 0
         # balayer licenses only -G-; balayage is attested, nothing unmatched.
         dictionary = Dictionary([verb_sense("balayer", 1, "-G-U-")])
-        resource = build_resource(dictionary, res.model, res.corpus_lexicon, res.euphonics)
+        resource = build_resource(dictionary, res.model, *benchmark_filter_inputs)
         assert resource.stats.instructions_unmatched == 1  # no "balayure"
 
 
 class TestSymmetrize:
-    def test_adds_exactly_the_back_instructions(self, benchmark_resources):
+    def test_adds_exactly_the_back_instructions(self, benchmark_resources, benchmark_filter_inputs):
         res = benchmark_resources
         from derivqa import lexica
         base_dictionary = lexica.load_dictionary(res.config.dictionary, CODE_TABLE)
-        first = build_resource(base_dictionary, res.model, res.corpus_lexicon, res.euphonics)
+        first = build_resource(base_dictionary, res.model, *benchmark_filter_inputs)
         augmented = symmetrize_instructions(base_dictionary, first)
         added = {
             (s.lemma, ins.suffix)
@@ -155,25 +157,25 @@ class TestSymmetrize:
         # the originals were not touched
         assert all(not back_instructions(s) for s in base_dictionary)
 
-    def test_back_instruction_respects_domain(self, benchmark_resources):
+    def test_back_instruction_respects_domain(self, benchmark_resources, benchmark_filter_inputs):
         # formalisation is MAT; only formaliser's MAT sense (2) donates, and
         # the GEN sense (1) does not create a second copy.
         res = benchmark_resources
         from derivqa import lexica
         base_dictionary = lexica.load_dictionary(res.config.dictionary, CODE_TABLE)
-        first = build_resource(base_dictionary, res.model, res.corpus_lexicon, res.euphonics)
+        first = build_resource(base_dictionary, res.model, *benchmark_filter_inputs)
         augmented = symmetrize_instructions(base_dictionary, first)
         formalisation = [s for s in augmented if s.lemma == "formalisation"]
         assert len(formalisation) == 1
         assert [ins.suffix for ins in back_instructions(formalisation[0])] == ["er"]
 
-    def test_copies_only_the_senses_that_gain(self, benchmark_resources):
+    def test_copies_only_the_senses_that_gain(self, benchmark_resources, benchmark_filter_inputs):
         res = benchmark_resources
         from derivqa import lexica
         base_dictionary = lexica.load_dictionary(res.config.dictionary, CODE_TABLE)
         before = copy.deepcopy(list(base_dictionary))
         records = list(base_dictionary)
-        first = build_resource(base_dictionary, res.model, res.corpus_lexicon, res.euphonics)
+        first = build_resource(base_dictionary, res.model, *benchmark_filter_inputs)
         augmented = symmetrize_instructions(base_dictionary, first)
         gained = [s.lemma for s in augmented if back_instructions(s)]
         assert gained == ["coupure", "formalisation"]
@@ -187,6 +189,24 @@ class TestSymmetrize:
         # the input dictionary and its records are untouched
         assert list(base_dictionary) == before
         assert all(a is b for a, b in zip(base_dictionary, records))
+
+    def test_coded_instruction_does_not_hide_the_back_instruction(
+            self, benchmark_resources, benchmark_filter_inputs):
+        # coupure carries a coded VERBAL instruction with the suffix of its
+        # back-instruction to couper; the two differ only in code_letter.
+        table = {**CODE_TABLE, "V": DerivInstruction(VERB, "er", VERBAL, code_letter="V")}
+        coded = tuple(parse_derivation_codes("-V-", table))
+        dictionary = Dictionary([
+            verb_sense("couper", 1, "-U-"),
+            SenseRecord(lemma="coupure", sense_id=1, pos=NOUN, domain_code="GEN",
+                        instructions=coded),
+        ])
+        resource = build_resource(dictionary, benchmark_resources.model,
+                                  *benchmark_filter_inputs)
+        augmented = symmetrize_instructions(dictionary, resource)
+        back = DerivInstruction(VERB, "er", VERBAL)
+        assert augmented.senses["coupure"][0].instructions == coded + (back,)
+        assert relicense(resource, augmented).stats.instructions_total == 3
 
     def test_symmetrizing_again_gains_nothing(self, benchmark_resources):
         res = benchmark_resources
@@ -208,10 +228,10 @@ class TestRelicense:
         assert again == res.resource
         assert again.attested is res.resource.attested
 
-    def test_rejects_other_lemmas(self, benchmark_resources):
+    def test_rejects_other_lemmas(self, benchmark_resources, benchmark_filter_inputs):
         res = benchmark_resources
         resource = build_resource(Dictionary([verb_sense("laver", 1, "-G-")]), res.model,
-                                  res.corpus_lexicon, res.euphonics)
+                                  *benchmark_filter_inputs)
         with pytest.raises(ValueError, match="dictionary lemmas differ"):
             relicense(resource, Dictionary([verb_sense("couper", 1, "-G-")]))
 

@@ -11,6 +11,7 @@ from derivqa.lexica import (
     DerivInstruction,
     Dictionary,
     LexiconError,
+    SenseRecord,
     load_code_table,
     load_corpus_lexicon,
     load_dictionary,
@@ -24,6 +25,13 @@ from derivqa.pipeline import packaged_data
 CODE_TABLE = load_code_table(packaged_data("code_table.tsv"))
 DICT_ROW = ("vendre\t1\tVERB\tGEN\t2\tinstr\tcéder contre paiement\t"
             "le marchand vendit le navire .\t3\tT\t-E-\t1")
+
+
+def pos_dictionary(*rows):
+    """A dictionary with one sense per (lemma, pos) row."""
+    return Dictionary(
+        SenseRecord(lemma, sense_id, pos, conjugation_code="1" if pos == VERB else "")
+        for sense_id, (lemma, pos) in enumerate(rows, start=1))
 
 
 def write(tmp_path, name, text):
@@ -72,6 +80,12 @@ class TestDictionary:
         path = write(tmp_path, "d.tsv", DICT_ROW.replace("\t1\tVERB", "\tx\tVERB") + "\n")
         with pytest.raises(LexiconError, match="sense_id"):
             load_dictionary(path, CODE_TABLE)
+
+    def test_rejects_non_integer_level(self, tmp_path):
+        path = write(tmp_path, "d.tsv", "# one\n" + DICT_ROW[:-1] + "x\n")
+        with pytest.raises(LexiconError) as info:
+            load_dictionary(path, CODE_TABLE)
+        assert str(info.value) == f"{path}:2: level is not an integer: 'x'"
 
     def test_verb_requires_conjugation(self, tmp_path):
         row = DICT_ROW.replace("\t3\tT\t", "\t\tT\t")
@@ -190,7 +204,7 @@ class TestCorpusLexicon:
 class TestSynonyms:
     def test_wildcard_and_sense_rows_combine(self, tmp_path):
         path = write(tmp_path, "s.tsv", "laver\t*\tnettoyer\nlaver\t2\trincer;frotter\n")
-        table = load_synonyms(path)
+        table = load_synonyms(path, Dictionary())
         assert table.lookup("laver", None) == {"nettoyer"}
         assert table.lookup("laver", 2) == {"nettoyer", "rincer", "frotter"}
         assert table.lookup("laver", 1) == {"nettoyer"}
@@ -198,19 +212,24 @@ class TestSynonyms:
 
     def test_rejects_cross_pos_rows(self, tmp_path):
         path = write(tmp_path, "s.tsv", "laver\t*\tnavire\n")
-        pos_of = {"laver": VERB, "navire": NOUN}.get
-        with pytest.raises(LexiconError, match="pos mismatch"):
-            load_synonyms(path, pos_of=pos_of)
+        dictionary = pos_dictionary(("laver", VERB), ("navire", NOUN))
+        with pytest.raises(LexiconError, match="pos mismatch: laver is VERB, navire is NOUN"):
+            load_synonyms(path, dictionary)
 
     def test_unknown_pos_is_tolerated(self, tmp_path):
         path = write(tmp_path, "s.tsv", "laver\t*\tinconnu\n")
-        table = load_synonyms(path, pos_of={"laver": VERB}.get)
+        table = load_synonyms(path, pos_dictionary(("laver", VERB)))
         assert table.lookup("laver", None) == {"inconnu"}
+
+    def test_lemma_of_several_pos_is_tolerated(self, tmp_path):
+        path = write(tmp_path, "s.tsv", "laver\t*\tmarche\n")
+        dictionary = pos_dictionary(("laver", VERB), ("marche", NOUN), ("marche", VERB))
+        assert load_synonyms(path, dictionary).lookup("laver", None) == {"marche"}
 
     def test_rejects_bad_sense_column(self, tmp_path):
         path = write(tmp_path, "s.tsv", "laver\tx\tnettoyer\n")
         with pytest.raises(LexiconError, match="sense"):
-            load_synonyms(path)
+            load_synonyms(path, Dictionary())
 
 
 @pytest.mark.parametrize("loader, columns", [
@@ -219,7 +238,8 @@ class TestSynonyms:
     (load_code_table, 4),
     (load_inflections, 3),
     (load_corpus_lexicon, 2),
-    (load_synonyms, 3),
+    pytest.param(functools.partial(load_synonyms, dictionary=Dictionary()), 3,
+                 id="load_synonyms-3"),
     (pipeline.load_sentences, 2),
     (qaengine.load_questions, 3),
     (morphogen.load_euphonic_rules, 3),

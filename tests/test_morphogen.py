@@ -1,7 +1,7 @@
 import pytest
 
 import oracles
-from derivqa.lexica import InflectionEntry, LexiconError
+from derivqa.lexica import InflectionEntry, LexiconError, load_inflections
 from derivqa.morphogen import (
     DEFAULT_EUPHONICS,
     CandidateDerivative,
@@ -92,7 +92,7 @@ class TestLearning:
     def test_matches_oracle_on_benchmark(self, benchmark_resources):
         res = benchmark_resources
         expected = oracles.suffix_inventory(
-            res.lexicon.entries,
+            load_inflections(res.config.inflections),
             threshold=res.config.suffix_threshold,
             min_stem_len=res.config.min_stem_len,
         )

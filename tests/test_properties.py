@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from conftest import filter_inputs
 from oracles import dep_signature, graph_equal
 from derivqa import pipeline
 from derivqa.depgraph import (
@@ -201,7 +202,7 @@ def test_symmetrized_build_matches_plain_double_build(tmp_path_factory, lexicon,
     by_lemma, stats, augmented = oracles.double_build(
         load_dictionary(tmp / "dictionary.tsv",
                         load_code_table(pipeline.packaged_data("code_table.tsv"))),
-        res.model, res.corpus_lexicon, res.euphonics)
+        res.model, *filter_inputs(res.config))
     assert res.resource.by_lemma == by_lemma
     assert res.resource.stats == stats
     assert [s.instructions for s in res.dictionary] == \
