@@ -105,7 +105,7 @@ def cmd_preprocess(res: pipeline.Resources, args) -> int:
     return EXIT_OK
 
 
-def cmd_ask(res: pipeline.Resources, args) -> int:
+def cmd_ask(res: pipeline.QuestionResources, args) -> int:
     question = qaengine.parse_question("q", args.question, res.lexicon)
     wsd.disambiguate(question.graph, res.compilation, res.dictionary)
     bank = _load_bank(res, args)
@@ -119,7 +119,7 @@ def cmd_ask(res: pipeline.Resources, args) -> int:
     return EXIT_OK
 
 
-def cmd_evaluate(res: pipeline.Resources, args) -> int:
+def cmd_evaluate(res: pipeline.QuestionResources, args) -> int:
     if res.config.questions is None:
         raise ConfigError("config has no questions file")
     rows = qaengine.load_questions(res.config.questions)
@@ -176,7 +176,10 @@ def main(argv=None) -> int:
     try:
         config = pipeline.load_config(args.config)
         config = _apply_overrides(config, args)
-        res = pipeline.load_resources(config)
+        if getattr(args, "bank", None):
+            res = pipeline.load_question_resources(config)
+        else:
+            res = pipeline.load_resources(config)
         return _COMMANDS[args.command](res, args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -221,11 +221,13 @@ class InflectionEntry:
 
 
 class InflectionLexicon:
-    """Surface form -> readings multimap over inflection entries."""
+    """Surface form -> readings multimap over inflection entries; `entries`
+    keeps them in file order for the suffix learner."""
 
     def __init__(self, entries):
+        self.entries = tuple(entries)
         self._by_form: dict[str, list[InflectionEntry]] = {}
-        for e in entries:
+        for e in self.entries:
             self._by_form.setdefault(normalize(e.surface_form), []).append(e)
 
     def readings(self, surface: str) -> list[InflectionEntry]:

@@ -62,7 +62,13 @@ class PipelineConfig:
                 raise ConfigError(f"config missing required path {name!r}")
         for name in _PATH_FIELDS:
             value = getattr(self, name)
-            if value is not None and not Path(value).is_file():
+            if value is None:
+                continue
+            try:
+                found = Path(value).is_file()
+            except OSError as exc:  # such as a name longer than the file system allows
+                raise ConfigError(f"{name}: {exc.strerror}") from exc
+            if not found:
                 raise ConfigError(f"{name}: no such file: {value}")
         if not 1 <= self.k <= 5:
             raise ConfigError(f"k must be in [1, 5], got {self.k}")
@@ -138,61 +144,77 @@ def _fingerprint(config: PipelineConfig) -> str:
 
 
 @dataclass
-class Resources:
-    """Everything the commands need, loaded and cross-compiled once."""
+class QuestionResources:
+    """What parsing and disambiguating a question needs: the dictionary,
+    the inflection lexicon and the compiled sense rules, with the config and
+    the fingerprint a bank must carry to be scored under it."""
 
     config: PipelineConfig
     dictionary: lexica.Dictionary
     lexicon: lexica.InflectionLexicon
+    compilation: wsd.RuleCompilation
+    fingerprint: str
+
+
+@dataclass
+class Resources(QuestionResources):
+    """Everything the commands need, loaded and cross-compiled once."""
+
     synonyms: lexica.SynonymTable
     model: morphogen.SuffixModel
     resource: derivfilter.DerivationalResource
     patterns: list
-    compilation: wsd.RuleCompilation
-    fingerprint: str
     skipped_sentences: list = field(default_factory=list)
 
 
-def load_resources(config: PipelineConfig) -> Resources:
-    """Load lexica, learn the suffix model, build and filter the resource.
+def load_question_resources(config: PipelineConfig) -> QuestionResources:
+    """Load the code table, dictionary and inflections, and compile the
+    sense rules from the dictionary's examples.
 
-    With `symmetrize` on, the resource donates back-instructions to
-    noun/adjective entries, then its candidates are licensed again by the
-    augmented dictionary so those instructions take effect; candidates are
-    generated and corpus-filtered once. Unknown code letters are logged
-    once per dictionary code string, as the dictionary loads. `fingerprint`
-    identifies the files and tunables a bank built from these resources
-    depends on.
+    Questions stay unenriched, so this is all `ask --bank` and `evaluate
+    --bank` load. Unknown code letters are logged once per dictionary code
+    string, as the dictionary loads. `fingerprint` still covers every file
+    and tunable that shapes a bank, read without parsing the files this
+    loader skips.
     """
     fingerprint = _fingerprint(config)
     code_table = lexica.load_code_table(_resource_path(config, "code_table"))
     dictionary = lexica.load_dictionary(config.dictionary, code_table)
-    entries = lexica.load_inflections(config.inflections)
-    lexicon = lexica.InflectionLexicon(entries)
+    lexicon = lexica.InflectionLexicon(lexica.load_inflections(config.inflections))
+    compilation = wsd.compile_rules(dictionary, lexicon)
+    return QuestionResources(config, dictionary, lexicon, compilation, fingerprint)
+
+
+def load_resources(config: PipelineConfig) -> Resources:
+    """Load the question side, learn the suffix model, build and filter the
+    resource, and load synonyms and patterns.
+
+    With `symmetrize` on, the resource donates back-instructions to
+    noun/adjective entries, then its candidates are licensed again by the
+    augmented dictionary so those instructions take effect; candidates are
+    generated and corpus-filtered once. `symmetrize` changes only
+    `instructions`, which sense tagging never reads, so the question side's
+    sense rules serve the augmented dictionary too.
+    """
+    question = load_question_resources(config)
     corpus_lexicon = lexica.load_corpus_lexicon(config.corpus_lexicon)
     euphonics = morphogen.load_euphonic_rules(_resource_path(config, "euphonics"))
     model = morphogen.learn_suffix_model(
-        entries, config.suffix_threshold,
+        question.lexicon.entries, config.suffix_threshold,
         min_stem_len=config.min_stem_len,
         max_stems_per_lemma=config.max_stems_per_lemma,
         min_syllables=config.min_syllables)
-    resource = derivfilter.build_resource(dictionary, model, corpus_lexicon, euphonics)
+    resource = derivfilter.build_resource(question.dictionary, model, corpus_lexicon, euphonics)
     if config.symmetrize:
-        dictionary = derivfilter.symmetrize_instructions(dictionary, resource)
-        resource = derivfilter.relicense(resource, dictionary)
-    synonyms = lexica.load_synonyms(config.synonyms, dictionary)
-    patterns = rephrase.parse_patterns(_resource_path(config, "patterns"))
-    compilation = wsd.compile_rules(dictionary, lexicon)
+        # replaced, not kept beside it, so the plain dictionary is freed here
+        question.dictionary = derivfilter.symmetrize_instructions(question.dictionary, resource)
+        resource = derivfilter.relicense(resource, question.dictionary)
     return Resources(
-        config=config,
-        dictionary=dictionary,
-        lexicon=lexicon,
-        synonyms=synonyms,
+        **vars(question),
+        synonyms=lexica.load_synonyms(config.synonyms, question.dictionary),
         model=model,
         resource=resource,
-        patterns=patterns,
-        compilation=compilation,
-        fingerprint=fingerprint,
+        patterns=rephrase.parse_patterns(_resource_path(config, "patterns")),
     )
 
 
@@ -254,7 +276,7 @@ def build_bank(res: Resources, mode: str, sentences=None,
     return depgraph.DependencyBank(graphs, mode, res.fingerprint)
 
 
-def parse_questions(res: Resources, rows) -> list:
+def parse_questions(res: QuestionResources, rows) -> list:
     """Parse and disambiguate (qid, text, gold) rows into engine inputs.
 
     Questions stay unenriched: alternates and derivative tokens live on the

@@ -1,10 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from derivqa import pipeline
+import derivqa
+from derivqa import derivfilter, lexica, morphogen, pipeline, rephrase
 from derivqa.cli import EXIT_CONFIG, EXIT_INPUT, EXIT_OK, main
 from derivqa.depgraph import save_depbank, toy_parse
 from derivqa.pipeline import packaged_data
@@ -18,6 +23,9 @@ LONG_INT = "1" * 5_000
 
 BENCHMARK_CONFIG = str(FIXTURES / "benchmark" / "config.json")
 COUPER_FAMILY_CONFIG = str(FIXTURES / "couper_family" / "config.json")
+
+# Resource files a `--bank` run hashes into the fingerprint but never parses.
+SKIPPED_BY_BANK_RUNS = ("patterns.txt", "synonyms.tsv", "corpus_lexicon.tsv", "euphonics.tsv")
 
 
 def run(capsys, *argv):
@@ -223,6 +231,94 @@ class TestBankConfiguration:
         assert "bank built with mode=None fingerprint=None" in err
 
 
+class TestBankRuns:
+    """`ask --bank` and `evaluate --bank` load only the question side: code
+    table, dictionary, inflections and sense rules."""
+
+    QUESTIONS = ("De quel chef Domitien est-il le successeur ?", "quelle coupure du flux ?",
+                 "l'ouvrier coupa-t-il le courant ?")
+
+    @pytest.mark.parametrize("symmetrize", [True, False])
+    @pytest.mark.parametrize("mode", pipeline.MODES)
+    def test_bank_runs_print_what_fresh_builds_print(self, capsys, tmp_path, mode, symmetrize):
+        config = copy_benchmark_setup(tmp_path, symmetrize=symmetrize, mode=mode)
+        bank = str(tmp_path / "bank.jsonl")
+        assert run(capsys, "--config", config, "preprocess", "--out", bank)[0] == EXIT_OK
+        for question in self.QUESTIONS:
+            fresh = run(capsys, "--config", config, "ask", "--question", question)
+            assert fresh[0] == EXIT_OK
+            assert run(capsys, "--config", config, "ask", "--question", question,
+                       "--bank", bank) == fresh
+        fresh = run(capsys, "--config", config, "evaluate", "--out", str(tmp_path / "a.tsv"))
+        assert fresh[0] == EXIT_OK
+        assert run(capsys, "--config", config, "evaluate", "--bank", bank,
+                   "--out", str(tmp_path / "b.tsv")) == fresh
+        assert (tmp_path / "a.tsv").read_bytes() == (tmp_path / "b.tsv").read_bytes()
+
+    def test_bank_runs_skip_the_text_side(self, capsys, tmp_path, monkeypatch):
+        bank = str(tmp_path / "bank.jsonl")
+        assert run(capsys, "--config", BENCHMARK_CONFIG, "preprocess", "--out", bank)[0] == EXIT_OK
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a --bank run loaded the text side")
+
+        for module, name in ((morphogen, "learn_suffix_model"), (derivfilter, "build_resource"),
+                             (lexica, "load_synonyms"), (rephrase, "parse_patterns")):
+            monkeypatch.setattr(module, name, refuse)
+        code, out, err = run(capsys, "--config", BENCHMARK_CONFIG, "ask",
+                             "--question", self.QUESTIONS[0], "--bank", bank)
+        assert code == EXIT_OK
+        assert out.splitlines()[0] == "1.\ts06\t1\tDomitien succéda à l'empereur Titus ."
+        assert run(capsys, "--config", BENCHMARK_CONFIG, "evaluate", "--bank", bank) == (
+            EXIT_OK, "deriv\t0.8636363636363636\t3\n", "")
+
+    @pytest.mark.parametrize("name", SKIPPED_BY_BANK_RUNS)
+    def test_skipped_file_edit_makes_the_bank_foreign(self, capsys, tmp_path, name):
+        (tmp_path / "patterns.txt").write_bytes(packaged_data("patterns.txt").read_bytes())
+        config = copy_benchmark_setup(tmp_path, patterns="patterns.txt")
+        bank = str(tmp_path / "bank.jsonl")
+        assert run(capsys, "--config", config, "preprocess", "--out", bank)[0] == EXIT_OK
+        ask = ["--config", config, "ask", "--question", self.QUESTIONS[0]]
+        assert run(capsys, *ask, "--bank", bank)[0] == EXIT_OK
+        path = tmp_path / name
+        data = path.read_bytes()
+        cut = data.index(b"\n") + 1
+        path.write_bytes(data[:cut] + b"\xe9" + data[cut + 1:])  # one byte of line 2
+        code, out, err = run(capsys, *ask, "--bank", bank)
+        assert (code, out) == (EXIT_INPUT, "")
+        assert len(err.splitlines()) == 1
+        assert err.rstrip().endswith("; rerun preprocess")
+        # the edit breaks the file for a run that parses it
+        code, out, err = run(capsys, *ask)
+        assert code == EXIT_INPUT
+        assert f"{name}:2: not valid UTF-8: byte 0xe9" in err
+
+
+class TestStderr:
+    """Run as a process: under pytest the root logger already has handlers,
+    so `cli.main`'s logging set-up does nothing and capsys sees no log line."""
+
+    @pytest.mark.parametrize("command", ["ask --bank", "ask", "stats"])
+    def test_every_command_warns_once_about_an_unknown_code(self, capsys, tmp_path, command):
+        argv = ["--config", BENCHMARK_CONFIG, "stats"]
+        if command.startswith("ask"):
+            argv[-1:] = ["ask", "--question", "quelle coupure du flux ?"]
+        if command.endswith("--bank"):
+            bank = str(tmp_path / "bank.jsonl")
+            assert run(capsys, "--config", BENCHMARK_CONFIG, "preprocess",
+                       "--out", bank)[0] == EXIT_OK
+            argv += ["--bank", bank]
+        package_root = str(Path(derivqa.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (package_root, os.environ.get("PYTHONPATH")) if p))
+        proc = subprocess.run([sys.executable, "-m", "derivqa.cli", *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == EXIT_OK
+        warnings = [line for line in proc.stderr.splitlines()
+                    if "unknown derivation code 'R'" in line]
+        assert len(warnings) == 1
+
+
 class TestStats:
     def test_stats_lines(self, capsys, tmp_path):
         dump = tmp_path / "rules.tsv"
@@ -268,6 +364,13 @@ class TestExitCodes:
         code, out, err = run(capsys, "--config", str(config), "stats")
         assert code == EXIT_CONFIG
         assert "config error" in err and f"{field} must be" in err
+
+    def test_path_longer_than_the_file_system_allows(self, capsys, tmp_path):
+        config = copy_benchmark_setup(tmp_path, synonyms="a" * 5_000)
+        code, out, err = run(capsys, "--config", config, "stats")
+        assert (code, out) == (EXIT_CONFIG, "")
+        assert err.startswith("config error: synonyms: ")
+        assert len(err.splitlines()) == 1
 
     def test_broken_resource_file(self, capsys, tmp_path):
         import json
@@ -354,6 +457,9 @@ class TestEncoding:
         data = path.read_bytes()
         cut = data.index(b"\n") + 1
         path.write_bytes(data[:cut] + b"\xe9" + data[cut:])  # a latin-1 byte opens line 2
+        if name in SKIPPED_BY_BANK_RUNS:
+            # the bank run would not parse it (test_skipped_file_edit_makes_the_bank_foreign)
+            argv = argv[:-2]
         code, out, err = run(capsys, *argv)
         assert code == exit_code
         assert f"{name}:2: not valid UTF-8: byte 0xe9" in err

@@ -1,8 +1,9 @@
+import dataclasses
 import json
 
 import pytest
 
-from derivqa import derivfilter, lexica, qaengine
+from derivqa import derivfilter, lexica, qaengine, wsd
 from derivqa.depgraph import BASE, DERIVATIONAL
 from derivqa.pipeline import (
     ConfigError,
@@ -10,6 +11,7 @@ from derivqa.pipeline import (
     build_bank,
     enrich_for_mode,
     load_config,
+    load_question_resources,
     load_resources,
     load_sentences,
     packaged_data,
@@ -137,6 +139,20 @@ class TestLoadResources:
         assert res.config.symmetrize is True
         assert sorted(calls) == sorted(res.dictionary.senses)
         assert res.resource.stats.candidates_generated == 493
+
+    @pytest.mark.parametrize("fixture", ["benchmark", "couper_family"])
+    def test_symmetrize_leaves_the_sense_rules_as_they_are(self, fixture):
+        config = dataclasses.replace(load_config(FIXTURES / fixture / "config.json"),
+                                     symmetrize=True)
+        question = load_question_resources(config)
+        res = load_resources(config)
+        assert wsd.compile_rules(res.dictionary, res.lexicon) == question.compilation
+        assert res.compilation == question.compilation
+        assert res.fingerprint == question.fingerprint
+        # symmetrize changes instructions only, and on the benchmark it does
+        assert [dataclasses.replace(s, instructions=()) for s in res.dictionary] == [
+            dataclasses.replace(s, instructions=()) for s in question.dictionary]
+        assert (res.dictionary != question.dictionary) == (fixture == "benchmark")
 
     def test_unknown_code_letter_is_logged_once(self, benchmark_config, caplog):
         # licensing the resource twice and symmetrizing resolve the one
