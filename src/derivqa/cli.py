@@ -74,7 +74,7 @@ def _apply_overrides(config: pipeline.PipelineConfig, args) -> pipeline.Pipeline
 def _load_bank(res, args):
     """The `--bank` file, refused unless it was built under this run's mode
     and fingerprint; without `--bank`, a bank built from the config."""
-    if not getattr(args, "bank", None):
+    if getattr(args, "bank", None) is None:
         return pipeline.build_bank(res, res.config.mode)
     bank = depgraph.load_depbank(args.bank)
     built, wanted = (bank.mode, bank.fingerprint), (res.config.mode, res.fingerprint)
@@ -176,7 +176,7 @@ def main(argv=None) -> int:
     try:
         config = pipeline.load_config(args.config)
         config = _apply_overrides(config, args)
-        if getattr(args, "bank", None):
+        if getattr(args, "bank", None) is not None:
             res = pipeline.load_question_resources(config)
         else:
             res = pipeline.load_resources(config)

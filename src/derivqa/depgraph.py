@@ -56,15 +56,26 @@ class DepbankError(ValueError):
     """A serialized bank record violates the schema."""
 
 
-@dataclass
+_NO_ALTERNATES = frozenset()
+
+
+@dataclass(slots=True)
 class TokenNode:
+    """One word of a graph; `index` is its position in the graph's tokens.
+
+    `alternates` is a frozenset of synonym lemmas, replaced rather than
+    changed, so tokens may share it: every token without alternates, loaded
+    ones included, holds one empty frozenset, and `copy_graph` gives the
+    copy the original's. Tokens are slotted and carry no `__dict__`.
+    """
+
     index: int
     surface: str
     lemma: str
     pos: str
     features: dict = field(default_factory=dict)
     sense_id: int | None = None
-    alternates: set = field(default_factory=set)
+    alternates: frozenset = _NO_ALTERNATES
 
 
 @dataclass(frozen=True)
@@ -188,7 +199,7 @@ def _bag_index(graphs) -> tuple:
 def copy_graph(graph: DependencyGraph) -> DependencyGraph:
     tokens = [
         TokenNode(t.index, t.surface, t.lemma, t.pos, dict(t.features),
-                  t.sense_id, set(t.alternates))
+                  t.sense_id, t.alternates)
         for t in graph.tokens
     ]
     return DependencyGraph(graph.sentence_id, graph.text, tokens, list(graph.deps))
@@ -625,7 +636,8 @@ def _graph_from_row(row, where: str, shared: dict) -> DependencyGraph:
         if type(alternates) is not list or (
                 alternates and not all(type(a) is str for a in alternates)):
             raise DepbankError(f"{rid}: token {index}: alternates must be a list of strings")
-        tokens.append(TokenNode(index, surface, lemma, pos, features, sense, set(alternates)))
+        tokens.append(TokenNode(index, surface, lemma, pos, features, sense,
+                                frozenset(alternates) if alternates else _NO_ALTERNATES))
     n = len(tokens)
     deps = []
     for raw in raw_deps:

@@ -206,8 +206,7 @@ def enrich_synonyms(graph: DependencyGraph, synonyms) -> DependencyGraph:
             continue
         extra = synonyms.lookup(token.lemma, token.sense_id)
         if extra:
-            token.alternates |= extra
-            token.alternates.discard(token.lemma)
+            token.alternates = (token.alternates | extra) - {token.lemma}
     return out
 
 

@@ -300,9 +300,9 @@ def _random_graph(rng, name, max_tokens=8, max_deps=6, with_alternates=False):
     tokens = []
     for i in range(n):
         lemma = rng.choice(GRAB_BAG)
-        alternates = set()
+        alternates = frozenset()
         if with_alternates and rng.random() < 0.4:
-            alternates = {rng.choice(GRAB_BAG)} - {lemma}
+            alternates = frozenset({rng.choice(GRAB_BAG)} - {lemma})
         tokens.append(TokenNode(i, lemma, lemma, rng.choice(GRAB_POS),
                                 alternates=alternates))
     graph = DependencyGraph(name, name, tokens)

@@ -272,6 +272,17 @@ class TestBankRuns:
         assert run(capsys, "--config", BENCHMARK_CONFIG, "evaluate", "--bank", bank) == (
             EXIT_OK, "deriv\t0.8636363636363636\t3\n", "")
 
+    @pytest.mark.parametrize("command", [["ask", "--question", QUESTIONS[0]], ["evaluate"]],
+                             ids=["ask", "evaluate"])
+    def test_empty_bank_path_is_an_input_error(self, capsys, monkeypatch, command):
+        def refuse(*args, **kwargs):
+            raise AssertionError("an empty --bank built a bank from the config")
+
+        monkeypatch.setattr(pipeline, "build_bank", refuse)
+        code, out, err = run(capsys, "--config", BENCHMARK_CONFIG, *command, "--bank", "")
+        assert (code, out) == (EXIT_INPUT, "")
+        assert len(err.splitlines()) == 1
+
     @pytest.mark.parametrize("name", SKIPPED_BY_BANK_RUNS)
     def test_skipped_file_edit_makes_the_bank_foreign(self, capsys, tmp_path, name):
         (tmp_path / "patterns.txt").write_bytes(packaged_data("patterns.txt").read_bytes())

@@ -1,7 +1,9 @@
+import gc
 import json
 
 import pytest
 
+from derivqa import pipeline
 from derivqa.depgraph import (
     ATTRIBUTE,
     BASE,
@@ -191,9 +193,11 @@ class TestGraphComparison:
     def test_copy_graph_is_deep_enough(self, lexicon):
         a = toy_parse("la coupure du courant .", lexicon)
         b = copy_graph(a)
-        b.tokens[1].alternates.add("interruption")
+        b.tokens[1].features["proper"] = "true"
+        b.tokens[1].alternates = frozenset({"interruption"})
         b.deps.append(Dependency(MODIFIER, (1, 1), provenance=DERIVATIONAL))
-        assert a.tokens[1].alternates == set()
+        assert a.tokens[1].features == {}
+        assert a.tokens[1].alternates == frozenset()
         assert len(a.deps) == 1
 
 
@@ -226,7 +230,7 @@ class TestBankSerialization:
             toy_parse("l'ouvrier coupa le courant .", lexicon, "s1"),
             toy_parse("Domitien est le successeur de l'empereur .", lexicon, "s2"),
         ]
-        graphs[0].tokens[1].alternates.add("artisan")
+        graphs[0].tokens[1].alternates = frozenset({"artisan"})
         graphs[0].tokens[1].sense_id = 1
         path = tmp_path / "bank.jsonl"
         save_depbank(DependencyBank(graphs, "deriv", "f00d"), path)
@@ -443,3 +447,29 @@ class TestBankFieldTypes:
         assert first.deps[0] is second.deps[0]
         assert second.deps == [Dependency(SUBJECT, (0, 0)),
                                Dependency(SUBJECT, (0, 0), provenance=DERIVATIONAL)]
+
+
+class TestLoadedBankFootprint:
+    """A loaded bank allocates few objects for the garbage collector to walk:
+    slotted tokens, one shared empty alternates, shared dependencies."""
+
+    def test_load_tracks_one_object_per_token_and_three_per_graph(self, tmp_path,
+                                                                  benchmark_resources):
+        path = tmp_path / "bank.jsonl"
+        save_depbank(pipeline.build_bank(benchmark_resources, "all"), path)
+        gc.collect()
+        before = len(gc.get_objects())
+        bank = load_depbank(path)
+        gc.collect()
+        new = len(gc.get_objects()) - before
+
+        tokens = [t for graph in bank for t in graph.tokens]
+        with_alternates = sum(1 for t in tokens if t.alternates)
+        dependencies = len({id(d) for graph in bank for d in graph.deps})
+        assert 0 < with_alternates < len(tokens)
+        # Per graph: the graph, its token list and its dependency list; then
+        # each non-empty alternates set and each distinct dependency.
+        assert new <= len(tokens) + 3 * len(bank) + with_alternates + dependencies + 8
+        empty = {id(t.alternates) for t in tokens if not t.alternates}
+        assert empty == {id(TokenNode(0, "x", "x", NOUN).alternates)}
+        assert not any(hasattr(t, "__dict__") for t in tokens)

@@ -75,10 +75,9 @@ def graphs(draw, max_tokens=8, max_deps=6, with_alternates=False, mixed=False,
     tokens = []
     for i in range(n):
         lemma = draw(lemmas)
-        alternates = set()
+        alternates = frozenset()
         if with_alternates:
-            alternates = set(draw(st.lists(lemmas, max_size=2)))
-            alternates.discard(lemma)
+            alternates = frozenset(draw(st.lists(lemmas, max_size=2))) - {lemma}
         tokens.append(TokenNode(i, lemma, lemma, draw(POSES),
                                 alternates=alternates))
     graph = DependencyGraph(draw(st.uuids()).hex[:6], "text", tokens)
