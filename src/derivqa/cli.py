@@ -87,7 +87,7 @@ def _load_bank(res, args):
 
 def cmd_build_resource(res: pipeline.Resources, args) -> int:
     stats = res.resource.stats
-    if args.out:
+    if args.out is not None:
         derivfilter.save_resource(res.resource, args.out)
     print(f"entries processed: {stats.entries_processed}")
     print(f"candidates generated: {stats.candidates_generated}")
@@ -131,7 +131,7 @@ def cmd_evaluate(res: pipeline.QuestionResources, args) -> int:
             require_full_match=res.config.require_full_match)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    if args.out:
+    if args.out is not None:
         qaengine.write_report(report, args.out)
     print(f"{report.mode}\t{float(report.mean_score)!r}\t{report.no_answer_count}")
     return EXIT_OK
@@ -140,7 +140,7 @@ def cmd_evaluate(res: pipeline.QuestionResources, args) -> int:
 def cmd_stats(res: pipeline.Resources, args) -> int:
     stats = res.resource.stats
     print(f"suffixes learned: {len(res.model.suffixes)}")
-    print(f"resource size: {res.resource.size()} derivatives "
+    print(f"resource size: {stats.derivatives_accepted} derivatives "
           f"over {len(res.resource.by_lemma)} lemmas")
     print(f"entries processed: {stats.entries_processed}")
     print(f"candidates generated: {stats.candidates_generated}")
@@ -153,7 +153,7 @@ def cmd_stats(res: pipeline.Resources, args) -> int:
     pct = (100 * covered / total) if total else 100.0
     print(f"sense examples compiled: {compiled} rules from "
           f"{covered}/{total} examples ({pct:.1f}%)")
-    if args.wsd_report:
+    if args.wsd_report is not None:
         wsd.dump_rules(res.compilation, args.wsd_report)
         print(f"rule dump written: {args.wsd_report}")
     return EXIT_OK
@@ -173,6 +173,10 @@ def main(argv=None) -> int:
     logging.basicConfig(
         level=logging.INFO if args.verbose else logging.WARNING,
         format="%(levelname)s %(name)s: %(message)s")
+    for name in ("out", "bank", "wsd_report"):
+        if getattr(args, name, None) == "":
+            print(f"error: --{name.replace('_', '-')} is an empty path", file=sys.stderr)
+            return EXIT_INPUT
     try:
         config = pipeline.load_config(args.config)
         config = _apply_overrides(config, args)

@@ -26,10 +26,11 @@ PREPPH = "PREPPH"
 MODIFIER = "MODIFIER"
 KNOWN_LABELS = frozenset({SUBJECT, DIROBJ, ATTRIBUTE, PREPPH, MODIFIER})
 
+# A dependency is parsed (BASE) or added by a derivation pattern; synonyms
+# are token alternates, not dependencies.
 BASE = "BASE"
-SYNONYM = "SYNONYM"
 DERIVATIONAL = "DERIVATIONAL"
-PROVENANCES = frozenset({BASE, SYNONYM, DERIVATIONAL})
+PROVENANCES = frozenset({BASE, DERIVATIONAL})
 
 DET = "DET"
 PREP = "PREP"

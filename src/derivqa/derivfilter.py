@@ -6,20 +6,8 @@ import random
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
-from .lexica import (
-    VERB,
-    VERBAL,
-    DerivInstruction,
-    Dictionary,
-    _write_lines,
-)
-from .morphogen import (
-    DEFAULT_EUPHONICS,
-    TooShortError,
-    _common_prefix,
-    corpus_filter,
-    generate_candidates,
-)
+from .lexica import VERB, DerivInstruction, Dictionary, _write_lines
+from .morphogen import TooShortError, _common_prefix, corpus_filter, generate_candidates
 
 log = logging.getLogger(__name__)
 
@@ -55,14 +43,17 @@ class DerivationalResource:
     # lemma -> corpus-attested candidates (None below the syllable floor)
     attested: dict = field(default_factory=dict, repr=False, compare=False)
 
-    def records_for(self, lemma: str) -> list:
-        return self.by_lemma.get(lemma, [])
+    def records_for(self, lemma: str, sense_id: int | None = None) -> list:
+        """The derivative records of `lemma` usable in sense `sense_id`: those
+        licensed for it, or all of them when the sense is None, since nothing
+        then narrows the sense down. An unknown lemma has none."""
+        records = self.by_lemma.get(lemma, [])
+        if sense_id is None:
+            return records
+        return [r for r in records if sense_id in r.licensed_senses]
 
     def all_records(self) -> list:
         return [r for lemma in sorted(self.by_lemma) for r in self.by_lemma[lemma]]
-
-    def size(self) -> int:
-        return sum(len(records) for records in self.by_lemma.values())
 
 
 def filter_by_instructions(candidates, senses) -> list[DerivativeRecord]:
@@ -99,7 +90,7 @@ def filter_by_instructions(candidates, senses) -> list[DerivativeRecord]:
 
 
 def build_resource(dictionary: Dictionary, model, corpus_lexicon,
-                   euphonics=DEFAULT_EUPHONICS) -> DerivationalResource:
+                   euphonics) -> DerivationalResource:
     """Run generate -> corpus filter -> instruction filter for every entry.
 
     Entries below the model's syllable floor are skipped, with a log line.
@@ -159,7 +150,7 @@ def symmetrize_instructions(dictionary: Dictionary, resource) -> Dictionary:
 
     For every verbal sense whose instruction produced a derivative D found in
     the resource, every dictionary sense of D in the same domain gains a
-    VERBAL instruction rebuilding the verb (suffix = verb ending after the
+    VERB instruction rebuilding the verb (suffix = verb ending after the
     common prefix of D and the verb). Returns a new `Dictionary` in which
     each sense that gains an instruction is a copy whose `instructions` end
     with its back-instructions; every other record is the input's own. The
@@ -169,11 +160,7 @@ def symmetrize_instructions(dictionary: Dictionary, resource) -> Dictionary:
     gained = {}  # id of a target record -> its new instructions
     added = 0
     for sense in [s for s in dictionary if s.pos == VERB]:
-        produced = {
-            r.surface: r
-            for r in resource.records_for(sense.lemma)
-            if sense.sense_id in r.licensed_senses
-        }
+        produced = {r.surface: r for r in resource.records_for(sense.lemma, sense.sense_id)}
         for ins in sense.instructions:
             for surface, record in sorted(produced.items()):
                 if record.suffix != ins.suffix:
@@ -184,7 +171,7 @@ def symmetrize_instructions(dictionary: Dictionary, resource) -> Dictionary:
                     verb_suffix = sense.lemma[len(_common_prefix(surface, sense.lemma)):]
                     if not verb_suffix:
                         continue
-                    back = DerivInstruction(VERB, verb_suffix, VERBAL)
+                    back = DerivInstruction(VERB, verb_suffix)
                     instructions = gained.get(id(target), target.instructions)
                     if back in instructions:
                         continue

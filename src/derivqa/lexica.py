@@ -20,17 +20,9 @@ ADJ = "ADJ"
 ADV = "ADV"
 CONTENT_POS = frozenset({NOUN, VERB, ADJ, ADV})
 
-# Kinds of derivational instruction, and the target part of speech each implies.
-NOMINAL = "NOMINAL"
-VERBAL_ADJECTIVE = "VERBAL_ADJECTIVE"
-ADVERBIAL = "ADVERBIAL"
-VERBAL = "VERBAL"
-KIND_TARGET_POS = {
-    NOMINAL: NOUN,
-    VERBAL_ADJECTIVE: ADJ,
-    ADVERBIAL: ADV,
-    VERBAL: VERB,
-}
+# Kinds of derivational instruction in the code table, and the target part
+# of speech each implies.
+KIND_TARGET_POS = {"NOMINAL": NOUN, "VERBAL_ADJECTIVE": ADJ, "ADVERBIAL": ADV, "VERBAL": VERB}
 
 WILDCARD_SENSE = "*"
 
@@ -53,18 +45,7 @@ class DerivInstruction:
 
     target_pos: str
     suffix: str
-    kind: str
     code_letter: str | None = None
-
-    def __post_init__(self):
-        if self.kind not in KIND_TARGET_POS:
-            raise ValueError(f"unknown instruction kind: {self.kind!r}")
-        if KIND_TARGET_POS[self.kind] != self.target_pos:
-            raise ValueError(
-                f"kind {self.kind} implies {KIND_TARGET_POS[self.kind]}, got {self.target_pos}"
-            )
-        if not self.suffix:
-            raise ValueError("instruction suffix must be nonempty")
 
 
 @dataclass
@@ -82,23 +63,8 @@ class SenseRecord:
     pos: str
     domain_code: str = ""
     examples: tuple[str, ...] = ()
-    conjugation_code: str = ""
     construction_codes: tuple[str, ...] = ()
     instructions: tuple[DerivInstruction, ...] = ()
-
-    def __post_init__(self):
-        if self.pos not in CONTENT_POS:
-            raise ValueError(f"{self.lemma}: bad pos {self.pos!r}")
-        if self.sense_id < 1:
-            raise ValueError(f"{self.lemma}: sense_id must be >= 1")
-        if self.pos == VERB:
-            if not self.conjugation_code:
-                raise ValueError(f"{self.lemma}/{self.sense_id}: verb sense needs a conjugation code")
-        else:
-            if self.conjugation_code or self.construction_codes:
-                raise ValueError(
-                    f"{self.lemma}/{self.sense_id}: conjugation/construction codes are verb-only"
-                )
 
 
 class Dictionary(tuple):
@@ -126,8 +92,10 @@ def load_dictionary(path, code_table) -> Dictionary:
     Columns: lemma, sense_id, pos, domain, class, operator, gloss,
     examples (;-separated), conjugation, constructions (;-separated),
     derivation codes, level. Class, operator and gloss are read and
-    dropped; level must be empty or an integer, and is not kept. The codes
-    become each record's `instructions` through `code_table` (see
+    dropped. Level must be empty or an integer; a verb sense needs a
+    conjugation code, and no other sense may have conjugation or
+    construction codes. Level and conjugation are checked, not kept. The
+    codes become each record's `instructions` through `code_table` (see
     `load_code_table`); each distinct code string is parsed once, so an
     unknown letter is logged once per string. Files for different parts of
     speech may be loaded separately and concatenated by the caller, as
@@ -148,20 +116,26 @@ def load_dictionary(path, code_table) -> Dictionary:
         seen.add(key)
         if codes not in resolved:
             resolved[codes] = tuple(parse_derivation_codes(codes, code_table))
-        try:
-            rec = SenseRecord(
-                lemma=lemma,
-                sense_id=sense_num,
-                pos=pos,
-                domain_code=domain,
-                examples=_split_multi(examples),
-                conjugation_code=conjugation,
-                construction_codes=_split_multi(constructions),
-                instructions=resolved[codes],
-            )
-        except ValueError as exc:
-            raise LexiconError(path, lineno, str(exc))
-        records.append(rec)
+        if pos not in CONTENT_POS:
+            raise LexiconError(path, lineno, f"{lemma}: bad pos {pos!r}")
+        if sense_num < 1:
+            raise LexiconError(path, lineno, f"{lemma}: sense_id must be >= 1")
+        construction_codes = _split_multi(constructions)
+        if pos == VERB and not conjugation:
+            raise LexiconError(path, lineno,
+                               f"{lemma}/{sense_num}: verb sense needs a conjugation code")
+        if pos != VERB and (conjugation or construction_codes):
+            raise LexiconError(path, lineno,
+                               f"{lemma}/{sense_num}: conjugation/construction codes are verb-only")
+        records.append(SenseRecord(
+            lemma=lemma,
+            sense_id=sense_num,
+            pos=pos,
+            domain_code=domain,
+            examples=_split_multi(examples),
+            construction_codes=construction_codes,
+            instructions=resolved[codes],
+        ))
     return Dictionary(records)
 
 
@@ -184,10 +158,14 @@ def load_code_table(path) -> dict[str, DerivInstruction]:
                                f"code letter must be a single letter or digit: {letter!r}")
         if letter in table:
             raise LexiconError(path, lineno, f"duplicate code letter {letter!r}")
-        try:
-            table[letter] = DerivInstruction(target_pos, suffix, kind, code_letter=letter)
-        except ValueError as exc:
-            raise LexiconError(path, lineno, str(exc))
+        if kind not in KIND_TARGET_POS:
+            raise LexiconError(path, lineno, f"unknown instruction kind: {kind!r}")
+        if KIND_TARGET_POS[kind] != target_pos:
+            raise LexiconError(path, lineno,
+                               f"kind {kind} implies {KIND_TARGET_POS[kind]}, got {target_pos}")
+        if not suffix:
+            raise LexiconError(path, lineno, "instruction suffix must be nonempty")
+        table[letter] = DerivInstruction(target_pos, suffix, code_letter=letter)
     return table
 
 

@@ -46,10 +46,6 @@ class EuphonicRule:
         return stem[: len(stem) - len(self.stem_tail)] + self.replacement
 
 
-# Final mute e drops before a vowel-initial suffix (coupe + -ure -> coupure).
-DEFAULT_EUPHONICS = (EuphonicRule("e", "", "vowel"),)
-
-
 def load_euphonic_rules(path) -> tuple[EuphonicRule, ...]:
     """Load "stem_tail<TAB>replacement<TAB>before" rows, in file order."""
     rules = []
@@ -159,7 +155,7 @@ def stem_candidates(lemma: str, model: SuffixModel) -> list[str]:
     return ordered[: model.max_stems_per_lemma]
 
 
-def euphonic_surfaces(stem: str, suffix: str, rules=DEFAULT_EUPHONICS) -> list[str]:
+def euphonic_surfaces(stem: str, suffix: str, rules) -> list[str]:
     """All spellings of stem + suffix: plain gluing plus one per matching rule."""
     surfaces = [stem + suffix]
     for rule in rules:
@@ -170,8 +166,7 @@ def euphonic_surfaces(stem: str, suffix: str, rules=DEFAULT_EUPHONICS) -> list[s
     return surfaces
 
 
-def generate_candidates(lemma: str, model: SuffixModel,
-                        euphonics=DEFAULT_EUPHONICS) -> list[CandidateDerivative]:
+def generate_candidates(lemma: str, model: SuffixModel, euphonics) -> list[CandidateDerivative]:
     """Cross candidate stems with the suffix inventory.
 
     Every stem is also emitted bare (suffix "") to cover conversion, e.g.

@@ -242,10 +242,9 @@ def enrich_for_mode(graph, res: Resources, mode: str):
     """
     if mode == "baseline":
         return graph
-    if mode == "base":
-        return rephrase.enrich_synonyms(graph, res.synonyms)
-    if mode in ("deriv", "all"):
-        return rephrase.enrich(graph, res.synonyms, res.patterns, res.resource,
+    if mode in MODES:
+        patterns = () if mode == "base" else res.patterns
+        return rephrase.enrich(graph, res.synonyms, patterns, res.resource,
                                res.dictionary, compose=mode == "all")
     raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
 

@@ -37,7 +37,6 @@ from .depgraph import (
     copy_graph,
 )
 from .lexica import CONTENT_POS, Dictionary, LexiconError, _read_lines
-from .wsd import select_derivatives
 
 log = logging.getLogger(__name__)
 
@@ -56,9 +55,6 @@ class DepTemplate:
     label: str
     args: tuple
     prep: str | None = None
-
-    def variables(self) -> set:
-        return set(self.args)
 
 
 @dataclass(frozen=True)
@@ -79,10 +75,6 @@ class PatternMatch:
     pattern: DerivationPattern
     bindings: dict
     derivative: object  # DerivativeRecord
-
-    @property
-    def pattern_id(self) -> str:
-        return self.pattern.pattern_id
 
 
 _TEMPLATE_RE = re.compile(r"^([A-Z]+)\(([^()]*)\)$")
@@ -127,12 +119,12 @@ def parse_patterns(path) -> list:
                 raise PatternError(path, lineno, f"block missing {required} line")
         inputs = tuple(fields["IN"])
         outputs = tuple(fields["OUT"])
-        bound = set().union(*(t.variables() for t in inputs))
+        bound = set().union(*(t.args for t in inputs))
         if PIVOT_VAR not in bound:
             raise PatternError(path, lineno, f"pivot variable {PIVOT_VAR} unused in IN templates")
         if DERIV_VAR in bound:
             raise PatternError(path, lineno, f"{DERIV_VAR} is reserved for OUT templates")
-        produced = set().union(*(t.variables() for t in outputs))
+        produced = set().union(*(t.args for t in outputs))
         unbound = produced - bound - {DERIV_VAR}
         if unbound:
             raise PatternError(path, lineno, f"unbound output variables: {sorted(unbound)}")
@@ -211,13 +203,13 @@ def enrich_synonyms(graph: DependencyGraph, synonyms) -> DependencyGraph:
 
 
 def _enumerate_bindings(templates, deps, pivot: int) -> list:
-    """All total assignments of template variables to token indices."""
+    """All total assignments of template variables to token indices, one per
+    way of choosing `deps`; `match_pattern` drops repeated ones."""
     results = []
 
     def extend(index, binding):
         if index == len(templates):
-            if binding not in results:
-                results.append(binding)
+            results.append(binding)
             return
         template = templates[index]
         for dep in deps:
@@ -275,7 +267,7 @@ def match_pattern(graph: DependencyGraph, pattern: DerivationPattern, pivot: int
             senses = [s for s in by_lemma.get(lemma, []) if s.pos == pattern.pivot_pos]
             if not _construction_ok(pattern, senses, sense_id):
                 continue
-            for record in select_derivatives(lemma, sense_id, resource):
+            for record in resource.records_for(lemma, sense_id):
                 if record.target_pos != pattern.deriv_pos or record.suffix != pattern.deriv_suffix:
                     continue
                 key = (record, tuple(sorted(binding.items())))
@@ -295,8 +287,9 @@ def apply_pattern(graph: DependencyGraph, match: PatternMatch) -> TokenNode:
     derivative).
     """
     record = match.derivative
+    pattern_id = match.pattern.pattern_id
     token = next((t for t in graph.tokens
-                  if t.features.get("deriv_pattern") == match.pattern_id
+                  if t.features.get("deriv_pattern") == pattern_id
                   and t.lemma == record.surface), None)
     if token is None:
         token = TokenNode(
@@ -304,7 +297,7 @@ def apply_pattern(graph: DependencyGraph, match: PatternMatch) -> TokenNode:
             surface=record.surface,
             lemma=record.surface,
             pos=record.target_pos,
-            features={"deriv_pattern": match.pattern_id,
+            features={"deriv_pattern": pattern_id,
                       "deriv_source": record.source_lemma},
         )
         graph.tokens.append(token)

@@ -43,8 +43,9 @@ class DependencyConstraint:
 
 @dataclass(frozen=True)
 class WsdRule:
-    lemma: str
-    pos: str
+    """The rule of one example of a sense; `RuleCompilation.rules` files it
+    under the sense's (lemma, pos)."""
+
     sense_id: int
     constraints: tuple
 
@@ -88,7 +89,7 @@ def compile_rules(dictionary, lexicon) -> RuleCompilation:
                 slot = dep.args.index(token.index)
                 other = graph.tokens[dep.args[1 - slot]].lemma
                 constraints.append(DependencyConstraint(dep.label, slot, other, dep.prep))
-            rule = WsdRule(sense.lemma, sense.pos, sense.sense_id, tuple(constraints))
+            rule = WsdRule(sense.sense_id, tuple(constraints))
             compilation.rules.setdefault((sense.lemma, sense.pos), []).append(rule)
     return compilation
 
@@ -131,20 +132,6 @@ def disambiguate(graph, compilation: RuleCompilation, dictionary: Dictionary,
         else:
             stats.unresolved += 1
     return graph
-
-
-def select_derivatives(lemma: str, sense_id, resource):
-    """Derivative records usable for a word in a given sense.
-
-    With a concrete sense, a record qualifies when it is licensed for that
-    sense. With sense None the whole record list is
-    returned: when nothing narrows the sense down, every derivative of the
-    word stays available. Unknown lemmas yield an empty list.
-    """
-    records = resource.records_for(lemma)
-    if sense_id is None:
-        return list(records)
-    return [r for r in records if sense_id in r.licensed_senses]
 
 
 def dump_rules(compilation: RuleCompilation, path):

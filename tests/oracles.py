@@ -97,9 +97,9 @@ def plain_build(records, model, corpus_lexicon, euphonics):
 
 def deep_symmetrize(records, by_lemma) -> list:
     """Reference symmetrize on a deep copy of every record: each same-domain
-    non-verb sense of a verb's licensed derivative gains a VERBAL
+    non-verb sense of a verb's licensed derivative gains a VERB
     instruction for the verb's ending after the common prefix."""
-    from derivqa.lexica import VERB, VERBAL, DerivInstruction
+    from derivqa.lexica import VERB, DerivInstruction
 
     augmented = copy.deepcopy(list(records))
     for sense in [r for r in augmented if r.pos == VERB]:
@@ -113,7 +113,7 @@ def deep_symmetrize(records, by_lemma) -> list:
                     if (target.lemma != record.surface or target.pos == VERB
                             or target.domain_code != sense.domain_code or not ending):
                         continue
-                    back = DerivInstruction(VERB, ending, VERBAL)
+                    back = DerivInstruction(VERB, ending)
                     if back not in target.instructions:
                         target.instructions += (back,)
     return augmented

@@ -47,7 +47,7 @@ from derivqa.lexica import (
 from derivqa.morphogen import CandidateDerivative, corpus_filter, generate_candidates
 from derivqa.qaengine import QuestionStructure, answer, dep_match, evaluate
 from derivqa.rephrase import apply_pattern, enrich, match_pattern
-from derivqa.wsd import disambiguate, select_derivatives
+from derivqa.wsd import disambiguate
 
 
 # -- 1: over-generation plus corpus and instruction filters, single family --
@@ -81,8 +81,8 @@ def test_sense_conditional_licensing_of_derivatives(benchmark_resources):
     assert by_surface["formalisation"].licensed_senses == frozenset({2})
     assert by_surface["formalisé"].licensed_senses == frozenset({2})
 
-    sense1 = select_derivatives("formaliser", 1, resource)
-    sense2 = select_derivatives("formaliser", 2, resource)
+    sense1 = resource.records_for("formaliser", 1)
+    sense2 = resource.records_for("formaliser", 2)
     assert sense1 == []
     assert {r.surface for r in sense2} == {"formalisation", "formalisé"}
 
@@ -256,7 +256,6 @@ def test_filter_matches_oracle_on_random_pairs_and_audit_counts(benchmark_resour
             chosen = rng.sample(letters, rng.randint(0, len(letters)))
             senses.append(SenseRecord(
                 lemma="couper", sense_id=sense_id, pos=VERB,
-                conjugation_code="1",
                 instructions=tuple(parse_derivation_codes("-".join(chosen), code_table))))
         candidates = []
         for _ in range(10):

@@ -272,16 +272,22 @@ class TestBankRuns:
         assert run(capsys, "--config", BENCHMARK_CONFIG, "evaluate", "--bank", bank) == (
             EXIT_OK, "deriv\t0.8636363636363636\t3\n", "")
 
-    @pytest.mark.parametrize("command", [["ask", "--question", QUESTIONS[0]], ["evaluate"]],
-                             ids=["ask", "evaluate"])
-    def test_empty_bank_path_is_an_input_error(self, capsys, monkeypatch, command):
+    @pytest.mark.parametrize("command, flag", [
+        (["ask", "--question", QUESTIONS[0]], "--bank"),
+        (["evaluate"], "--bank"),
+        (["build-resource"], "--out"),
+        (["preprocess"], "--out"),
+        (["evaluate"], "--out"),
+        (["stats"], "--wsd-report"),
+    ], ids=["ask", "evaluate", "build-resource-out", "preprocess-out", "evaluate-out",
+            "stats-wsd-report"])
+    def test_empty_bank_path_is_an_input_error(self, capsys, monkeypatch, command, flag):
         def refuse(*args, **kwargs):
-            raise AssertionError("an empty --bank built a bank from the config")
+            raise AssertionError(f"an empty {flag} loaded resources")
 
-        monkeypatch.setattr(pipeline, "build_bank", refuse)
-        code, out, err = run(capsys, "--config", BENCHMARK_CONFIG, *command, "--bank", "")
-        assert (code, out) == (EXIT_INPUT, "")
-        assert len(err.splitlines()) == 1
+        monkeypatch.setattr(pipeline, "load_question_resources", refuse)
+        code, out, err = run(capsys, "--config", BENCHMARK_CONFIG, *command, flag, "")
+        assert (code, out, err) == (EXIT_INPUT, "", f"error: {flag} is an empty path\n")
 
     @pytest.mark.parametrize("name", SKIPPED_BY_BANK_RUNS)
     def test_skipped_file_edit_makes_the_bank_foreign(self, capsys, tmp_path, name):

@@ -27,6 +27,9 @@ EXEMPT_FIELDS = {
 # constants hold: load_config, validate and _fingerprint read config fields so.
 GETATTR_CLASS = "PipelineConfig"
 
+# The receiver of reads through `self` in `__post_init__`, which is no class.
+CHECK_ONLY = "<__post_init__>"
+
 
 def _trees(*roots):
     for root in roots:
@@ -103,8 +106,14 @@ def _attribute_reads(node, types, reads):
         types = {**types, "self": node.name}
     elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
         args = node.args
+        owner = types.get("self")
         types = {**types, **{a.arg: _annotated_class(a.annotation)
                              for a in [*args.posonlyargs, *args.args, *args.kwonlyargs]}}
+        if owner is not None:
+            # `self` keeps its class in a method, except in `__post_init__`:
+            # a value read only there is kept only to be checked, not used
+            types["self"] = (CHECK_ONLY if getattr(node, "name", None) == "__post_init__"
+                             else owner)
     elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
         receiver = types.get(node.value.id) if isinstance(node.value, ast.Name) else None
         reads.add((receiver, node.attr))

@@ -15,7 +15,6 @@ from derivqa.depgraph import (
     PREPPH,
     PRON,
     SUBJECT,
-    SYNONYM,
     DepbankError,
     Dependency,
     DependencyBank,
@@ -186,7 +185,7 @@ class TestGraphComparison:
     def test_graph_equal_sees_provenance(self, lexicon):
         a = toy_parse("la coupure du courant .", lexicon)
         b = copy_graph(a)
-        b.deps = [Dependency(d.label, d.args, d.prep, SYNONYM) for d in b.deps]
+        b.deps = [Dependency(d.label, d.args, d.prep, DERIVATIONAL) for d in b.deps]
         assert not graph_equal(a, b)
         assert graph_equal(a, b, ignore_provenance=True)
 
@@ -418,8 +417,9 @@ class TestBankFieldTypes:
         (["PREPPH", 0, 0, None, "BASE"], "PREPPH takes two token args and a preposition string"),
         (["SUBJECT", 0, 0, "de", "BASE"], "SUBJECT takes exactly two token args and no prep"),
         (["SUBJECT", 0, 0, None, ["BASE"]], "unhashable type: 'list'"),
+        (["SUBJECT", 0, 0, None, "SYNONYM"], "unknown provenance 'SYNONYM'"),
     ], ids=["label-int", "label-foreign", "prep-list", "prep-missing", "prep-extra",
-            "provenance-list"])
+            "provenance-list", "provenance-synonym"])
     def test_rejects_bad_dependency_field(self, tmp_path, dep, message):
         write_record(tmp_path / "bank.jsonl", deps=[dep])
         with pytest.raises(DepbankError, match=f"bad dependency record: {message}"):

@@ -19,7 +19,6 @@ from derivqa.lexica import (
     ADJ,
     NOUN,
     VERB,
-    VERBAL,
     DerivInstruction,
     Dictionary,
     SenseRecord,
@@ -34,7 +33,6 @@ CODE_TABLE = load_code_table(packaged_data("code_table.tsv"))
 
 def verb_sense(lemma, sense_id, codes, domain="GEN"):
     return SenseRecord(lemma=lemma, sense_id=sense_id, pos=VERB, domain_code=domain,
-                       conjugation_code="1",
                        instructions=tuple(parse_derivation_codes(codes, CODE_TABLE)))
 
 
@@ -89,12 +87,37 @@ class TestInstructionFilter:
         }
 
 
+class TestDerivativeSelection:
+    RESOURCE = DerivationalResource(by_lemma={
+        "formaliser": [
+            DerivativeRecord("formalisation", NOUN, "ation", "formaliser",
+                             frozenset({2})),
+            DerivativeRecord("formalisé", "ADJ", "é", "formaliser",
+                             frozenset({2})),
+        ],
+    })
+
+    def test_licensed_sense_selects(self):
+        records = self.RESOURCE.records_for("formaliser", 2)
+        assert {r.surface for r in records} == {"formalisation", "formalisé"}
+
+    def test_unlicensed_sense_selects_nothing(self):
+        assert self.RESOURCE.records_for("formaliser", 1) == []
+
+    def test_none_sense_keeps_everything(self):
+        records = self.RESOURCE.records_for("formaliser", None)
+        assert {r.surface for r in records} == {"formalisation", "formalisé"}
+
+    def test_unknown_lemma(self):
+        assert self.RESOURCE.records_for("absent", 1) == []
+
+
 class TestBuildResource:
     def test_benchmark_statistics(self, benchmark_resources):
         stats = benchmark_resources.resource.stats
         assert stats.entries_processed == 18
         assert stats.derivatives_accepted == 23
-        assert benchmark_resources.resource.size() == 23
+        assert sum(map(len, benchmark_resources.resource.by_lemma.values())) == 23
 
     def test_records_sorted_and_deduped(self, benchmark_resources):
         resource = benchmark_resources.resource
@@ -111,9 +134,8 @@ class TestBuildResource:
 
     def test_too_short_entries_are_skipped(self, benchmark_resources, benchmark_filter_inputs):
         model = benchmark_resources.model
-        corpus_lexicon, _ = benchmark_filter_inputs
         dictionary = Dictionary([verb_sense("gir", 1, "-U-")])
-        resource = build_resource(dictionary, model, corpus_lexicon)
+        resource = build_resource(dictionary, model, *benchmark_filter_inputs)
         assert resource.by_lemma == {}
         assert resource.stats.entries_processed == 1
         assert resource.stats.candidates_generated == 0
@@ -192,9 +214,9 @@ class TestSymmetrize:
 
     def test_coded_instruction_does_not_hide_the_back_instruction(
             self, benchmark_resources, benchmark_filter_inputs):
-        # coupure carries a coded VERBAL instruction with the suffix of its
+        # coupure carries a coded VERB instruction with the suffix of its
         # back-instruction to couper; the two differ only in code_letter.
-        table = {**CODE_TABLE, "V": DerivInstruction(VERB, "er", VERBAL, code_letter="V")}
+        table = {**CODE_TABLE, "V": DerivInstruction(VERB, "er", code_letter="V")}
         coded = tuple(parse_derivation_codes("-V-", table))
         dictionary = Dictionary([
             verb_sense("couper", 1, "-U-"),
@@ -204,7 +226,7 @@ class TestSymmetrize:
         resource = build_resource(dictionary, benchmark_resources.model,
                                   *benchmark_filter_inputs)
         augmented = symmetrize_instructions(dictionary, resource)
-        back = DerivInstruction(VERB, "er", VERBAL)
+        back = DerivInstruction(VERB, "er")
         assert augmented.senses["coupure"][0].instructions == coded + (back,)
         assert relicense(resource, augmented).stats.instructions_total == 3
 

@@ -8,7 +8,6 @@ from derivqa.lexica import (
     ADV,
     NOUN,
     VERB,
-    DerivInstruction,
     Dictionary,
     LexiconError,
     SenseRecord,
@@ -30,7 +29,7 @@ DICT_ROW = ("vendre\t1\tVERB\tGEN\t2\tinstr\tcéder contre paiement\t"
 def pos_dictionary(*rows):
     """A dictionary with one sense per (lemma, pos) row."""
     return Dictionary(
-        SenseRecord(lemma, sense_id, pos, conjugation_code="1" if pos == VERB else "")
+        SenseRecord(lemma, sense_id, pos)
         for sense_id, (lemma, pos) in enumerate(rows, start=1))
 
 
@@ -90,14 +89,27 @@ class TestDictionary:
     def test_verb_requires_conjugation(self, tmp_path):
         row = DICT_ROW.replace("\t3\tT\t", "\t\tT\t")
         path = write(tmp_path, "d.tsv", row + "\n")
-        with pytest.raises(LexiconError, match="conjugation"):
+        with pytest.raises(LexiconError) as info:
             load_dictionary(path, CODE_TABLE)
+        assert str(info.value) == f"{path}:1: vendre/1: verb sense needs a conjugation code"
 
     def test_non_verb_rejects_verb_only_codes(self, tmp_path):
-        row = "navire\t1\tNOUN\tGEN\t2\t\tbateau\tle navire .\t3\t\t- -\t1"
-        path = write(tmp_path, "d.tsv", row + "\n")
-        with pytest.raises(LexiconError, match="verb-only"):
-            load_dictionary(path, CODE_TABLE)
+        for conjugation, constructions in (("3", ""), ("", "T")):
+            row = (f"navire\t1\tNOUN\tGEN\t2\t\tbateau\tle navire .\t{conjugation}\t"
+                   f"{constructions}\t- -\t1")
+            path = write(tmp_path, "d.tsv", row + "\n")
+            with pytest.raises(LexiconError) as info:
+                load_dictionary(path, CODE_TABLE)
+            assert str(info.value) == (
+                f"{path}:1: navire/1: conjugation/construction codes are verb-only")
+
+    def test_rejects_bad_pos_and_sense_id(self, tmp_path):
+        for old, new, message in (("\tVERB\t", "\tPRON\t", "vendre: bad pos 'PRON'"),
+                                  ("vendre\t1\t", "vendre\t0\t", "vendre: sense_id must be >= 1")):
+            path = write(tmp_path, "d.tsv", DICT_ROW.replace(old, new) + "\n")
+            with pytest.raises(LexiconError) as info:
+                load_dictionary(path, CODE_TABLE)
+            assert str(info.value) == f"{path}:1: {message}"
 
     def test_error_message_carries_path_and_line(self, tmp_path):
         path = write(tmp_path, "d.tsv", "# one\n\nbad row\n")
@@ -164,11 +176,16 @@ class TestCodeTable:
         table = load_code_table(packaged_data("code_table.tsv"))
         assert parse_derivation_codes("- - -", table) == []
 
-    def test_instruction_kind_checks_pos(self):
-        with pytest.raises(ValueError, match="implies"):
-            DerivInstruction(target_pos=NOUN, suffix="eur", kind="ADVERBIAL")
-        with pytest.raises(ValueError, match="suffix"):
-            DerivInstruction(target_pos=NOUN, suffix="", kind="NOMINAL")
+    def test_instruction_kind_checks_pos(self, tmp_path):
+        for row, message in [
+            ("E\tADVERBIAL\tNOUN\teur", "kind ADVERBIAL implies ADV, got NOUN"),
+            ("E\tNOMINAL\tNOUN\t", "instruction suffix must be nonempty"),
+            ("E\tPLURAL\tNOUN\ts", "unknown instruction kind: 'PLURAL'"),
+        ]:
+            path = write(tmp_path, "t.tsv", "Q\tVERBAL_ADJECTIVE\tADJ\té\n" + row + "\n")
+            with pytest.raises(LexiconError) as info:
+                load_code_table(path)
+            assert str(info.value) == f"{path}:2: {message}"
 
 
 class TestInflections:

@@ -3,7 +3,6 @@ import pytest
 import oracles
 from derivqa.lexica import InflectionEntry, LexiconError, load_inflections
 from derivqa.morphogen import (
-    DEFAULT_EUPHONICS,
     CandidateDerivative,
     EuphonicRule,
     SuffixModel,
@@ -16,6 +15,10 @@ from derivqa.morphogen import (
     stem_candidates,
     syllable_count,
 )
+from derivqa.pipeline import packaged_data
+
+# the mute-e rule: final e drops before a vowel-initial suffix
+PACKAGED_EUPHONICS = load_euphonic_rules(packaged_data("euphonics.tsv"))
 
 
 class TestSyllables:
@@ -133,10 +136,10 @@ class TestStemCandidates:
 
 class TestEuphonics:
     def test_default_rule_drops_mute_e(self):
-        assert euphonic_surfaces("coupe", "ure") == ["coupeure", "coupure"]
+        assert euphonic_surfaces("coupe", "ure", PACKAGED_EUPHONICS) == ["coupeure", "coupure"]
 
     def test_rule_skipped_before_consonant(self):
-        assert euphonic_surfaces("coupe", "ment") == ["coupement"]
+        assert euphonic_surfaces("coupe", "ment", PACKAGED_EUPHONICS) == ["coupement"]
 
     def test_rewriting_rule(self):
         rules = (EuphonicRule("éd", "ess", "vowel"),)
@@ -170,7 +173,7 @@ class TestGeneration:
                         max_stems_per_lemma=2, min_syllables=2)
 
     def test_bare_stems_and_dedupe(self):
-        candidates = generate_candidates("coupe", self.MODEL)
+        candidates = generate_candidates("coupe", self.MODEL, PACKAGED_EUPHONICS)
         surfaces = [c.surface for c in candidates]
         assert surfaces == ["coup", "coupe", "coupure", "coupee", "coupeure"]
         # duplicate surfaces keep the first (shorter-stem) candidate
@@ -181,11 +184,11 @@ class TestGeneration:
         model = SuffixModel(suffixes={}, min_stem_len=3,
                             max_stems_per_lemma=2, min_syllables=1)
         # bare stem "ami" has length min_stem_len, below the floor of one more
-        assert generate_candidates("ami", model) == []
+        assert generate_candidates("ami", model, PACKAGED_EUPHONICS) == []
 
     def test_rejects_short_lemma(self):
         with pytest.raises(TooShortError):
-            generate_candidates("rue", self.MODEL)
+            generate_candidates("rue", self.MODEL, PACKAGED_EUPHONICS)
 
 
 class TestCorpusFilter:

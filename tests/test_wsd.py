@@ -1,7 +1,6 @@
 import pytest
 
 from derivqa.depgraph import toy_parse
-from derivqa.derivfilter import DerivationalResource, DerivativeRecord
 from derivqa.lexica import NOUN, VERB, Dictionary
 from derivqa.wsd import (
     DependencyConstraint,
@@ -9,7 +8,6 @@ from derivqa.wsd import (
     compile_rules,
     disambiguate,
     dump_rules,
-    select_derivatives,
 )
 
 
@@ -98,31 +96,6 @@ class TestDisambiguation:
         disambiguate(graph, res.compilation, res.dictionary)
         noun = next(t for t in graph.tokens if t.lemma == "linge")
         assert noun.sense_id is None
-
-
-class TestDerivativeSelection:
-    RESOURCE = DerivationalResource(by_lemma={
-        "formaliser": [
-            DerivativeRecord("formalisation", NOUN, "ation", "formaliser",
-                             frozenset({2})),
-            DerivativeRecord("formalisé", "ADJ", "é", "formaliser",
-                             frozenset({2})),
-        ],
-    })
-
-    def test_licensed_sense_selects(self):
-        records = select_derivatives("formaliser", 2, self.RESOURCE)
-        assert {r.surface for r in records} == {"formalisation", "formalisé"}
-
-    def test_unlicensed_sense_selects_nothing(self):
-        assert select_derivatives("formaliser", 1, self.RESOURCE) == []
-
-    def test_none_sense_keeps_everything(self):
-        records = select_derivatives("formaliser", None, self.RESOURCE)
-        assert {r.surface for r in records} == {"formalisation", "formalisé"}
-
-    def test_unknown_lemma(self):
-        assert select_derivatives("absent", 1, self.RESOURCE) == []
 
 
 class TestDump:
