@@ -82,6 +82,8 @@ class PipelineConfig:
 
 def load_config(path) -> PipelineConfig:
     """Read a JSON config; relative paths resolve against the config's dir."""
+    if str(path) == "":  # Path("") is the current directory
+        raise ConfigError("--config is an empty path")
     path = Path(path)
     try:
         text = lexica._read_text(

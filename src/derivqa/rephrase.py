@@ -230,10 +230,12 @@ def _enumerate_bindings(templates, deps, pivot: int) -> list:
 
 
 def _construction_ok(pattern: DerivationPattern, senses, sense_id) -> bool:
-    """CONSTR is satisfied by a code prefix, and waived when codes are unknown."""
+    """CONSTR is satisfied by a code prefix of a pivot-pos sense, and waived
+    when codes are unknown."""
     if pattern.construction is None:
         return True
-    relevant = [s for s in senses if sense_id is None or s.sense_id == sense_id]
+    relevant = [s for s in senses if s.pos == pattern.pivot_pos
+                and (sense_id is None or s.sense_id == sense_id)]
     codes = [code for s in relevant for code in s.construction_codes]
     if not codes:
         return True
@@ -244,37 +246,36 @@ def match_pattern(graph: DependencyGraph, pattern: DerivationPattern, pivot: int
                   resource, dictionary: Dictionary, use_alternates: bool = False) -> list:
     """All ways `pattern` applies at the given pivot token.
 
-    Bindings are sought in BASE dependencies only. A match is produced per
-    (binding, eligible derivative); under composition (`use_alternates`)
-    the pivot's alternates are consulted as additional pivot lemmas.
+    Bindings are sought in BASE dependencies only, and only when the pivot
+    has an eligible derivative. A match is produced per (binding, eligible
+    derivative); under composition (`use_alternates`) the pivot's
+    alternates are consulted as additional pivot lemmas.
     Returns [] when the pivot's part of speech differs from the pattern's.
     """
     token = graph.tokens[pivot]
     if token.pos != pattern.pivot_pos:
         return []
-    base_deps = [d for d in graph.deps if d.provenance == BASE]
-    bindings_list = _enumerate_bindings(pattern.inputs, base_deps, pivot)
-    if not bindings_list:
-        return []
-    by_lemma = dictionary.senses
     pivot_lemmas = [(token.lemma, token.sense_id)]
     if use_alternates:
         pivot_lemmas.extend((alt, None) for alt in sorted(token.alternates))
+    records = []
+    for lemma, sense_id in pivot_lemmas:
+        eligible = [r for r in resource.records_for(lemma, sense_id)
+                    if r.target_pos == pattern.deriv_pos and r.suffix == pattern.deriv_suffix]
+        if eligible and _construction_ok(pattern, dictionary.senses.get(lemma, []), sense_id):
+            records.extend(eligible)
+    if not records:
+        return []
+    base_deps = [d for d in graph.deps if d.provenance == BASE]
     matches = []
     seen = set()
-    for binding in bindings_list:
-        for lemma, sense_id in pivot_lemmas:
-            senses = [s for s in by_lemma.get(lemma, []) if s.pos == pattern.pivot_pos]
-            if not _construction_ok(pattern, senses, sense_id):
+    for binding in _enumerate_bindings(pattern.inputs, base_deps, pivot):
+        for record in records:
+            key = (record, tuple(sorted(binding.items())))
+            if key in seen:
                 continue
-            for record in resource.records_for(lemma, sense_id):
-                if record.target_pos != pattern.deriv_pos or record.suffix != pattern.deriv_suffix:
-                    continue
-                key = (record, tuple(sorted(binding.items())))
-                if key in seen:
-                    continue
-                seen.add(key)
-                matches.append(PatternMatch(pattern, dict(binding), record))
+            seen.add(key)
+            matches.append(PatternMatch(pattern, dict(binding), record))
     return matches
 
 
@@ -314,15 +315,19 @@ def enrich(graph: DependencyGraph, synonyms, patterns, resource, dictionary,
            compose: bool = False) -> DependencyGraph:
     """Synonym alternates, then every pattern match, in one new graph.
 
-    Every pattern is tried at every token of `graph`, on the token's own
+    Each pattern is tried only at the tokens of `graph` whose part of
+    speech is the pattern's pivot part of speech, on the token's own
     lemma; matches are applied in deterministic order. Under `compose`
     patterns also pivot on the token's synonym alternates, and a derivative
     of the pivot's own lemma gets its own synonyms as alternates. A
     derivative reached only through an alternate gets none.
     """
     out = enrich_synonyms(graph, synonyms)
+    pivots = {}  # part of speech -> positions of the graph's own tokens
+    for position, token in enumerate(graph.tokens):
+        pivots.setdefault(token.pos, []).append(position)
     for pattern in patterns:
-        for pivot in range(len(graph.tokens)):
+        for pivot in pivots.get(pattern.pivot_pos, ()):
             lemma = out.tokens[pivot].lemma
             matches = match_pattern(out, pattern, pivot, resource, dictionary,
                                     use_alternates=compose)

@@ -157,6 +157,50 @@ def enumerate_bindings(pattern, deps, pivot: int) -> set:
     return results
 
 
+def plain_matches(graph, pattern, pivot: int, resource, dictionary, use_alternates: bool) -> list:
+    """Reference matcher: every exhaustive binding, in sorted order, and for
+    each one the pivot lemmas' derivatives filtered anew."""
+    from derivqa.depgraph import BASE
+    from derivqa.rephrase import PatternMatch, _construction_ok
+
+    token = graph.tokens[pivot]
+    if token.pos != pattern.pivot_pos:
+        return []
+    base = [d for d in graph.deps if d.provenance == BASE]
+    pivot_lemmas = [(token.lemma, token.sense_id)]
+    if use_alternates:
+        pivot_lemmas += [(alt, None) for alt in sorted(token.alternates)]
+    matches = []
+    for binding in sorted(enumerate_bindings(pattern, base, pivot), key=sorted):
+        for lemma, sense_id in pivot_lemmas:
+            if not _construction_ok(pattern, dictionary.senses.get(lemma, []), sense_id):
+                continue
+            for record in resource.records_for(lemma, sense_id):
+                match = PatternMatch(pattern, dict(binding), record)
+                if (record.target_pos == pattern.deriv_pos
+                        and record.suffix == pattern.deriv_suffix and match not in matches):
+                    matches.append(match)
+    return matches
+
+
+def plain_enrich(graph, synonyms, patterns, resource, dictionary, compose: bool = False):
+    """Reference enrichment: every pattern at every token, matched by
+    `plain_matches`, applied in the order `rephrase.enrich` sorts them."""
+    from derivqa.rephrase import apply_pattern, enrich_synonyms
+
+    out = enrich_synonyms(graph, synonyms)
+    for pattern in patterns:
+        for pivot in range(len(graph.tokens)):
+            lemma = out.tokens[pivot].lemma
+            matches = plain_matches(out, pattern, pivot, resource, dictionary, compose)
+            matches.sort(key=lambda m: (m.derivative.surface, sorted(m.bindings.items())))
+            for match in matches:
+                token = apply_pattern(out, match)
+                if compose and match.derivative.source_lemma == lemma:
+                    token.alternates |= synonyms.lookup(token.lemma, None) - {token.lemma}
+    return out
+
+
 def max_coverage_pairs(qgraph, tgraph, match_fn) -> int:
     """Size of the largest one-to-one question-to-sentence dep pairing,
     by trying every injective assignment."""

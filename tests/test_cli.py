@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -187,6 +188,21 @@ class TestBankConfiguration:
         assert run(capsys, "--config", BENCHMARK_CONFIG, "--mode", mode,
                    "evaluate", "--bank", bank) == (EXIT_OK, expected + "\n", "")
 
+    @pytest.mark.parametrize("mode, digest", [
+        ("baseline", "6af89a62eefb9d97870c3e529f2c50335a2d144ad663da7636b0eb14a5edb169"),
+        ("base", "117b756202d7aa544dff21bd59788a7cd65583f42120ccb2e9453fcbd1d7f6ff"),
+        ("deriv", "0e2a2fdcca36f9aae876b731defb1b689074fab55237467a048b1ccb1af3a6cf"),
+        ("all", "547d464027f9526852fb9d4ce15426901e0c13178a4d1d0e91bb852eb180ad89"),
+    ])
+    def test_preprocessed_bank_bytes(self, capsys, tmp_path, mode, digest):
+        """The fixture's banks, byte for byte: a change meant to leave the
+        output as it is must leave these digests as they are."""
+        bank = tmp_path / "bank.jsonl"
+        code, _, _ = run(capsys, "--config", BENCHMARK_CONFIG, "--mode", mode,
+                         "preprocess", "--out", str(bank))
+        assert code == EXIT_OK
+        assert hashlib.sha256(bank.read_bytes()).hexdigest() == digest
+
     def test_bank_from_another_mode(self, capsys, tmp_path):
         bank = str(tmp_path / "bank.jsonl")
         run(capsys, "--config", BENCHMARK_CONFIG, "--mode", "base", "preprocess", "--out", bank)
@@ -352,6 +368,10 @@ class TestStats:
 
 
 class TestExitCodes:
+    def test_empty_config_path(self, capsys):
+        assert run(capsys, "--config", "", "stats") == (
+            EXIT_CONFIG, "", "config error: --config is an empty path\n")
+
     def test_missing_config_file(self, capsys, tmp_path):
         code, out, err = run(capsys, "--config", str(tmp_path / "none.json"),
                              "stats")

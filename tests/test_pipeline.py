@@ -193,6 +193,13 @@ def fingerprint_of(directory, edit=None, **overrides) -> str:
 
 
 class TestFingerprint:
+    def test_benchmark_fixture_value(self, benchmark_config, benchmark_resources):
+        # A bank carries this value, so a change to what is hashed or how
+        # makes every bank built before it foreign.
+        pinned = "7c70dd5f3d55b130bf5ce6098b11cb3bb2242fe303b9561b2f5b651d21d7ccdb"
+        assert benchmark_resources.fingerprint == pinned
+        assert load_question_resources(benchmark_config).fingerprint == pinned
+
     def test_every_resource_file_changes_it(self, tmp_path):
         reference = fingerprint_of(tmp_path / "reference")
         assert len(reference) == 64 and set(reference) <= set("0123456789abcdef")

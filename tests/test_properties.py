@@ -5,7 +5,7 @@ import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -54,7 +54,7 @@ from derivqa.qaengine import (
     answer_baseline,
     dep_match,
 )
-from derivqa.rephrase import DepTemplate, DerivationPattern, match_pattern
+from derivqa.rephrase import DepTemplate, DerivationPattern, enrich, match_pattern
 
 # --- shared strategies ------------------------------------------------------
 
@@ -294,27 +294,48 @@ PATTERNS = [
 ]
 
 
+# "laver" has no -ure derivative; its alternate "couper" has "coupure"
+ALTERNATE_ONLY = DependencyGraph("alt", "text", [
+    TokenNode(0, "laver", "laver", VERB, alternates=frozenset({"couper"})),
+    TokenNode(1, "linge", "linge", NOUN)], [Dependency(DIROBJ, (0, 1))])
+
+
 @settings(max_examples=80)
-@given(graphs(), st.sampled_from(PATTERNS))
-def test_matcher_bindings_match_exhaustive_enumeration(benchmark_resources, graph, pattern):
+@given(graphs(with_alternates=True), st.sampled_from(PATTERNS), st.booleans())
+@example(ALTERNATE_ONLY, PATTERNS[1], True)
+def test_matcher_bindings_match_exhaustive_enumeration(benchmark_resources, graph, pattern,
+                                                       use_alternates):
     resource = benchmark_resources.resource
     base = [d for d in graph.deps if d.provenance == BASE]
     for pivot in range(len(graph.tokens)):
-        matches = match_pattern(graph, pattern, pivot, resource, Dictionary())
+        token = graph.tokens[pivot]
+        matches = match_pattern(graph, pattern, pivot, resource, Dictionary(),
+                                use_alternates=use_alternates)
         got = {frozenset(m.bindings.items()) for m in matches}
-        expected = oracles.enumerate_bindings(pattern, base, pivot)
-        if graph.tokens[pivot].pos != pattern.pivot_pos:
+        if token.pos != pattern.pivot_pos:
             assert got == set()
             continue
-        # every reported binding is a genuine exhaustive binding
-        assert got <= expected
-        # and when the pivot has an eligible derivative, nothing is missed
+        # every exhaustive binding is reported exactly when the pivot, or
+        # under `use_alternates` one of its alternates, has an eligible
+        # derivative; an alternate's sense is unknown, so all its records count
+        lemmas = [token.lemma] + (sorted(token.alternates) if use_alternates else [])
         eligible = [
-            r for r in resource.records_for(graph.tokens[pivot].lemma)
+            r for lemma in lemmas for r in resource.records_for(lemma)
             if r.target_pos == pattern.deriv_pos and r.suffix == pattern.deriv_suffix
         ]
-        if eligible:
-            assert got == expected
+        expected = oracles.enumerate_bindings(pattern, base, pivot)
+        assert got == (expected if eligible else set())
+
+
+@settings(max_examples=80, deadline=None)
+@given(graphs(with_alternates=True, mixed=True), st.booleans())
+@example(ALTERNATE_ONLY, True)
+def test_enrich_matches_plain_enrichment(benchmark_resources, graph, compose):
+    res = benchmark_resources
+    args = (graph, res.synonyms, res.patterns + PATTERNS, res.resource, res.dictionary)
+    got = enrich(*args, compose=compose)
+    want = oracles.plain_enrich(*args, compose=compose)
+    assert (got.tokens, got.deps) == (want.tokens, want.deps)
 
 
 # --- answer coverage vs exhaustive matching ---------------------------------

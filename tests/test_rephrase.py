@@ -1,6 +1,7 @@
 import pytest
 
 import oracles
+from conftest import FIXTURES
 from oracles import dep_signature, graph_equal
 from derivqa.depgraph import (
     BASE,
@@ -9,8 +10,16 @@ from derivqa.depgraph import (
     copy_graph,
     toy_parse,
 )
+from derivqa.derivfilter import DerivationalResource, DerivativeRecord
 from derivqa.lexica import NOUN, VERB, Dictionary
-from derivqa.pipeline import MODES, enrich_for_mode, load_sentences, packaged_data
+from derivqa.pipeline import (
+    MODES,
+    enrich_for_mode,
+    load_config,
+    load_resources,
+    load_sentences,
+    packaged_data,
+)
 from derivqa.rephrase import (
     DepTemplate,
     PatternError,
@@ -215,6 +224,18 @@ class TestMatchPattern:
                                  res.resource, res.dictionary, use_alternates=True)
         assert [m.derivative.surface for m in with_alt] == ["coupure"]
 
+    def test_own_lemma_names_a_derivative_its_alternate_shares(self, res, patterns):
+        # "trancher" and its synonym "couper" both derive "coupure" here: the
+        # pivot's own record comes first, so the token names "trancher"
+        graph = parsed(res, "le boucher trancha la viande .")
+        resource = DerivationalResource({
+            lemma: [DerivativeRecord("coupure", NOUN, "ure", lemma, frozenset({1}))]
+            for lemma in ("trancher", "couper")})
+        out = enrich(graph, res.synonyms, [patterns["v2n_ure_obj"]], resource,
+                     res.dictionary, compose=True)
+        assert [(t.lemma, t.features) for t in out.tokens[len(graph.tokens):]] == [
+            ("coupure", {"deriv_pattern": "v2n_ure_obj", "deriv_source": "trancher"})]
+
     def test_unlicensed_sense_blocks_derivative(self, res, patterns):
         graph = parsed(res, "la conduite formalise Pierre .")
         pivot = next(t.index for t in graph.tokens if t.lemma == "formaliser")
@@ -271,6 +292,19 @@ class TestApplyPattern:
         assert all(not t.alternates for t in graph.tokens)
 
 
+@pytest.fixture(scope="module", params=["benchmark", "rescue", "couper_family"])
+def fixture_graphs(request):
+    """One fixture's resources and its corpus sentences, parsed and
+    sense-tagged. couper_family has no corpus, and its lexicon cannot parse
+    its one sense example, so it gets two sentences in its own vocabulary."""
+    res = load_resources(load_config(FIXTURES / request.param / "config.json"))
+    if res.config.sentences:
+        texts = [text for _, text in load_sentences(res.config.sentences)]
+    else:
+        texts = ["Jean a coupé le coupon .", "le coupeur coupe le coupon ."]
+    return res, [parsed(res, text) for text in texts]
+
+
 def token_of(graph, lemma):
     return next(t for t in graph.tokens if t.lemma == lemma)
 
@@ -321,6 +355,15 @@ class TestEnrichmentModes:
         coupure = token_of(out, "coupure")
         assert coupure.features["deriv_source"] == "couper"
         assert coupure.alternates == set()
+
+    @pytest.mark.parametrize("mode", ["deriv", "all"])
+    def test_enrich_matches_plain_enrichment(self, fixture_graphs, mode):
+        res, graphs = fixture_graphs
+        for graph in graphs:
+            args = (graph, res.synonyms, res.patterns, res.resource, res.dictionary)
+            got = enrich(*args, compose=mode == "all")
+            want = oracles.plain_enrich(*args, compose=mode == "all")
+            assert (got.tokens, got.deps) == (want.tokens, want.deps), graph.sentence_id
 
     def test_all_extends_deriv_on_every_fixture_sentence(self, res):
         sentences = load_sentences(res.config.sentences)
