@@ -7,7 +7,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from .lexica import VERB, DerivInstruction, Dictionary, _write_lines
-from .morphogen import TooShortError, _common_prefix, corpus_filter, generate_candidates
+from .morphogen import TooShortError, _common_prefix, attested_candidates
 
 log = logging.getLogger(__name__)
 
@@ -100,13 +100,13 @@ def build_resource(dictionary: Dictionary, model, corpus_lexicon,
     resource = DerivationalResource()
     for lemma in sorted(dictionary.senses):
         try:
-            candidates = generate_candidates(lemma, model, euphonics)
+            generated, attested = attested_candidates(lemma, model, euphonics, corpus_lexicon)
         except TooShortError as exc:
             log.info("skipping %s: %s", lemma, exc)
             resource.attested[lemma] = None
             continue
-        resource.stats.candidates_generated += len(candidates)
-        resource.attested[lemma] = corpus_filter(candidates, corpus_lexicon)
+        resource.stats.candidates_generated += generated
+        resource.attested[lemma] = attested
     return relicense(resource, dictionary)
 
 
@@ -115,6 +115,8 @@ def relicense(resource, dictionary: Dictionary) -> DerivationalResource:
     the senses of `dictionary`, which must hold the lemmas the resource was
     built from. `build_resource` ends with it; after `symmetrize_instructions`
     it gives what a fresh build would, stats included, generating nothing.
+    Generation drops repeated surfaces, so a lemma's attested surfaces, and
+    the records made from them, are unique.
     """
     index = dictionary.senses
     if index.keys() != resource.attested.keys():
@@ -129,12 +131,7 @@ def relicense(resource, dictionary: Dictionary) -> DerivationalResource:
         if attested is None:
             stats.instructions_unmatched += instruction_count
             continue
-        records = filter_by_instructions(attested, senses)
-        # Collapse duplicate surfaces (euphonic variants can tie), keep first.
-        unique = {}
-        for r in records:
-            unique.setdefault(r.surface, r)
-        records = sorted(unique.values(), key=lambda r: r.surface)
+        records = sorted(filter_by_instructions(attested, senses), key=lambda r: r.surface)
         if records:
             by_lemma[lemma] = records
         stats.derivatives_accepted += len(records)

@@ -5,8 +5,8 @@ the shortest longest-common-prefix between the lemma and any of its
 inflected forms, and every vocabulary word contributes the ending left
 after stripping its longest matching stem. Endings seen across enough
 distinct stems become the suffix inventory. Generation then crosses
-candidate stems with the whole inventory, on purpose over-generating;
-downstream filters keep only attested, licensed derivatives.
+candidate stems with the whole inventory, on purpose over-generating, and
+keeps the corpus-attested surfaces; `derivfilter` keeps the licensed ones.
 """
 
 import logging
@@ -137,16 +137,18 @@ def learn_suffix_model(entries, threshold: int, *, min_stem_len: int = 3,
 def stem_candidates(lemma: str, model: SuffixModel) -> list[str]:
     """Plausible derivation stems of a lemma, shortest first.
 
-    The lemma itself always qualifies; so does the lemma minus any known
-    suffix, when the remainder is long enough. At most
-    `model.max_stems_per_lemma` stems are returned. Lemmas below the
+    The lemma itself qualifies; so does the lemma minus any known suffix,
+    when the remainder is long enough. Only the `model.max_stems_per_lemma`
+    shortest are returned, so the cap can drop the lemma itself
+    ("coupure" -> ["coup", "coupu"] under a cap of 2). Lemmas below the
     syllable floor are rejected outright.
     """
     word = normalize(lemma)
-    if syllable_count(word) < model.min_syllables:
+    syllables = syllable_count(word)
+    if syllables < model.min_syllables:
         raise TooShortError(
             f"lemma too short for derivation: {lemma!r} "
-            f"({syllable_count(word)} < {model.min_syllables} syllables)")
+            f"({syllables} < {model.min_syllables} syllables)")
     stems = {word}
     for suffix in model.suffixes:
         if word.endswith(suffix) and len(word) - len(suffix) >= model.min_stem_len:
@@ -166,32 +168,29 @@ def euphonic_surfaces(stem: str, suffix: str, rules) -> list[str]:
     return surfaces
 
 
-def generate_candidates(lemma: str, model: SuffixModel, euphonics) -> list[CandidateDerivative]:
-    """Cross candidate stems with the suffix inventory.
+def attested_candidates(lemma: str, model: SuffixModel, euphonics,
+                        corpus_lexicon) -> tuple[int, list[CandidateDerivative]]:
+    """Cross candidate stems with the suffix inventory and keep what the
+    corpus attests. Returns (generated, attested): the number of distinct
+    surfaces made and the attested candidates, in generation order.
 
     Every stem is also emitted bare (suffix "") to cover conversion, e.g.
     couper -> coup. Recall is the goal; precision comes from the corpus and
     instruction filters. Duplicate surfaces are dropped, first one wins.
+    Only attested surfaces become `CandidateDerivative`s.
     """
-    candidates = []
+    attested = []
     seen = set()
     for stem in stem_candidates(lemma, model):
+        rules = [rule for rule in euphonics if stem.endswith(rule.stem_tail)]
         for suffix in [""] + sorted(model.suffixes):
-            for surface in euphonic_surfaces(stem, suffix, euphonics):
+            for surface in euphonic_surfaces(stem, suffix, rules):
                 if len(surface) < model.min_stem_len + 1 or surface in seen:
                     continue
                 seen.add(surface)
-                candidates.append(CandidateDerivative(
-                    source_lemma=lemma,
-                    suffix=suffix,
-                    surface=surface,
-                ))
-    return candidates
-
-
-def corpus_filter(candidates, corpus_lexicon) -> list[CandidateDerivative]:
-    """Keep only candidates whose surface is attested in the corpus wordlist."""
-    return [c for c in candidates if c.surface in corpus_lexicon]
+                if surface in corpus_lexicon:
+                    attested.append(CandidateDerivative(lemma, suffix, surface))
+    return len(seen), attested
 
 
 def _common_prefix(a: str, b: str) -> str:

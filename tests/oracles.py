@@ -60,11 +60,34 @@ def instruction_filter(candidates, senses) -> dict:
     return licensed
 
 
+def generate_candidates(lemma, model, euphonics) -> list:
+    """Reference generation: cross candidate stems with "" and the sorted
+    suffix inventory, one candidate per new surface that reaches the
+    length floor."""
+    from derivqa.morphogen import CandidateDerivative, euphonic_surfaces, stem_candidates
+
+    candidates = []
+    seen = set()
+    for stem in stem_candidates(lemma, model):
+        for suffix in [""] + sorted(model.suffixes):
+            for surface in euphonic_surfaces(stem, suffix, euphonics):
+                if len(surface) < model.min_stem_len + 1 or surface in seen:
+                    continue
+                seen.add(surface)
+                candidates.append(CandidateDerivative(lemma, suffix, surface))
+    return candidates
+
+
+def corpus_filter(candidates, corpus_lexicon) -> list:
+    """Reference corpus filter: the candidates whose surface is attested."""
+    return [c for c in candidates if c.surface in corpus_lexicon]
+
+
 def plain_build(records, model, corpus_lexicon, euphonics):
     """Reference resource build: per lemma, generate -> corpus filter ->
     instruction filter, scanning every record. Returns (by_lemma, stats)."""
     from derivqa.derivfilter import DerivativeRecord, ResourceStats
-    from derivqa.morphogen import TooShortError, corpus_filter, generate_candidates
+    from derivqa.morphogen import TooShortError
 
     stats = ResourceStats()
     by_lemma = {}

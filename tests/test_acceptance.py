@@ -44,7 +44,7 @@ from derivqa.lexica import (
     parse_derivation_codes,
     senses_by_lemma,
 )
-from derivqa.morphogen import CandidateDerivative, corpus_filter, generate_candidates
+from derivqa.morphogen import CandidateDerivative, attested_candidates
 from derivqa.qaengine import QuestionStructure, answer, dep_match, evaluate
 from derivqa.rephrase import apply_pattern, enrich, match_pattern
 from derivqa.wsd import disambiguate
@@ -59,8 +59,7 @@ def test_filter_accepts_exactly_the_attested_licensed_family(couper_family_resou
     senses = senses_by_lemma(res.dictionary)["couper"]
 
     start = time.monotonic()
-    candidates = generate_candidates("couper", res.model, euphonics)
-    attested = corpus_filter(candidates, corpus_lexicon)
+    _, attested = attested_candidates("couper", res.model, euphonics, corpus_lexicon)
     records = filter_by_instructions(attested, senses)
     elapsed = time.monotonic() - start
 

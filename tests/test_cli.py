@@ -82,6 +82,34 @@ class TestBuildResource:
         surfaces = {row.split("\t")[1] for row in rows}
         assert surfaces == {"coupure", "coupage", "coupeur", "coupant", "coupé"}
 
+    @pytest.mark.parametrize("fixture, symmetrize, counts, digest", [
+        ("benchmark", True, (18, 493, 23, 22, 0),
+         "cab52733aeae9c4f280447e7eadc4d1c58e6e52021009fa003ab31785a6bad3c"),
+        ("benchmark", False, (18, 493, 21, 20, 0),
+         "ccc493c64070b15507e8721aafe3d6006a9c6431c7c2378dd70dd7e1cde06b8d"),
+        ("couper_family", False, (1, 21, 5, 5, 0),
+         "a79fd3207c16828246a51bd54f4c013e6c7f8f62dc5e4edc3f527b2a3721c574"),
+    ])
+    def test_resource_bytes(self, capsys, tmp_path, fixture, symmetrize, counts, digest):
+        """The fixtures' resources and stats, byte for byte: a change meant to
+        leave the build as it is must leave these as they are."""
+        directory = FIXTURES / fixture
+        raw = json.loads((directory / "config.json").read_text(encoding="utf-8"))
+        for key, value in raw.items():
+            if isinstance(value, str) and (directory / value).is_file():
+                raw[key] = str(directory / value)
+        raw["symmetrize"] = symmetrize
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(raw), encoding="utf-8")
+        out_path = tmp_path / "resource.tsv"
+        code, out, err = run(capsys, "--config", str(config),
+                             "build-resource", "--out", str(out_path))
+        assert (code, err) == (EXIT_OK, "")
+        names = ("entries processed", "candidates generated", "derivatives accepted",
+                 "instructions total", "instructions unmatched")
+        assert out.splitlines() == [f"{name}: {n}" for name, n in zip(names, counts)]
+        assert hashlib.sha256(out_path.read_bytes()).hexdigest() == digest
+
 
 class TestPreprocessAndAsk:
     def test_bank_round_trip(self, capsys, tmp_path):

@@ -1,15 +1,14 @@
 import pytest
 
 import oracles
-from derivqa.lexica import InflectionEntry, LexiconError, load_inflections
+from derivqa.lexica import CorpusLexicon, InflectionEntry, LexiconError, load_inflections
 from derivqa.morphogen import (
     CandidateDerivative,
     EuphonicRule,
     SuffixModel,
     TooShortError,
-    corpus_filter,
+    attested_candidates,
     euphonic_surfaces,
-    generate_candidates,
     learn_suffix_model,
     load_euphonic_rules,
     stem_candidates,
@@ -173,9 +172,13 @@ class TestGeneration:
                         max_stems_per_lemma=2, min_syllables=2)
 
     def test_bare_stems_and_dedupe(self):
-        candidates = generate_candidates("coupe", self.MODEL, PACKAGED_EUPHONICS)
+        made = ["coup", "coupe", "coupure", "coupee", "coupeure"]
+        corpus = CorpusLexicon({surface: 1 for surface in made})
+        generated, candidates = attested_candidates("coupe", self.MODEL, PACKAGED_EUPHONICS,
+                                                    corpus)
+        assert generated == 5
         surfaces = [c.surface for c in candidates]
-        assert surfaces == ["coup", "coupe", "coupure", "coupee", "coupeure"]
+        assert surfaces == made
         # duplicate surfaces keep the first (shorter-stem) candidate
         by_surface = {c.surface: c for c in candidates}
         assert by_surface["coupe"].suffix == "e"
@@ -184,20 +187,20 @@ class TestGeneration:
         model = SuffixModel(suffixes={}, min_stem_len=3,
                             max_stems_per_lemma=2, min_syllables=1)
         # bare stem "ami" has length min_stem_len, below the floor of one more
-        assert generate_candidates("ami", model, PACKAGED_EUPHONICS) == []
+        corpus = CorpusLexicon({"ami": 1})
+        assert attested_candidates("ami", model, PACKAGED_EUPHONICS, corpus) == (0, [])
 
     def test_rejects_short_lemma(self):
         with pytest.raises(TooShortError):
-            generate_candidates("rue", self.MODEL, PACKAGED_EUPHONICS)
+            attested_candidates("rue", self.MODEL, PACKAGED_EUPHONICS, CorpusLexicon({}))
 
 
 class TestCorpusFilter:
-    def test_keeps_only_attested(self, tmp_path):
-        from derivqa.lexica import CorpusLexicon
+    def test_keeps_only_attested(self):
+        # one stem, "coup", so the surfaces made are coup, coupage, couper, coupure
+        model = SuffixModel(suffixes={"age": 2, "er": 2, "ure": 2}, min_stem_len=3,
+                            max_stems_per_lemma=1, min_syllables=2)
         corpus = CorpusLexicon({"coupure": 10})
-        candidates = [
-            CandidateDerivative("couper", "ure", "coupure"),
-            CandidateDerivative("couper", "age", "coupage"),
-        ]
-        kept = corpus_filter(candidates, corpus)
-        assert [c.surface for c in kept] == ["coupure"]
+        generated, kept = attested_candidates("couper", model, PACKAGED_EUPHONICS, corpus)
+        assert generated == 4
+        assert kept == [CandidateDerivative("couper", "ure", "coupure")]

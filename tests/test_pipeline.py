@@ -132,8 +132,8 @@ class TestLoadResources:
 
     def test_symmetrize_generates_each_lemma_once(self, benchmark_config, monkeypatch):
         calls = []
-        generate = derivfilter.generate_candidates
-        monkeypatch.setattr(derivfilter, "generate_candidates",
+        generate = derivfilter.attested_candidates
+        monkeypatch.setattr(derivfilter, "attested_candidates",
                             lambda lemma, *args: calls.append(lemma) or generate(lemma, *args))
         res = load_resources(benchmark_config)
         assert res.config.symmetrize is True

@@ -43,8 +43,10 @@ from derivqa.lexica import (
     load_dictionary,
 )
 from derivqa.morphogen import (
-    CandidateDerivative,
-    corpus_filter,
+    EuphonicRule,
+    SuffixModel,
+    TooShortError,
+    attested_candidates,
     learn_suffix_model,
     syllable_count,
 )
@@ -129,16 +131,78 @@ def test_suffix_model_matches_brute_force_inventory(entries, threshold, min_stem
     assert model.suffixes == oracles.suffix_inventory(entries, threshold, min_stem_len)
 
 
-# --- corpus filter ----------------------------------------------------------
+# --- generation and corpus filter -------------------------------------------
 
-@given(st.lists(WORDS, max_size=20), st.sets(WORDS, max_size=10))
-def test_corpus_filter_is_idempotent_and_sound(surfaces, attested):
-    corpus = CorpusLexicon({w: 1 for w in attested})
-    candidates = [CandidateDerivative("lemma", "", surface) for surface in surfaces]
-    once = corpus_filter(candidates, corpus)
-    assert corpus_filter(once, corpus) == once
+# Endings over a small alphabet, so suffixes often equal attested endings.
+ENDINGS = st.text(alphabet="aeé-", max_size=3)
+
+
+@given(WORDS, st.lists(ENDINGS, max_size=6), st.sets(ENDINGS, max_size=6))
+def test_corpus_filter_is_idempotent_and_sound(lemma, suffixes, attested):
+    model = SuffixModel(suffixes=dict.fromkeys(suffixes, 1), min_stem_len=1,
+                        max_stems_per_lemma=2, min_syllables=0)
+    corpus = CorpusLexicon({lemma + ending: 1 for ending in attested})
+    _, once = attested_candidates(lemma, model, (), corpus)
+    again = CorpusLexicon({c.surface: 1 for c in once})
+    assert attested_candidates(lemma, model, (), again)[1] == once
     assert all(c.surface in corpus for c in once)
-    assert [c for c in candidates if c.surface in corpus] == once
+    made = oracles.generate_candidates(lemma, model, ())
+    assert [c for c in made if c.surface in corpus] == once
+
+
+# A few letters, two of them vowels, so euphonic tails overlap, rules fire
+# before vowel and consonant suffixes alike, and a rewritten surface often
+# equals the surface of another (stem, suffix) pair already made.
+GEN_LETTERS = "ceéu"
+EUPHONIC_RULES = st.lists(st.builds(
+    EuphonicRule,
+    st.text(alphabet=GEN_LETTERS, min_size=1, max_size=2),
+    st.text(alphabet=GEN_LETTERS, max_size=2),
+    st.sampled_from(["vowel", "any"])), max_size=4).map(tuple)
+# Per generated surface, in turn: left out of the corpus, or put in it in
+# lower or upper case (corpus membership folds case).
+CORPUS_MARKS = st.lists(st.sampled_from([None, "lower", "upper"]), min_size=1, max_size=6)
+COUPE_MODEL = SuffixModel(suffixes={"e": 1, "ure": 1, "ment": 1}, min_stem_len=3,
+                          max_stems_per_lemma=3, min_syllables=2)
+
+
+@st.composite
+def generation_inputs(draw):
+    """A lemma (possibly with a capital), a suffix model and euphonic rules."""
+    lemma = draw(st.text(alphabet=GEN_LETTERS + "bC", min_size=1, max_size=8))
+    model = SuffixModel(
+        suffixes=draw(st.dictionaries(st.text(alphabet=GEN_LETTERS + "b", min_size=1,
+                                              max_size=3), st.just(1), max_size=6)),
+        min_stem_len=draw(st.integers(min_value=1, max_value=3)),
+        max_stems_per_lemma=draw(st.integers(min_value=1, max_value=3)),
+        min_syllables=draw(st.integers(min_value=0, max_value=3)))
+    return lemma, model, draw(EUPHONIC_RULES)
+
+
+@settings(max_examples=300)
+@given(generation_inputs(), CORPUS_MARKS, st.sets(WORDS, max_size=4))
+# coupe + ure -> coupure, which coup + ure already made; "pe" overlaps "e",
+# and both rewrite coupe + ment to a new surface
+@example(("coupe", COUPE_MODEL, (EuphonicRule("e", "", "vowel"), EuphonicRule("pe", "pp", "any"),
+                                 EuphonicRule("e", "é", "any"))),
+         ["lower", "upper", "lower", None], set())
+@example(("rue", COUPE_MODEL, ()), [None], set())
+def test_attested_candidates_match_the_reference_pair(inputs, marks, extra):
+    lemma, model, rules = inputs
+    try:
+        made = oracles.generate_candidates(lemma, model, rules)
+    except TooShortError:
+        with pytest.raises(TooShortError):
+            attested_candidates(lemma, model, rules, CorpusLexicon({}))
+        return
+    counts = dict.fromkeys(extra, 1)
+    for i, cand in enumerate(made):
+        mark = marks[i % len(marks)]
+        if mark:
+            counts[cand.surface.upper() if mark == "upper" else cand.surface] = 1
+    corpus = CorpusLexicon(counts)
+    assert attested_candidates(lemma, model, rules, corpus) == (
+        len(made), oracles.corpus_filter(made, corpus))
 
 
 # --- symmetrized resource build ---------------------------------------------
