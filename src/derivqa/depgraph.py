@@ -131,9 +131,9 @@ class DependencyBank(tuple):
     inverted index over the graphs' dependencies: (label, prep,
     word of arg 0, word of arg 1) -> ascending bank positions, where a word
     is the argument token's lemma or one of its alternates. `bag_index` is
-    the bag engine's view, a pair: the significant lemmas of each graph by
-    bank position, and lemma -> ascending bank positions. A graph changed
-    after an index is built is not seen by it.
+    the bag engine's: significant lemma -> ascending bank positions, each
+    position once. A graph changed after an index is built is not seen by
+    it.
     """
 
     def __new__(cls, graphs=(), mode: str | None = None, fingerprint: str | None = None):
@@ -147,7 +147,7 @@ class DependencyBank(tuple):
         return _dependency_postings(self)
 
     @cached_property
-    def bag_index(self) -> tuple:
+    def bag_index(self) -> dict:
         return _bag_index(self)
 
     def sharing(self, qgraph: DependencyGraph) -> list:
@@ -188,13 +188,12 @@ def _significant_lemmas(graph: DependencyGraph) -> frozenset:
     )
 
 
-def _bag_index(graphs) -> tuple:
-    bags = tuple(_significant_lemmas(graph) for graph in graphs)
+def _bag_index(graphs) -> dict:
     postings = {}
-    for position, bag in enumerate(bags):
-        for lemma in bag:
+    for position, graph in enumerate(graphs):
+        for lemma in _significant_lemmas(graph):
             postings.setdefault(lemma, []).append(position)
-    return bags, postings
+    return postings
 
 
 def copy_graph(graph: DependencyGraph) -> DependencyGraph:

@@ -8,7 +8,9 @@ sentence token's alternates). The bag engine (`answer_baseline`) ignores
 structure and ranks sentences by shared significant lemmas.
 """
 
+import heapq
 import logging
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -120,7 +122,8 @@ def answer(question: QuestionStructure, bank: DependencyBank, k: int = 5,
     Coverage is the matched fraction of the question's dependencies.
     Sentences with zero coverage are not candidates. Ties keep bank order.
     Only the graphs the bank's dependency index finds sharing a dependency
-    with the question are matched.
+    with the question are matched, and they are ranked by matching size;
+    only the k returned become candidates.
     """
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
@@ -129,15 +132,16 @@ def answer(question: QuestionStructure, bank: DependencyBank, k: int = 5,
         return []
     scored = []
     for position in bank.sharing(question.graph):
-        graph = bank[position]
-        pairs = _max_matching(question.graph, graph)
-        coverage = Fraction(len(pairs), total)
-        if require_full_match and coverage != 1:
+        pairs = _max_matching(question.graph, bank[position])
+        if require_full_match and len(pairs) != total:
             continue
-        scored.append((-coverage, position,
-                       AnswerCandidate(graph.sentence_id, coverage, pairs, graph.text)))
-    scored.sort(key=lambda item: item[:2])
-    return [candidate for _, _, candidate in scored[:k]]
+        scored.append((-len(pairs), position, pairs))
+    candidates = []
+    for _, position, pairs in heapq.nsmallest(k, scored):
+        graph = bank[position]
+        candidates.append(AnswerCandidate(graph.sentence_id, Fraction(len(pairs), total),
+                                          pairs, graph.text))
+    return candidates
 
 
 def build_bag_index(bank: DependencyBank) -> DependencyBank:
@@ -150,26 +154,28 @@ def answer_baseline(question: QuestionStructure, bank: DependencyBank, k: int = 
     """Rank bank sentences by count of shared significant lemmas.
 
     Sentences sharing none are not candidates. Ties keep bank order. The
-    bank's bag index finds the sentences.
+    bank's bag index counts each sentence's shared lemmas: a position
+    appears once in a lemma's postings, so its count over the question's
+    lemmas is the size of the intersection. Only the k returned become
+    candidates.
     """
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
     q_bag = _significant_lemmas(question.graph)
     if not q_bag:
         return []
-    bags, postings = bank.bag_index
-    hits = set()
+    postings = bank.bag_index
+    counts = Counter()
     for lemma in q_bag:
-        hits.update(postings.get(lemma, ()))
-    scored = []
-    for position in hits:
+        counts.update(postings.get(lemma, ()))
+    best = heapq.nsmallest(k, ((-count, position) for position, count in counts.items()))
+    candidates = []
+    for _, position in best:
         graph = bank[position]
-        shared = sorted(q_bag & bags[position])
-        scored.append((-len(shared), position,
-                       AnswerCandidate(graph.sentence_id, Fraction(len(shared), len(q_bag)),
-                                       shared, graph.text)))
-    scored.sort(key=lambda item: item[:2])
-    return [candidate for _, _, candidate in scored[:k]]
+        shared = sorted(q_bag & _significant_lemmas(graph))
+        candidates.append(AnswerCandidate(graph.sentence_id, Fraction(len(shared), len(q_bag)),
+                                          shared, graph.text))
+    return candidates
 
 
 def answer_for_mode(question: QuestionStructure, bank: DependencyBank, mode: str, k: int,

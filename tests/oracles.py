@@ -253,26 +253,30 @@ def bag_overlap(q_lemmas, t_lemmas) -> int:
     return len(set(q_lemmas) & set(t_lemmas))
 
 
-def bag_ranking(qgraph, graphs, k: int) -> list:
-    """Reference bag engine: (sentence id, coverage) of the top k graphs,
-    scoring every graph by shared content lemmas (derivative tokens left
-    out), then sorting by score and bank position."""
-    from fractions import Fraction
-
+def significant_lemmas(graph) -> list:
+    """Lemmas of the graph's content words, derivative tokens left out,
+    in token order and with repeats."""
     from derivqa.lexica import CONTENT_POS
 
-    def significant(graph):
-        return [t.lemma for t in graph.tokens
-                if t.pos in CONTENT_POS and not t.features.get("deriv_pattern")]
+    return [t.lemma for t in graph.tokens
+            if t.pos in CONTENT_POS and not t.features.get("deriv_pattern")]
 
-    q_lemmas = significant(qgraph)
+
+def bag_ranking(qgraph, graphs, k: int) -> list:
+    """Reference bag engine: (sentence id, coverage, sorted shared lemmas)
+    of the top k graphs, scoring every graph by shared content lemmas
+    (derivative tokens left out), then sorting by score and bank position."""
+    from fractions import Fraction
+
+    q_lemmas = significant_lemmas(qgraph)
     scored = []
     for position, graph in enumerate(graphs):
-        shared = bag_overlap(q_lemmas, significant(graph))
+        shared = bag_overlap(q_lemmas, significant_lemmas(graph))
         if shared:
             scored.append((-shared, position))
     scored.sort()
-    return [(graphs[position].sentence_id, Fraction(-neg, len(set(q_lemmas))))
+    return [(graphs[position].sentence_id, Fraction(-neg, len(set(q_lemmas))),
+             sorted(set(q_lemmas) & set(significant_lemmas(graphs[position]))))
             for neg, position in scored[:k]]
 
 

@@ -447,6 +447,15 @@ def test_answer_ranking_matches_exhaustive_scan(qgraph, bank, full):
             scored.append((-coverage, position))
     assert [(c.sentence_id, c.coverage) for c in got] == [
         (f"s{position}", -neg) for neg, position in sorted(scored)]
+    # each candidate's evidence is a one-to-one matching of the reported size
+    for candidate in got:
+        graph = bank[int(candidate.sentence_id[1:])]
+        q_side = [qi for qi, _ in candidate.matched]
+        t_side = [ti for _, ti in candidate.matched]
+        assert len(candidate.matched) == candidate.coverage * len(qgraph.deps)
+        assert len(set(q_side)) == len(set(t_side)) == len(candidate.matched)
+        assert all(dep_match(qgraph, qgraph.deps[qi], graph, graph.deps[ti])
+                   for qi, ti in candidate.matched)
 
 
 # content and non-content parts of speech, for the bag engine
@@ -475,7 +484,8 @@ def test_bag_ranking_matches_exhaustive_scan(qgraph, bank, k):
         graph.text = f"text {position}"
     question = QuestionStructure("q", "text", qgraph)
     got = answer_baseline(question, DependencyBank(bank), k=k)
-    assert [(c.sentence_id, c.coverage) for c in got] == oracles.bag_ranking(qgraph, bank, k)
+    assert [(c.sentence_id, c.coverage, c.matched) for c in got] == \
+        oracles.bag_ranking(qgraph, bank, k)
     assert all(c.text == f"text {c.sentence_id[1:]}" for c in got)
 
 

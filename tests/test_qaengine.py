@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 import oracles
-from derivqa import depgraph
+from derivqa import depgraph, pipeline, qaengine
 from derivqa.depgraph import (
     SUBJECT,
     DependencyBank,
@@ -40,6 +40,12 @@ def small_bank(res):
         ("s4", "l'ouvrier a coupé le linge ."),
     ]
     return DependencyBank(toy_parse(text, res.lexicon, sid) for sid, text in texts)
+
+
+@pytest.fixture(scope="module")
+def baseline_bank(res, benchmark_config):
+    return pipeline.build_bank(res, "baseline",
+                               pipeline.load_sentences(benchmark_config.sentences))
 
 
 class TestDepMatch:
@@ -154,6 +160,27 @@ class TestStructuralAnswer:
         evaluate([(q, frozenset({"s1"}))] * 3, bank, mode=mode)
         assert builds == [4]
 
+    @pytest.mark.parametrize("engine", [answer, answer_baseline],
+                             ids=["structural", "bag"])
+    def test_only_the_returned_answers_are_built(self, res, small_bank, monkeypatch,
+                                                 engine):
+        built = []
+
+        class CountingCandidate(AnswerCandidate):
+            def __init__(self, *args):
+                built.append(args[0])
+                super().__init__(*args)
+
+        monkeypatch.setattr(qaengine, "AnswerCandidate", CountingCandidate)
+        bank = DependencyBank(depgraph.copy_graph(g) for g in small_bank * 2)
+        q = parse_question("q", "l'ouvrier coupa quel courant ?", res.lexicon)
+        # s1 and s4 share a dependency with the question, s1, s3 and s4 a lemma
+        assert len(bank.sharing(q.graph)) == 4
+        assert len(answer_baseline(q, bank, k=len(bank))) == 6
+        built.clear()
+        candidates = engine(q, bank, k=2)
+        assert built == [c.sentence_id for c in candidates] == ["s1", "s1"]
+
     def test_unanalyzable_question(self, res):
         with pytest.raises(QuestionError, match="unanalyzable"):
             parse_question("q", "quoi zzz ?", res.lexicon)
@@ -179,6 +206,22 @@ class TestBagBaseline:
         ]
         assert any(t.features.get("deriv_pattern") for g in enriched for t in g.tokens)
         assert DependencyBank(enriched).bag_index == DependencyBank(small_bank).bag_index
+
+    def test_bag_index_posts_each_significant_lemma(self, baseline_bank):
+        # lemma -> ascending positions, each position once per lemma
+        postings = {}
+        for position, graph in enumerate(baseline_bank):
+            for lemma in set(oracles.significant_lemmas(graph)):
+                postings.setdefault(lemma, []).append(position)
+        assert type(baseline_bank.bag_index) is dict
+        assert baseline_bank.bag_index == postings
+
+    def test_fixture_questions_match_exhaustive_ranking(self, baseline_bank,
+                                                        benchmark_questions):
+        for question, _ in benchmark_questions:
+            got = answer_baseline(question, baseline_bank, k=len(baseline_bank))
+            assert [(c.sentence_id, c.coverage, c.matched) for c in got] == \
+                oracles.bag_ranking(question.graph, baseline_bank, len(baseline_bank))
 
     def test_repeated_ids_keep_their_own_text(self, res, small_bank):
         # ranking is by bank position, so a later graph under the same id
