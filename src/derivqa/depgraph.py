@@ -68,6 +68,8 @@ class TokenNode:
     changed, so tokens may share it: every token without alternates, loaded
     ones included, holds one empty frozenset, and `copy_graph` gives the
     copy the original's. Tokens are slotted and carry no `__dict__`.
+    `features` is empty on a parsed token; a derivative token holds the
+    `deriv_pattern` and `deriv_source` that `rephrase.apply_pattern` writes.
     """
 
     index: int
@@ -248,6 +250,8 @@ def _tokenize(sentence: str) -> list:
                 chunk = rest
             else:
                 break
+        if chunk.startswith("-"):  # only the clitic split off above may
+            raise UnknownTokenError(chunk)
         pieces.append(chunk)
         if clitic:
             pieces.append("-" + clitic)
@@ -504,16 +508,14 @@ def toy_parse(sentence: str, lexicon, sentence_id: str = "s0") -> DependencyGrap
     for idx, item in enumerate(items):
         if idx in choices:
             lemma, pos = choices[idx]
-            features = {}
         elif item.kind == "WORD":
             # A content word the grammar never attached anywhere.
             raise ToyParseError(f"unparsable: unattached word {item.surface!r}")
         elif item.kind == "PROPER":
-            lemma, pos, features = item.lemma, NOUN, {"proper": "true"}
+            lemma, pos = item.lemma, NOUN
         else:
-            pos = OTHER if item.kind == _AUX else item.kind
-            lemma, features = item.lemma, {}
-        tokens.append(TokenNode(idx, item.surface, lemma, pos, features))
+            lemma, pos = item.lemma, OTHER if item.kind == _AUX else item.kind
+        tokens.append(TokenNode(idx, item.surface, lemma, pos))
 
     graph = DependencyGraph(sentence_id, sentence, tokens)
     for label, head, dependent, prep in raw_deps:

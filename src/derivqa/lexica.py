@@ -224,25 +224,25 @@ def load_inflections(path) -> list[InflectionEntry]:
 
 
 class CorpusLexicon:
-    """Attested wordlist with frequencies; membership is case-insensitive."""
+    """Attested wordlist; membership is case-insensitive."""
 
-    def __init__(self, counts: dict[str, int]):
-        self.counts = {normalize(k): v for k, v in counts.items()}
+    def __init__(self, forms):
+        self.forms = frozenset(normalize(form) for form in forms)
 
     def __contains__(self, form: str) -> bool:
-        return normalize(form) in self.counts
+        return normalize(form) in self.forms
 
 
 def load_corpus_lexicon(path) -> CorpusLexicon:
-    counts = {}
+    """Load "form<TAB>count" rows; each count is checked, none is kept."""
+    forms = []
     for lineno, row in _read_rows(path, 2):
         form, count = row
         n = _int_cell(path, lineno, "count", count)
         if n < 1:
             raise LexiconError(path, lineno, f"count must be positive: {n}")
-        key = normalize(form)
-        counts[key] = counts.get(key, 0) + n
-    return CorpusLexicon(counts)
+        forms.append(form)
+    return CorpusLexicon(forms)
 
 
 class SynonymTable:
@@ -303,10 +303,11 @@ def _only_pos(dictionary: Dictionary, lemma: str) -> str | None:
 
 
 def _int_cell(path, lineno: int, column: str, cell: str) -> int:
-    try:
-        return int(cell)
-    except ValueError:
-        raise LexiconError(path, lineno, f"{column} is not an integer: {cell!r}") from None
+    """`cell` as an integer: ASCII digits after an optional `-`, nothing else."""
+    digits = cell[1:] if cell.startswith("-") else cell
+    if not (digits.isascii() and digits.isdigit()):
+        raise LexiconError(path, lineno, f"{column} is not an integer: {cell!r}")
+    return int(cell)
 
 
 def _split_multi(cell: str) -> tuple[str, ...]:

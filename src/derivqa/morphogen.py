@@ -10,7 +10,7 @@ keeps the corpus-attested surfaces; `derivfilter` keeps the licensed ones.
 """
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .lexica import LexiconError, _read_rows, normalize
 
@@ -61,9 +61,9 @@ def load_euphonic_rules(path) -> tuple[EuphonicRule, ...]:
 
 @dataclass
 class SuffixModel:
-    """Learned suffix inventory plus the stemming parameters."""
+    """Learned suffix inventory, a sorted tuple, plus the stemming parameters."""
 
-    suffixes: dict[str, int] = field(default_factory=dict)
+    suffixes: tuple[str, ...] = ()
     min_stem_len: int = 3
     max_stems_per_lemma: int = 2
     min_syllables: int = 3
@@ -95,7 +95,7 @@ def learn_suffix_model(entries, threshold: int, *, min_stem_len: int = 3,
     """Learn a suffix inventory from inflection entries.
 
     A suffix is retained when it is the residual of vocabulary words over at
-    least `threshold` distinct stems; its stored frequency is that stem count.
+    least `threshold` distinct stems.
     """
     stem_by_lemma: dict[str, str] = {}
     for e in entries:
@@ -121,11 +121,8 @@ def learn_suffix_model(entries, threshold: int, *, min_stem_len: int = 3,
             continue
         stems_per_suffix.setdefault(word[len(stem):], set()).add(stem)
 
-    suffixes = {
-        suffix: len(stem_set)
-        for suffix, stem_set in stems_per_suffix.items()
-        if len(stem_set) >= threshold
-    }
+    suffixes = tuple(sorted(
+        suffix for suffix, stem_set in stems_per_suffix.items() if len(stem_set) >= threshold))
     return SuffixModel(
         suffixes=suffixes,
         min_stem_len=min_stem_len,
@@ -183,7 +180,7 @@ def attested_candidates(lemma: str, model: SuffixModel, euphonics,
     seen = set()
     for stem in stem_candidates(lemma, model):
         rules = [rule for rule in euphonics if stem.endswith(rule.stem_tail)]
-        for suffix in [""] + sorted(model.suffixes):
+        for suffix in ("", *model.suffixes):
             for surface in euphonic_surfaces(stem, suffix, rules):
                 if len(surface) < model.min_stem_len + 1 or surface in seen:
                     continue

@@ -36,10 +36,6 @@ class QuestionStructure:
     text: str
     graph: DependencyGraph
 
-    @property
-    def deps(self):
-        return self.graph.deps
-
 
 def parse_question(question_id: str, text: str, lexicon) -> QuestionStructure:
     """Analyze a question; raise QuestionError if no structure comes out."""
@@ -127,7 +123,7 @@ def answer(question: QuestionStructure, bank: DependencyBank, k: int = 5,
     """
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
-    total = len(question.deps)
+    total = len(question.graph.deps)
     if total == 0:
         return []
     scored = []
@@ -187,24 +183,32 @@ def answer_for_mode(question: QuestionStructure, bank: DependencyBank, mode: str
     return answer(question, bank, k=k, require_full_match=require_full_match)
 
 
+def _reciprocal_rank(rank: int | None) -> Fraction:
+    return Fraction(0) if rank is None else Fraction(1, rank)
+
+
 @dataclass
 class EvalReport:
     """Reciprocal-rank evaluation of one mode over a question set."""
 
     mode: str
-    per_question: dict = field(default_factory=dict)  # qid -> Fraction rr
-    ranks: dict = field(default_factory=dict)         # qid -> int rank or None
-    mean_score: Fraction = Fraction(0)
+    ranks: dict = field(default_factory=dict)  # qid -> rank of the first gold, or None
     no_answer_count: int = 0
     wrong_only_count: int = 0
 
+    @property
+    def mean_score(self) -> Fraction:
+        """Mean reciprocal rank over the questions, 0 when there are none."""
+        rrs = [_reciprocal_rank(rank) for rank in self.ranks.values()]
+        return sum(rrs, Fraction(0)) / len(rrs) if rrs else Fraction(0)
 
-def score_candidates(candidates, gold) -> tuple:
-    """(rank, rr) of the first gold candidate, (None, 0) if absent."""
+
+def score_candidates(candidates, gold) -> int | None:
+    """Rank of the first gold candidate, None if absent."""
     for position, candidate in enumerate(candidates, start=1):
         if candidate.sentence_id in gold:
-            return position, Fraction(1, position)
-    return None, Fraction(0)
+            return position
+    return None
 
 
 def evaluate(questions, bank: DependencyBank, mode: str, k: int = 5,
@@ -212,28 +216,23 @@ def evaluate(questions, bank: DependencyBank, mode: str, k: int = 5,
     """Score a list of (QuestionStructure, gold id frozenset) pairs.
 
     `bank` must be enriched as the mode requires before the call; this
-    function only picks the engine, through `answer_for_mode`. Gold ids
-    must name sentences present in the bank.
+    function only picks the engine, through `answer_for_mode`. Question ids
+    must be unique, and gold ids must name sentences present in the bank.
     """
     known_ids = {g.sentence_id for g in bank}
     report = EvalReport(mode=mode)
-    total = Fraction(0)
     for question, gold in questions:
         unknown = gold - known_ids
         if unknown:
             raise ValueError(
                 f"{question.question_id}: gold ids not in bank: {sorted(unknown)}")
         candidates = answer_for_mode(question, bank, mode, k, require_full_match)
-        rank, rr = score_candidates(candidates, gold)
-        report.per_question[question.question_id] = rr
+        rank = score_candidates(candidates, gold)
         report.ranks[question.question_id] = rank
-        total += rr
         if not candidates:
             report.no_answer_count += 1
         elif rank is None:
             report.wrong_only_count += 1
-    if questions:
-        report.mean_score = total / len(questions)
     return report
 
 
@@ -258,14 +257,10 @@ def write_report(report: EvalReport, path) -> None:
     rank as an exact fraction string. Summary: mode, mean score as float,
     count of unanswered questions.
     """
-    lines = []
-    for qid in report.per_question:
-        rank = report.ranks[qid]
-        lines.append("\t".join([
-            qid,
-            "-" if rank is None else str(rank),
-            str(report.per_question[qid]),
-        ]))
+    lines = [
+        "\t".join([qid, "-" if rank is None else str(rank), str(_reciprocal_rank(rank))])
+        for qid, rank in report.ranks.items()
+    ]
     lines.append("\t".join([
         report.mode,
         repr(float(report.mean_score)),

@@ -1,7 +1,13 @@
 """Every public module-level function and class of the package, every public
 method and property of its classes, and every value its classes store (a
 dataclass field or an attribute set on `self`) has a user in the package or
-the benchmark; what only tests use is dead code."""
+the benchmark; what only tests use is dead code.
+
+Its blind spot is what sits inside a stored dict or set: the keys and values
+a container holds are not names it can follow. `TokenNode.features` is such
+a dict; `test_pipeline.py`'s
+`TestBankConstruction::test_tokens_carry_only_feature_keys_something_reads`
+checks its keys instead."""
 
 import ast
 from pathlib import Path

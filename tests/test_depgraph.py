@@ -96,7 +96,7 @@ class TestToyParser:
         }
         proper = graph.tokens[0]
         assert proper.pos == NOUN
-        assert proper.features == {"proper": "true"}
+        assert all(t.features == {} for t in graph.tokens)
 
     def test_noun_phrase_fragment(self, lexicon):
         graph = toy_parse("la coupure du courant .", lexicon)
@@ -142,6 +142,7 @@ class TestToyParser:
             (SUBJECT, ("couper", "ouvrier"), None),
             (DIROBJ, ("couper", "courant"), None),
         }
+        assert [(t.surface, t.lemma) for t in graph.tokens if t.pos == PRON] == [("-il", "il")]
 
     def test_fronted_interrogative(self, lexicon):
         graph = toy_parse("De quel empereur Domitien est-il le successeur ?", lexicon)
@@ -149,6 +150,21 @@ class TestToyParser:
             (ATTRIBUTE, ("Domitien", "successeur"), None),
             (PREPPH, ("successeur", "empereur"), "de"),
         }
+        assert [(t.surface, t.lemma) for t in graph.tokens if t.pos == PRON] == [("-il", "il")]
+
+    @pytest.mark.parametrize("sentence, piece", [
+        ("Domitien visita -qq le palais", "-qq"),
+        ("Domitien est -qq le empereur", "-qq"),
+        ("l'ouvrier coupa -il le courant ?", "-il"),
+        ("la coupure d'-qq .", "-qq"),
+        ("l'ouvrier coupa - le courant ?", "-"),
+    ])
+    def test_free_standing_hyphen_word_is_unknown(self, lexicon, sentence, piece):
+        # Only a clitic split off a verb is a pronoun; a word that merely
+        # starts with "-" is outside the lexicon.
+        with pytest.raises(UnknownTokenError) as info:
+            toy_parse(sentence, lexicon)
+        assert str(info.value) == f"token outside lexicon: {piece!r}"
 
     def test_infinitive_fragment(self, lexicon):
         graph = toy_parse("couper le courant .", lexicon)

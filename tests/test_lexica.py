@@ -205,9 +205,11 @@ class TestInflections:
 
 class TestCorpusLexicon:
     def test_counts_accumulate_and_normalize(self, tmp_path):
+        # Two rows of one form fold into one attested form; their counts are
+        # checked, not kept.
         path = write(tmp_path, "c.tsv", "Coupure\t3\ncoupure\t4\n")
         corpus = load_corpus_lexicon(path)
-        assert corpus.counts == {"coupure": 7}
+        assert corpus.forms == frozenset({"coupure"})
         assert "COUPURE" in corpus
         assert "coupure" in corpus
         assert "coupage" not in corpus
@@ -216,6 +218,10 @@ class TestCorpusLexicon:
         path = write(tmp_path, "c.tsv", "coupure\t0\n")
         with pytest.raises(LexiconError, match="positive"):
             load_corpus_lexicon(path)
+        path = write(tmp_path, "c.tsv", "coupure\t-1\n")
+        with pytest.raises(LexiconError) as info:
+            load_corpus_lexicon(path)
+        assert str(info.value) == f"{path}:1: count must be positive: -1"
 
 
 class TestSynonyms:
@@ -291,4 +297,19 @@ def test_lines_end_at_newline_only(tmp_path):
         load_corpus_lexicon(path)
     assert str(info.value) == f"{path}:3: expected 2 columns, got 1"
     path = write(tmp_path, "c.tsv", "coup\u0085age\t2\r\ncoup\u2028ure\t3\n")
-    assert load_corpus_lexicon(path).counts == {"coup\u0085age": 2, "coup\u2028ure": 3}
+    assert load_corpus_lexicon(path).forms == frozenset({"coup\u0085age", "coup\u2028ure"})
+
+
+# Cells that `int` reads as a number but a hand-kept file should not hold.
+@pytest.mark.parametrize("cell", ["1_0", " 3", "+2", "\u0663"])
+@pytest.mark.parametrize("column, loader, text", [
+    ("sense_id", functools.partial(load_dictionary, code_table=CODE_TABLE),
+     DICT_ROW.replace("vendre\t1\t", "vendre\t{}\t")),
+    ("level", functools.partial(load_dictionary, code_table=CODE_TABLE), DICT_ROW[:-1] + "{}"),
+    ("count", load_corpus_lexicon, "coupure\t{}"),
+], ids=["sense_id", "level", "count"])
+def test_integer_cells_hold_ascii_digits_only(tmp_path, cell, column, loader, text):
+    path = write(tmp_path, "f.tsv", text.format(cell) + "\n")
+    with pytest.raises(LexiconError) as info:
+        loader(path)
+    assert str(info.value) == f"{path}:1: {column} is not an integer: {cell!r}"

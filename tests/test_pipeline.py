@@ -6,6 +6,7 @@ import pytest
 from derivqa import derivfilter, lexica, qaengine, wsd
 from derivqa.depgraph import BASE, DERIVATIONAL
 from derivqa.pipeline import (
+    MODES,
     ConfigError,
     PipelineConfig,
     build_bank,
@@ -324,6 +325,23 @@ class TestBankConstruction:
         bank = build_bank(benchmark_resources, "baseline")
         assert len(bank) == 55
         assert benchmark_resources.skipped_sentences == []
+
+    def test_tokens_carry_only_feature_keys_something_reads(self, benchmark_resources):
+        """A parsed token has no features; a derivative token, appended after
+        the parsed ones, has the two keys the bag engine and the benchmark
+        read."""
+        parsed = {g.sentence_id: len(g.tokens) for g in build_bank(benchmark_resources, "baseline")}
+        derivatives = {}
+        for mode in MODES:
+            derivatives[mode] = 0
+            for graph in build_bank(benchmark_resources, mode):
+                n = parsed[graph.sentence_id]
+                assert all(t.features == {} for t in graph.tokens[:n])
+                assert all(t.features.keys() == {"deriv_pattern", "deriv_source"}
+                           for t in graph.tokens[n:])
+                derivatives[mode] += len(graph.tokens) - n
+        assert derivatives["baseline"] == derivatives["base"] == 0
+        assert derivatives["deriv"] > 0 and derivatives["all"] > 0
 
     def test_questions_are_disambiguated_but_never_enriched(self, benchmark_questions):
         parsed = benchmark_questions
