@@ -4,9 +4,10 @@ French grammar, and the JSON-lines bank format.
 The parser covers exactly what the pipeline needs: subject-verb-object
 clauses (simple past, present, or avoir + participle), copular attribute
 clauses, noun phrases with "de"/"par" complements, noun + proper-noun
-appositions, postnominal adjectives, clitic inversion for questions, and a
-fronted "De quel X ... est-il le Y" interrogative. Anything else fails with
-an explicit error rather than producing a wrong parse.
+appositions, postnominal adjectives, clitic inversion for questions, a
+fronted "De quel X ... est-il le Y" interrogative, and two fragments: an
+infinitive with its object, and a bare noun phrase. Anything else fails
+with an explicit error rather than producing a wrong parse.
 """
 
 import json
@@ -219,9 +220,19 @@ _FUSED = {"du": "de", "des": "de", "au": "à", "aux": "à"}
 _PRONS = {"il", "elle", "ils", "elles", "on", "je", "tu", "nous", "vous"}
 _AUX_AVOIR = {"a", "ont", "avait", "avaient", "eut", "eurent"}
 _COPULA = {"est", "sont", "était", "étaient", "fut", "furent"}
+# Closed-class word -> (item kind, lemma); the sets above are disjoint.
+_CLOSED = {
+    **{w: (DET, w) for w in _DETS}, "l'": (DET, "le"),
+    **{w: (PREP, w) for w in _PREPS}, "d'": (PREP, "de"),
+    **{w: (PREP, lemma) for w, lemma in _FUSED.items()},
+    **{w: (PRON, w) for w in _PRONS},
+    **{w: (_AUX, "avoir") for w in _AUX_AVOIR},
+    **{w: (_AUX, "être") for w in _COPULA},
+}
 _ELIDED = {"l'", "d'", "n'", "s'", "j'", "m'", "t'", "qu'"}
 _CLITIC_RE = re.compile(r"^(.+?)(?:-t)?-(il|elle|ils|elles|on)$")
 _FINITE = {"pres", "ps", "impf", "fut", "cond"}
+_TAG_POS = {"V": VERB, "N": NOUN, "ADJ": ADJ, "ADV": ADV}
 
 
 @dataclass
@@ -264,49 +275,33 @@ def _classify(pieces, lexicon) -> list:
         low = normalize(surface)
         if surface.startswith("-"):
             items.append(_Item(surface, PRON, lemma=surface[1:]))
-        elif low in _DETS:
-            items.append(_Item(surface, DET, lemma="le" if low == "l'" else low))
-        elif low in _FUSED:
-            items.append(_Item(surface, PREP, lemma=_FUSED[low]))
-        elif low in _PREPS:
-            items.append(_Item(surface, PREP, lemma="de" if low == "d'" else low))
-        elif low in _PRONS:
-            items.append(_Item(surface, PRON, lemma=low))
-        elif low in _AUX_AVOIR:
-            items.append(_Item(surface, _AUX, lemma="avoir"))
-        elif low in _COPULA:
-            items.append(_Item(surface, _AUX, lemma="être"))
+        elif low in _CLOSED:
+            items.append(_Item(surface, *_CLOSED[low]))
+        elif readings := tuple(lexicon.readings(surface)):
+            items.append(_Item(surface, "WORD", readings=readings))
+        elif surface[0].isupper():
+            items.append(_Item(surface, "PROPER", lemma=surface))
         else:
-            readings = tuple(lexicon.readings(surface))
-            if readings:
-                items.append(_Item(surface, "WORD", readings=readings))
-            elif surface[0].isupper():
-                items.append(_Item(surface, "PROPER", lemma=surface))
-            else:
-                raise UnknownTokenError(surface)
+            raise UnknownTokenError(surface)
     return items
 
 
-def _pos_of_tag(tags: str) -> str:
-    head = tags.split(":", 1)[0]
-    return {"V": VERB, "N": NOUN, "ADJ": ADJ, "ADV": ADV}.get(head, head)
-
-
 def _reading(item, pos: str, subtags=None):
-    for r in item.readings:
+    """The first reading of a WORD item with part of speech `pos`, and with
+    a second tag in `subtags` if given; None for any other item or None."""
+    for r in item.readings if item else ():
         parts = r.morph_tags.split(":")
-        if _pos_of_tag(r.morph_tags) != pos:
-            continue
-        if subtags is None or (len(parts) > 1 and parts[1] in subtags):
+        if (_TAG_POS.get(parts[0], parts[0]) == pos
+                and (subtags is None or len(parts) > 1 and parts[1] in subtags)):
             return r
     return None
 
 
-def _has_finite_verb(item) -> bool:
-    return item.kind == "WORD" and _reading(item, VERB, _FINITE) is not None
-
-
 class _Parser:
+    """Recursive descent over the classified items. `choices` maps each
+    WORD item taken to its (lemma, pos); `deps` holds (label, head,
+    dependent, prep) in the order the grammar finds them."""
+
     def __init__(self, items):
         self.items = items
         self.i = 0
@@ -316,16 +311,26 @@ class _Parser:
     def peek(self):
         return self.items[self.i] if self.i < len(self.items) else None
 
-    def take(self):
-        item = self.items[self.i]
+    def skip(self, kind: str, lemma=None) -> bool:
+        """Take the next item if it has `kind`, and `lemma` if given."""
+        item = self.peek()
+        if item is None or item.kind != kind or lemma is not None and item.lemma != lemma:
+            return False
         self.i += 1
-        return item
+        return True
+
+    def word(self, pos: str, subtags=None):
+        """Take the next item under its `pos` reading (see `_reading`) and
+        return its index; None, taking nothing, if it has no such reading."""
+        reading = _reading(self.peek(), pos, subtags)
+        if reading is None:
+            return None
+        self.choices[self.i] = (reading.lemma, pos)
+        self.i += 1
+        return self.i - 1
 
     def fail(self, why: str):
         raise ToyParseError(f"unparsable: {why}")
-
-    def choose(self, index: int, lemma: str, pos: str):
-        self.choices[index] = (lemma, pos)
 
     def add(self, label, head, dependent, prep=None):
         self.deps.append((label, head, dependent, prep))
@@ -333,164 +338,122 @@ class _Parser:
     # --- phrase level -----------------------------------------------------
 
     def np(self):
-        """[DET] (NOUN [ADJ]* [PROPER] | PROPER); returns the head item index."""
+        """[DET] (NOUN (ADJ | PROPER)* | PROPER); returns the head item index."""
+        if self.peek() is None:
+            self.fail("expected a noun phrase")
+        self.skip(DET)
         item = self.peek()
         if item is None:
-            self.fail("expected a noun phrase")
-        if item.kind == DET:
-            self.take()
-            item = self.peek()
-        if item is None:
             self.fail("dangling determiner")
-        if item.kind == "PROPER":
-            head = self.i
-            self.take()
-            return head
-        if item.kind == "WORD":
-            noun = _reading(item, NOUN)
-            if noun is None:
-                self.fail(f"expected a noun, got {item.surface!r}")
-            head = self.i
-            self.choose(head, noun.lemma, NOUN)
-            self.take()
-            while True:
-                nxt = self.peek()
-                if nxt is None:
-                    break
-                if nxt.kind == "WORD" and _reading(nxt, ADJ) and not _has_finite_verb(nxt):
-                    adj = _reading(nxt, ADJ)
-                    self.choose(self.i, adj.lemma, ADJ)
-                    self.add(MODIFIER, head, self.i)
-                    self.take()
-                elif nxt.kind == "PROPER":
-                    self.add(ATTRIBUTE, head, self.i)
-                    self.take()
-                else:
-                    break
-            return head
-        self.fail(f"expected a noun phrase at {item.surface!r}")
+        if self.skip("PROPER"):
+            return self.i - 1
+        head = self.word(NOUN)
+        if head is None:
+            self.fail(f"expected a noun, got {item.surface!r}" if item.kind == "WORD"
+                      else f"expected a noun phrase at {item.surface!r}")
+        while True:
+            # A word that may be a finite verb is the clause's verb, not an ADJ.
+            if (_reading(self.peek(), VERB, _FINITE) is None
+                    and (adj := self.word(ADJ)) is not None):
+                self.add(MODIFIER, head, adj)
+            elif self.skip("PROPER"):
+                self.add(ATTRIBUTE, head, self.i - 1)
+            else:
+                return head
 
     def pp_chain(self, attach_de: int, attach_par: int):
         """(de NP | par NP)*; "de" attaches to the latest head, "par" to the top."""
         while True:
-            item = self.peek()
-            if item is None or item.kind != PREP:
-                return
-            if item.lemma == "de":
-                self.take()
+            if self.skip(PREP, "de"):
                 inner = self.np()
                 self.add(PREPPH, attach_de, inner, prep="de")
                 attach_de = inner
-            elif item.lemma == "par":
-                self.take()
-                inner = self.np()
-                self.add(PREPPH, attach_par, inner, prep="par")
+            elif self.skip(PREP, "par"):
+                self.add(PREPPH, attach_par, self.np(), prep="par")
             else:
                 return
+
+    def copular(self, subject: int, fronted=None):
+        """The tail after "être": [clitic] NP (de NP | par NP)*, the NP being
+        the subject's ATTRIBUTE; a fronted noun is its first "de" complement."""
+        self.skip(PRON)
+        attribute = self.np()
+        self.add(ATTRIBUTE, subject, attribute)
+        if fronted is not None:
+            self.add(PREPPH, attribute, fronted, prep="de")
+        self.pp_chain(attribute, attribute)
 
     # --- sentence level ---------------------------------------------------
 
     def parse(self):
-        if not self.items:
+        items = self.items
+        if not items:
             self.fail("empty sentence")
-        first = self.items[0]
-        if (first.kind == PREP and first.lemma == "de"
-                and len(self.items) > 1 and self.items[1].kind == DET
-                and normalize(self.items[1].surface) in _QUEL):
+        first = items[0]
+        if (first.kind == PREP and first.lemma == "de" and len(items) > 1
+                and items[1].kind == DET and items[1].lemma in _QUEL):
             self.fronted_interrogative()
-        elif first.kind == "WORD" and _reading(first, VERB, {"inf"}) and not _reading(first, NOUN):
+        elif _reading(first, VERB, {"inf"}) and not _reading(first, NOUN):
             self.infinitive_fragment()
         else:
             self.clause_or_fragment()
-        if self.i != len(self.items):
-            leftover = self.items[self.i].surface
-            self.fail(f"trailing material from {leftover!r}")
+        if self.i != len(items):
+            self.fail(f"trailing material from {items[self.i].surface!r}")
         return self.choices, self.deps
 
     def fronted_interrogative(self):
         """De quel N1 SUBJ est-il le N2 -> ATTRIBUTE(SUBJ, N2), PREPPH(N2, de, N1)."""
-        self.take()  # de
-        self.take()  # quel
-        item = self.peek()
-        if item is None or item.kind != "WORD" or _reading(item, NOUN) is None:
+        self.i = 2  # "de quel", which parse() checked
+        fronted = self.word(NOUN)
+        if fronted is None:
             self.fail("fronted interrogative needs a noun after 'quel'")
-        fronted = self.i
-        self.choose(fronted, _reading(item, NOUN).lemma, NOUN)
-        self.take()
         subject = self.subject()
-        cop = self.peek()
-        if cop is None or cop.kind != _AUX or cop.lemma != "être":
+        if not self.skip(_AUX, "être"):
             self.fail("fronted interrogative needs a copula")
-        self.take()
-        if self.peek() is not None and self.peek().kind == PRON:
-            self.take()
-        attribute = self.np()
-        self.add(ATTRIBUTE, subject, attribute)
-        self.add(PREPPH, attribute, fronted, prep="de")
-        self.pp_chain(attach_de=attribute, attach_par=attribute)
+        self.copular(subject, fronted)
 
     def infinitive_fragment(self):
-        verb = self.i
-        item = self.take()
-        self.choose(verb, _reading(item, VERB, {"inf"}).lemma, VERB)
+        """VERB-inf NP (de NP | par NP)*; "par" attaches to the verb."""
+        verb = self.word(VERB, {"inf"})
         obj = self.np()
         self.add(DIROBJ, verb, obj)
-        self.pp_chain(attach_de=obj, attach_par=verb)
+        self.pp_chain(obj, verb)
 
     def subject(self) -> int:
-        item = self.peek()
-        if item is None:
+        if self.peek() is None:
             self.fail("expected a subject")
-        if item.kind == PRON:
-            head = self.i
-            self.take()
-            return head
-        return self.np()
+        return self.i - 1 if self.skip(PRON) else self.np()
 
     def clause_or_fragment(self):
         subject = self.subject()
-        self.pp_chain(attach_de=subject, attach_par=subject)
+        self.pp_chain(subject, subject)
         item = self.peek()
         if item is None:
             return  # bare noun phrase fragment
-        if item.kind == _AUX and item.lemma == "avoir":
-            self.take()
-            part = self.peek()
-            if part is None or part.kind != "WORD" or _reading(part, VERB, {"pp"}) is None:
+        if self.skip(_AUX, "avoir"):
+            verb = self.word(VERB, {"pp"})
+            if verb is None:
                 self.fail("avoir needs a past participle")
-            verb = self.i
-            self.choose(verb, _reading(part, VERB, {"pp"}).lemma, VERB)
-            self.take()
             self.verb_complements(verb, subject)
-        elif item.kind == _AUX and item.lemma == "être":
-            self.take()
-            if self.peek() is not None and self.peek().kind == PRON:
-                self.take()
-            attribute = self.np()
-            self.add(ATTRIBUTE, subject, attribute)
-            self.pp_chain(attach_de=attribute, attach_par=attribute)
-        elif item.kind == "WORD" and _has_finite_verb(item):
-            verb = self.i
-            self.choose(verb, _reading(item, VERB, _FINITE).lemma, VERB)
-            self.take()
-            if self.peek() is not None and self.peek().kind == PRON:
-                self.take()  # inversion clitic echoes the subject
+        elif self.skip(_AUX, "être"):
+            self.copular(subject)
+        elif (verb := self.word(VERB, _FINITE)) is not None:
+            self.skip(PRON)  # an inversion clitic echoes the subject
             self.verb_complements(verb, subject)
         else:
             self.fail(f"expected a verb, got {item.surface!r}")
 
     def verb_complements(self, verb: int, subject: int):
         self.add(SUBJECT, verb, subject)
-        item = self.peek()
-        if item is None:
+        if self.peek() is None:
             return
-        if item.kind == PREP and item.lemma in ("à", "de"):
-            self.take()  # case marker of an indirect object, normalized away
+        # The case marker of an indirect object, normalized away.
+        self.skip(PREP, "à") or self.skip(PREP, "de")
         if self.peek() is None:
             self.fail("dangling preposition")
         obj = self.np()
         self.add(DIROBJ, verb, obj)
-        self.pp_chain(attach_de=obj, attach_par=obj)
+        self.pp_chain(obj, obj)
 
 
 def toy_parse(sentence: str, lexicon, sentence_id: str = "s0") -> DependencyGraph:
@@ -499,10 +462,8 @@ def toy_parse(sentence: str, lexicon, sentence_id: str = "s0") -> DependencyGrap
     Raises ToyParseError (or UnknownTokenError) instead of guessing: an
     unparsable sentence must never contribute a wrong graph to the bank.
     """
-    pieces = _tokenize(sentence)
-    items = _classify(pieces, lexicon)
-    parser = _Parser(items)
-    choices, raw_deps = parser.parse()
+    items = _classify(_tokenize(sentence), lexicon)
+    choices, raw_deps = _Parser(items).parse()
 
     tokens = []
     for idx, item in enumerate(items):

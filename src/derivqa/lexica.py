@@ -7,6 +7,7 @@ line. The dictionary's derivation codes are resolved against the code table
 as it loads, so a `SenseRecord` carries instructions, never code letters.
 """
 
+import codecs
 import logging
 from dataclasses import dataclass
 from functools import cached_property
@@ -265,6 +266,7 @@ class SynonymTable:
 def load_synonyms(path, dictionary: Dictionary) -> SynonymTable:
     """Load "lemma<TAB>sense-or-*<TAB>syn(;syn)*" rows.
 
+    The sense is `*` or an integer of at least 1, as in the dictionary.
     A row pairing two lemmas whose senses in `dictionary` each have one part
     of speech, and not the same one, is rejected, since synonymy never
     crosses part of speech here; a lemma with no senses there, or with senses
@@ -273,14 +275,11 @@ def load_synonyms(path, dictionary: Dictionary) -> SynonymTable:
     entries: dict[tuple[str, int | str], set[str]] = {}
     for lineno, row in _read_rows(path, 3):
         lemma, sense, syns = row
-        key_sense: int | str
-        if sense == WILDCARD_SENSE:
-            key_sense = WILDCARD_SENSE
-        else:
-            try:
-                key_sense = int(sense)
-            except ValueError:
-                raise LexiconError(path, lineno, f"sense must be an integer or '*': {sense!r}")
+        key_sense: int | str = sense
+        if sense != WILDCARD_SENSE:
+            key_sense = _int_cell(path, lineno, "sense", sense)
+            if key_sense < 1:
+                raise LexiconError(path, lineno, f"{lemma}: sense must be >= 1")
         synonyms = _split_multi(syns)
         if not synonyms:
             raise LexiconError(path, lineno, "empty synonym list")
@@ -315,9 +314,10 @@ def _split_multi(cell: str) -> tuple[str, ...]:
 
 
 def _read_text(path, error=LexiconError) -> str:
-    """The text of a UTF-8 file; a byte that is not UTF-8 raises
-    `error(path, lineno, message)` for the line that holds it."""
-    data = Path(path).read_bytes()
+    """The text of a UTF-8 file, less one leading byte-order mark; a byte
+    that is not UTF-8 raises `error(path, lineno, message)` for the line
+    that holds it."""
+    data = Path(path).read_bytes().removeprefix(codecs.BOM_UTF8)
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:

@@ -1,6 +1,8 @@
 import hashlib
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -22,6 +24,7 @@ from conftest import FIXTURES
 NESTED = "[" * 200_000 + "]" * 200_000 + "\n"
 LONG_INT = "1" * 5_000
 
+ROOT = Path(__file__).resolve().parent.parent
 BENCHMARK_CONFIG = str(FIXTURES / "benchmark" / "config.json")
 COUPER_FAMILY_CONFIG = str(FIXTURES / "couper_family" / "config.json")
 
@@ -429,6 +432,46 @@ class TestStats:
         assert lines[6] == ("sense examples compiled: 18 rules from "
                             "18/18 examples (100.0%)")
         assert dump.is_file()
+
+
+def readme_quickstart():
+    """(command, expected stdout) of each `$ ` line in README's Quickstart
+    code blocks; a trailing backslash continues a command."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = text.split("\n## Quickstart\n", 1)[1].split("\n## ", 1)[0]
+    sessions = []
+    for block in re.findall(r"```sh\n(.*?)```", section, re.S):
+        for chunk in re.split(r"^\$ ", block.replace("\\\n", " "), flags=re.M)[1:]:
+            command, _, output = chunk.partition("\n")
+            sessions.append((command, output.rstrip("\n") + "\n"))
+    return sessions
+
+
+def derivqa_argvs(command) -> list:
+    """The argv of each `derivqa` run a Quickstart command makes."""
+    loop = re.fullmatch(r"for (\w+) in (.*?); do (.*); done", command)
+    if loop:
+        name, values, body = loop.groups()
+        return [argv for value in values.split()
+                for argv in derivqa_argvs(body.replace("$" + name, value).strip())]
+    program, *argv = shlex.split(command)
+    assert program == "derivqa"
+    return [argv]
+
+
+class TestReadmeQuickstart:
+    def test_every_command_prints_what_the_readme_shows(self, capsys, monkeypatch):
+        monkeypatch.chdir(ROOT)
+        sessions = readme_quickstart()
+        assert [derivqa_argvs(command)[0][2] for command, _ in sessions] == [
+            "stats", "ask", "--mode"]
+        for command, expected in sessions:
+            out = ""
+            for argv in derivqa_argvs(command):
+                code, stdout, _ = run(capsys, *argv)
+                assert code == EXIT_OK
+                out += stdout
+            assert out == expected, command
 
 
 class TestExitCodes:

@@ -1,7 +1,9 @@
 """Every public module-level function and class of the package, every public
 method and property of its classes, and every value its classes store (a
 dataclass field or an attribute set on `self`) has a user in the package or
-the benchmark; what only tests use is dead code.
+the benchmark; what only tests use is dead code. Every private helper, a
+module-level `_function` or a non-dunder `_method`, has a caller in the
+package.
 
 Its blind spot is what sits inside a stored dict or set: the keys and values
 a container holds are not names it can follow. `TokenNode.features` is such
@@ -66,9 +68,24 @@ def _public_methods():
                 yield module, f"{cls.name}.{node.name}"
 
 
-def _referenced_names():
+def _private_helpers():
+    """Module-level `_functions` and non-dunder `_methods` of the package."""
+    def private(node):
+        return (isinstance(node, ast.FunctionDef) and node.name.startswith("_")
+                and not (node.name.startswith("__") and node.name.endswith("__")))
+
+    for path, tree in _trees(PACKAGE):
+        for node in tree.body:
+            if private(node):
+                yield path.name, node.name
+            elif isinstance(node, ast.ClassDef):
+                yield from ((path.name, f"{node.name}.{method.name}")
+                            for method in node.body if private(method))
+
+
+def _referenced_names(roots=(ROOT / "src", ROOT / "bench")):
     names = set()
-    for _, tree in _trees(ROOT / "src", ROOT / "bench"):
+    for _, tree in _trees(*roots):
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 names.add(node.id)
@@ -152,6 +169,13 @@ def test_every_public_definition_is_used():
 def test_every_public_method_is_used():
     used = _referenced_names()
     unused = [f"{module}: {name}" for module, name in _public_methods()
+              if name.rpartition(".")[2] not in used]
+    assert unused == []
+
+
+def test_every_private_helper_is_called():
+    used = _referenced_names([ROOT / "src"])
+    unused = [f"{module}: {name}" for module, name in _private_helpers()
               if name.rpartition(".")[2] not in used]
     assert unused == []
 

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from derivqa import pipeline
+from derivqa import depgraph, pipeline
 from derivqa.depgraph import (
     ATTRIBUTE,
     BASE,
@@ -186,10 +186,96 @@ class TestToyParser:
         with pytest.raises(ToyParseError, match="expected a verb"):
             toy_parse("l'ouvrier le courant .", lexicon)
 
+    def test_closed_class_sets_are_disjoint(self):
+        # so one lookup in `_CLOSED` classifies a word as the old chain of
+        # set tests did, in whatever order
+        sets = [depgraph._DETS, set(depgraph._FUSED), depgraph._PREPS, depgraph._PRONS,
+                depgraph._AUX_AVOIR, depgraph._COPULA]
+        assert sum(map(len, sets)) == len(set().union(*sets)) == len(depgraph._CLOSED)
+
     def test_sentence_ids_are_kept(self, lexicon):
         graph = toy_parse("la coupure du courant .", lexicon, sentence_id="s42")
         assert graph.sentence_id == "s42"
         assert graph.text == "la coupure du courant ."
+
+
+def lemma_sigs(graph):
+    """(label, prep, head lemma, dependent lemma) of each dependency."""
+    return {(d.label, d.prep, *(graph.tokens[i].lemma for i in d.args)) for d in graph.deps}
+
+
+class TestGrammarPins:
+    """One sentence per construction of the `depgraph` module docstring, and
+    one per failure the grammar can reach, each with what it must give."""
+
+    @pytest.mark.parametrize("sentence, expected", [
+        pytest.param("l'ouvrier coupa le courant .", {
+            (SUBJECT, None, "couper", "ouvrier"),
+            (DIROBJ, None, "couper", "courant")}, id="svo-simple-past"),
+        pytest.param("le domestique lave le linge .", {
+            (SUBJECT, None, "laver", "domestique"),
+            (DIROBJ, None, "laver", "linge")}, id="svo-present"),
+        pytest.param("l'ouvrier a coupé le courant .", {
+            (SUBJECT, None, "couper", "ouvrier"),
+            (DIROBJ, None, "couper", "courant")}, id="svo-avoir-participle"),
+        pytest.param("Domitien est le successeur de l'empereur .", {
+            (ATTRIBUTE, None, "Domitien", "successeur"),
+            (PREPPH, "de", "successeur", "empereur")}, id="copular-attribute"),
+        pytest.param("la coupure du courant par l'ouvrier .", {
+            (PREPPH, "de", "coupure", "courant"),
+            (PREPPH, "par", "coupure", "ouvrier")}, id="de-par-complements"),
+        pytest.param("le compartiment du navire du marchand .", {
+            (PREPPH, "de", "compartiment", "navire"),
+            (PREPPH, "de", "navire", "marchand")}, id="chained-de"),
+        pytest.param("Domitien succéda à l'empereur Titus .", {
+            (SUBJECT, None, "succéder", "Domitien"),
+            (DIROBJ, None, "succéder", "empereur"),
+            (ATTRIBUTE, None, "empereur", "Titus")}, id="proper-apposition"),
+        pytest.param("le courant rapide .", {
+            (MODIFIER, None, "courant", "rapide")}, id="postnominal-adjective"),
+        pytest.param("l'ouvrier coupa-t-il le courant ?", {
+            (SUBJECT, None, "couper", "ouvrier"),
+            (DIROBJ, None, "couper", "courant")}, id="clitic-inversion"),
+        pytest.param("De quel empereur Domitien est-il le successeur ?", {
+            (ATTRIBUTE, None, "Domitien", "successeur"),
+            (PREPPH, "de", "successeur", "empereur")}, id="fronted-interrogative"),
+        pytest.param("couper le courant par l'ouvrier .", {
+            (DIROBJ, None, "couper", "courant"),
+            (PREPPH, "par", "couper", "ouvrier")}, id="infinitive-fragment"),
+        pytest.param("la coupure du courant .", {
+            (PREPPH, "de", "coupure", "courant")}, id="noun-phrase-fragment"),
+    ])
+    def test_construction(self, lexicon, sentence, expected):
+        assert lemma_sigs(toy_parse(sentence, lexicon)) == expected
+
+    # The twelve `fail` messages and the unknown token. The unattached-word
+    # check in `toy_parse` guards against a wrong graph; no sentence reaches it.
+    @pytest.mark.parametrize("sentence, error, message", [
+        (" . ", ToyParseError, "unparsable: empty sentence"),
+        ("l'ouvrier coupa le courant de", ToyParseError,
+         "unparsable: expected a noun phrase"),
+        ("l'ouvrier coupa le", ToyParseError, "unparsable: dangling determiner"),
+        ("le rapide coupa le courant .", ToyParseError,
+         "unparsable: expected a noun, got 'rapide'"),
+        ("dans le courant .", ToyParseError, "unparsable: expected a noun phrase at 'dans'"),
+        ("l'ouvrier coupa le courant le linge .", ToyParseError,
+         "unparsable: trailing material from 'le'"),
+        ("De quel rapide Domitien est-il le successeur ?", ToyParseError,
+         "unparsable: fronted interrogative needs a noun after 'quel'"),
+        ("De quel empereur ?", ToyParseError, "unparsable: expected a subject"),
+        ("De quel empereur Domitien succéda à Titus ?", ToyParseError,
+         "unparsable: fronted interrogative needs a copula"),
+        ("l'ouvrier a le courant .", ToyParseError,
+         "unparsable: avoir needs a past participle"),
+        ("l'ouvrier le courant .", ToyParseError, "unparsable: expected a verb, got 'le'"),
+        ("Domitien succéda à", ToyParseError, "unparsable: dangling preposition"),
+        ("le xyzzy dort .", UnknownTokenError, "token outside lexicon: 'xyzzy'"),
+    ])
+    def test_failure(self, lexicon, sentence, error, message):
+        with pytest.raises(ToyParseError) as info:
+            toy_parse(sentence, lexicon)
+        assert type(info.value) is error
+        assert str(info.value) == message
 
 
 class TestGraphComparison:

@@ -1,8 +1,10 @@
 import functools
+import json
 
 import pytest
 
 from derivqa import lexica, morphogen, pipeline, qaengine
+from derivqa.depgraph import load_depbank, save_depbank
 from derivqa.lexica import (
     ADJ,
     ADV,
@@ -254,6 +256,14 @@ class TestSynonyms:
         with pytest.raises(LexiconError, match="sense"):
             load_synonyms(path, Dictionary())
 
+    @pytest.mark.parametrize("sense", ["0", "-1"])
+    def test_rejects_a_sense_below_one(self, tmp_path, sense):
+        # The dictionary has no such sense, so the row could never apply.
+        path = write(tmp_path, "s.tsv", f"laver\t*\tnettoyer\nlaver\t{sense}\tfrotter\n")
+        with pytest.raises(LexiconError) as info:
+            load_synonyms(path, Dictionary())
+        assert str(info.value) == f"{path}:2: laver: sense must be >= 1"
+
 
 @pytest.mark.parametrize("loader, columns", [
     pytest.param(functools.partial(load_dictionary, code_table=CODE_TABLE), 12,
@@ -307,9 +317,56 @@ def test_lines_end_at_newline_only(tmp_path):
      DICT_ROW.replace("vendre\t1\t", "vendre\t{}\t")),
     ("level", functools.partial(load_dictionary, code_table=CODE_TABLE), DICT_ROW[:-1] + "{}"),
     ("count", load_corpus_lexicon, "coupure\t{}"),
-], ids=["sense_id", "level", "count"])
+    ("sense", functools.partial(load_synonyms, dictionary=Dictionary()), "laver\t{}\tnettoyer"),
+], ids=["sense_id", "level", "count", "sense"])
 def test_integer_cells_hold_ascii_digits_only(tmp_path, cell, column, loader, text):
     path = write(tmp_path, "f.tsv", text.format(cell) + "\n")
     with pytest.raises(LexiconError) as info:
         loader(path)
     assert str(info.value) == f"{path}:1: {column} is not an integer: {cell!r}"
+
+
+class TestByteOrderMark:
+    """A file that starts with a UTF-8 byte-order mark reads as its twin
+    without one."""
+
+    BOM = "\ufeff"
+
+    def twins(self, tmp_path, name, text):
+        return write(tmp_path, "bom-" + name, self.BOM + text), write(tmp_path, name, text)
+
+    def test_dictionary(self, tmp_path):
+        bom, plain = self.twins(tmp_path, "d.tsv", "# lemma\tsense\n" + DICT_ROW + "\n")
+        assert load_dictionary(bom, CODE_TABLE) == load_dictionary(plain, CODE_TABLE)
+
+    def test_corpus_lexicon(self, tmp_path):
+        bom, plain = self.twins(tmp_path, "c.tsv", "coup\t2\ncoupure\t3\n")
+        assert load_corpus_lexicon(bom).forms == load_corpus_lexicon(plain).forms == {
+            "coup", "coupure"}
+
+    def test_config(self, tmp_path, benchmark_config):
+        paths = ("dictionary", "inflections", "corpus_lexicon", "synonyms")
+        text = json.dumps({name: str(getattr(benchmark_config, name)) for name in paths}
+                          | {"k": 3})
+        bom, plain = self.twins(tmp_path, "config.json", text)
+        assert pipeline.load_config(bom) == pipeline.load_config(plain)
+
+    def test_bank(self, tmp_path, benchmark_resources):
+        bank = pipeline.build_bank(benchmark_resources, "deriv")
+        save_depbank(bank, tmp_path / "bank.jsonl")
+        text = (tmp_path / "bank.jsonl").read_text(encoding="utf-8")
+        bom, plain = self.twins(tmp_path, "bank.jsonl", text)
+        a, b = load_depbank(bom), load_depbank(plain)
+        assert list(a) == list(b) == list(bank)
+        assert (a.mode, a.fingerprint) == (b.mode, b.fingerprint) == ("deriv", bank.fingerprint)
+
+    def test_only_one_mark_is_dropped(self, tmp_path):
+        path = write(tmp_path, "c.tsv", self.BOM * 2 + "coup\t2\n")
+        assert load_corpus_lexicon(path).forms == {self.BOM + "coup"}
+
+    def test_non_utf8_byte_still_names_its_line(self, tmp_path):
+        path = tmp_path / "c.tsv"
+        path.write_bytes(self.BOM.encode() + b"a\t1\n\xff\t3\n")
+        with pytest.raises(LexiconError) as info:
+            load_corpus_lexicon(path)
+        assert str(info.value) == f"{path}:2: not valid UTF-8: byte 0xff"
