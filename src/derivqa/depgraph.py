@@ -132,11 +132,14 @@ class DependencyBank(tuple):
 
     Two indexes are built on first use, once per bank. `postings` is an
     inverted index over the graphs' dependencies: (label, prep,
-    word of arg 0, word of arg 1) -> ascending bank positions, where a word
-    is the argument token's lemma or one of its alternates. `bag_index` is
-    the bag engine's: significant lemma -> ascending bank positions, each
-    position once. A graph changed after an index is built is not seen by
-    it.
+    word of arg 0, word of arg 1) -> the (bank position, dependency index)
+    of each dependency holding that key, where a word is the argument
+    token's lemma or one of its alternates. The pairs are stored flat, as
+    one list of ints `[position, dep index, position, dep index, ...]` in
+    ascending order, each pair once; `qaengine.answer` reads its matching
+    edges from it through `match_edges`. `bag_index` is the bag engine's:
+    significant lemma -> ascending bank positions, each position once. A
+    graph changed after an index is built is not seen by it.
     """
 
     def __new__(cls, graphs=(), mode: str | None = None, fingerprint: str | None = None):
@@ -153,33 +156,45 @@ class DependencyBank(tuple):
     def bag_index(self) -> dict:
         return _bag_index(self)
 
-    def sharing(self, qgraph: DependencyGraph) -> list:
-        """Ascending positions of the graphs holding a dependency that one of
-        `qgraph`'s dependencies matches.
+    def match_edges(self, qgraph: DependencyGraph) -> dict:
+        """Bank position -> one list per dependency of `qgraph`, holding the
+        ascending indexes of the graph's dependencies it matches; only
+        graphs with at least one match appear.
 
-        Lossless for `qaengine.dep_match`: a question dependency matches a
-        sentence dependency exactly when its (label, prep, lemma of arg 0,
-        lemma of arg 1) is one of the sentence dependency's keys.
+        A question dependency matches a sentence dependency when labels and
+        prepositions are equal and each question argument's lemma is the
+        sentence argument's lemma or one of its alternates; provenance plays
+        no role. That holds exactly when the question dependency's (label,
+        prep, lemma of arg 0, lemma of arg 1) is one of the sentence
+        dependency's keys, so the postings find every match and no other.
         """
         postings = self.postings
-        hits = set()
-        for dep in qgraph.deps:
-            key = (dep.label, dep.prep, *(qgraph.tokens[i].lemma for i in dep.args))
-            hits.update(postings.get(key, ()))
-        return sorted(hits)
+        tokens = qgraph.tokens
+        n = len(qgraph.deps)
+        edges = {}
+        for qi, dep in enumerate(qgraph.deps):
+            run = iter(postings.get((dep.label, dep.prep, tokens[dep.args[0]].lemma,
+                                     tokens[dep.args[1]].lemma), ()))
+            for position, ti in zip(run, run):
+                lists = edges.get(position)
+                if lists is None:
+                    edges[position] = lists = [[] for _ in range(n)]
+                lists[qi].append(ti)
+        return edges
 
 
 def _dependency_postings(graphs) -> dict:
     postings = {}
     for position, graph in enumerate(graphs):
-        tokens = graph.tokens
-        for dep in graph.deps:
-            head, dependent = tokens[dep.args[0]], tokens[dep.args[1]]
-            for x in (head.lemma, *head.alternates):
-                for y in (dependent.lemma, *dependent.alternates):
-                    bucket = postings.setdefault((dep.label, dep.prep, x, y), [])
-                    if not bucket or bucket[-1] != position:
-                        bucket.append(position)
+        # each token's words: its lemma and alternates, each word once
+        words = [t.alternates | {t.lemma} if t.alternates else (t.lemma,)
+                 for t in graph.tokens]
+        for index, dep in enumerate(graph.deps):
+            head, dependent = dep.args
+            for x in words[head]:
+                for y in words[dependent]:
+                    postings.setdefault((dep.label, dep.prep, x, y), []).extend(
+                        (position, index))
     return postings
 
 
@@ -574,7 +589,9 @@ def describe_bank(mode, fingerprint) -> str:
 
 def _graph_from_row(row, where: str, shared: dict) -> DependencyGraph:
     """One graph row, checked; `shared` maps each dependency row already read
-    to its `Dependency`, so equal dependencies of a bank are one object."""
+    to its `Dependency`, so equal dependencies of a bank are one object. Equal
+    rows are equal dependencies, so a row repeated in a graph is dropped by
+    its row alone."""
     if type(row) is not list or len(row) != 4:
         raise DepbankError(f"{where}: a graph row must be a list [id, text, tokens, deps]")
     sentence_id, text, raw_tokens, raw_deps = row
@@ -602,7 +619,7 @@ def _graph_from_row(row, where: str, shared: dict) -> DependencyGraph:
         tokens.append(TokenNode(index, surface, lemma, pos, features, sense,
                                 frozenset(alternates) if alternates else _NO_ALTERNATES))
     n = len(tokens)
-    deps = []
+    deps = {}  # dependency row -> Dependency, first occurrence first
     for raw in raw_deps:
         if type(raw) is not list or len(raw) != 5:
             raise DepbankError(f"{rid}: a dependency must be a list [label, arg0, arg1, "
@@ -622,6 +639,5 @@ def _graph_from_row(row, where: str, shared: dict) -> DependencyGraph:
             except (TypeError, ValueError) as exc:
                 raise DepbankError(f"{rid}: bad dependency record: {exc}")
             shared[key] = dep
-        if dep not in deps:
-            deps.append(dep)
-    return DependencyGraph(sentence_id, text, tokens, deps)
+        deps.setdefault(key, dep)
+    return DependencyGraph(sentence_id, text, tokens, list(deps.values()))

@@ -302,11 +302,16 @@ def _only_pos(dictionary: Dictionary, lemma: str) -> str | None:
 
 
 def _int_cell(path, lineno: int, column: str, cell: str) -> int:
-    """`cell` as an integer: ASCII digits after an optional `-`, nothing else."""
+    """`cell` as an integer: ASCII digits after an optional `-`, nothing else,
+    and no more digits than `int` converts."""
     digits = cell[1:] if cell.startswith("-") else cell
     if not (digits.isascii() and digits.isdigit()):
         raise LexiconError(path, lineno, f"{column} is not an integer: {cell!r}")
-    return int(cell)
+    try:
+        return int(cell)
+    except ValueError:  # past the interpreter's limit on digits converted
+        raise LexiconError(path, lineno,
+                           f"{column} is not an integer: {len(digits)} digits is too many")
 
 
 def _split_multi(cell: str) -> tuple[str, ...]:

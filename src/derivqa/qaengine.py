@@ -4,8 +4,9 @@ Two retrieval strategies share one candidate type. The structural engine
 (`answer`) scores a sentence by how large a one-to-one matching exists
 between the question's dependencies and the sentence's, where a dependency
 pair matches label-wise and argument-wise (a question lemma may also hit a
-sentence token's alternates). The bag engine (`answer_baseline`) ignores
-structure and ranks sentences by shared significant lemmas.
+sentence token's alternates); the bank's dependency index names the
+matching pairs. The bag engine (`answer_baseline`) ignores structure and
+ranks sentences by shared significant lemmas.
 """
 
 import heapq
@@ -62,38 +63,13 @@ class AnswerCandidate:
     text: str = ""
 
 
-def _arg_matches(q_token, t_token) -> bool:
-    return q_token.lemma == t_token.lemma or q_token.lemma in t_token.alternates
-
-
-def dep_match(qgraph: DependencyGraph, qdep, tgraph: DependencyGraph, tdep) -> bool:
-    """Whether a question dependency is satisfied by a sentence dependency.
-
-    Labels must be equal; prepositions must agree literally;
-    each question argument must equal the sentence argument's lemma or
-    appear among its alternates. Provenance plays no role.
-    `DependencyBank.sharing` finds candidates by these same rules, so a
-    change here must be made there too.
-    """
-    if qdep.label != tdep.label or qdep.prep != tdep.prep:
-        return False
-    return all(
-        _arg_matches(qgraph.tokens[qi], tgraph.tokens[ti])
-        for qi, ti in zip(qdep.args, tdep.args)
-    )
-
-
-def _max_matching(qgraph: DependencyGraph, tgraph: DependencyGraph) -> list:
+def _max_matching(edges: list) -> list:
     """Largest one-to-one pairing of question deps onto sentence deps.
 
-    Kuhn's augmenting-path algorithm; the left side is the question.
-    Returns the matched (question index, sentence index) pairs.
+    `edges[qi]` lists the sentence dependencies question dependency `qi`
+    matches. Kuhn's augmenting-path algorithm; the left side is the
+    question. Returns the matched (question index, sentence index) pairs.
     """
-    edges = [
-        [ti for ti, tdep in enumerate(tgraph.deps)
-         if dep_match(qgraph, qdep, tgraph, tdep)]
-        for qdep in qgraph.deps
-    ]
     owner = {}
 
     def try_assign(qi, visited) -> bool:
@@ -106,7 +82,7 @@ def _max_matching(qgraph: DependencyGraph, tgraph: DependencyGraph) -> list:
                 return True
         return False
 
-    for qi in range(len(qgraph.deps)):
+    for qi in range(len(edges)):
         try_assign(qi, set())
     return sorted((qi, ti) for ti, qi in owner.items())
 
@@ -117,9 +93,10 @@ def answer(question: QuestionStructure, bank: DependencyBank, k: int = 5,
 
     Coverage is the matched fraction of the question's dependencies.
     Sentences with zero coverage are not candidates. Ties keep bank order.
-    Only the graphs the bank's dependency index finds sharing a dependency
-    with the question are matched, and they are ranked by matching size;
-    only the k returned become candidates.
+    The bank's dependency index names, per graph, the sentence dependencies
+    each question dependency matches (`DependencyBank.match_edges`); only
+    the graphs it names are matched, and they are ranked by matching size.
+    Only the k returned become candidates.
     """
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
@@ -127,8 +104,8 @@ def answer(question: QuestionStructure, bank: DependencyBank, k: int = 5,
     if total == 0:
         return []
     scored = []
-    for position in bank.sharing(question.graph):
-        pairs = _max_matching(question.graph, bank[position])
+    for position, edges in bank.match_edges(question.graph).items():
+        pairs = _max_matching(edges)
         if require_full_match and len(pairs) != total:
             continue
         scored.append((-len(pairs), position, pairs))
@@ -164,9 +141,11 @@ def answer_baseline(question: QuestionStructure, bank: DependencyBank, k: int = 
     counts = Counter()
     for lemma in q_bag:
         counts.update(postings.get(lemma, ()))
-    best = heapq.nsmallest(k, ((-count, position) for position, count in counts.items()))
+    # most shared lemmas first; the sort is stable, so ties keep bank order
+    best = sorted(counts)
+    best.sort(key=counts.__getitem__, reverse=True)
     candidates = []
-    for _, position in best:
+    for position in best[:k]:
         graph = bank[position]
         shared = sorted(q_bag & _significant_lemmas(graph))
         candidates.append(AnswerCandidate(graph.sentence_id, Fraction(len(shared), len(q_bag)),

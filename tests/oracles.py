@@ -224,6 +224,70 @@ def plain_enrich(graph, synonyms, patterns, resource, dictionary, compose: bool 
     return out
 
 
+def arg_matches(q_token, t_token) -> bool:
+    return q_token.lemma == t_token.lemma or q_token.lemma in t_token.alternates
+
+
+def dep_match(qgraph, qdep, tgraph, tdep) -> bool:
+    """Whether a question dependency is satisfied by a sentence dependency.
+
+    Labels must be equal; prepositions must agree literally; each question
+    argument must equal the sentence argument's lemma or appear among its
+    alternates. Provenance plays no role.
+    """
+    if qdep.label != tdep.label or qdep.prep != tdep.prep:
+        return False
+    return all(
+        arg_matches(qgraph.tokens[qi], tgraph.tokens[ti])
+        for qi, ti in zip(qdep.args, tdep.args)
+    )
+
+
+def plain_max_matching(qgraph, tgraph) -> list:
+    """Kuhn's augmenting-path matching over edges found by `dep_match` on
+    every (question dep, sentence dep) pair; the (question index, sentence
+    index) pairs, sorted."""
+    edges = [
+        [ti for ti, tdep in enumerate(tgraph.deps) if dep_match(qgraph, qdep, tgraph, tdep)]
+        for qdep in qgraph.deps
+    ]
+    owner = {}
+
+    def try_assign(qi, visited) -> bool:
+        for ti in edges[qi]:
+            if ti in visited:
+                continue
+            visited.add(ti)
+            if ti not in owner or try_assign(owner[ti], visited):
+                owner[ti] = qi
+                return True
+        return False
+
+    for qi in range(len(qgraph.deps)):
+        try_assign(qi, set())
+    return sorted((qi, ti) for ti, qi in owner.items())
+
+
+def plain_answer(question, graphs, k: int = 5, require_full_match: bool = False) -> list:
+    """Reference structural engine: every graph matched pair by pair, no
+    index; candidates with nonzero coverage sorted by matching size, then
+    bank position, the top k returned."""
+    from fractions import Fraction
+
+    from derivqa.qaengine import AnswerCandidate
+
+    total = len(question.graph.deps)
+    scored = []
+    for position, graph in enumerate(graphs):
+        pairs = plain_max_matching(question.graph, graph)
+        if pairs and not (require_full_match and len(pairs) != total):
+            scored.append((-len(pairs), position, pairs))
+    scored.sort()
+    return [AnswerCandidate(graphs[position].sentence_id, Fraction(len(pairs), total),
+                            pairs, graphs[position].text)
+            for _, position, pairs in scored[:k]]
+
+
 def max_coverage_pairs(qgraph, tgraph, match_fn) -> int:
     """Size of the largest one-to-one question-to-sentence dep pairing,
     by trying every injective assignment."""

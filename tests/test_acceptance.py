@@ -45,7 +45,7 @@ from derivqa.lexica import (
     senses_by_lemma,
 )
 from derivqa.morphogen import CandidateDerivative, attested_candidates
-from derivqa.qaengine import QuestionStructure, answer, dep_match, evaluate
+from derivqa.qaengine import QuestionStructure, answer, evaluate
 from derivqa.rephrase import apply_pattern, enrich, match_pattern
 from derivqa.wsd import disambiguate
 
@@ -339,12 +339,13 @@ def test_matcher_and_answer_match_exhaustive_oracles(benchmark_resources):
         question = QuestionStructure("q", "q", _random_graph(rng, f"q{case}",
                                                              max_tokens=5,
                                                              max_deps=4))
-        best = oracles.max_coverage_pairs(question.graph, graph, dep_match)
+        best = oracles.max_coverage_pairs(question.graph, graph, oracles.dep_match)
         candidates = answer(question, DependencyBank([graph]), k=1) if question.graph.deps else []
         if not question.graph.deps or best == 0:
             assert candidates == []
         else:
             assert candidates[0].coverage == Fraction(best, len(question.graph.deps))
+            assert candidates == oracles.plain_answer(question, [graph], k=1)
 
         # enrichment additivity: deps grow, coverage never shrinks
         enriched = enrich(graph, res.synonyms, res.patterns, res.resource,

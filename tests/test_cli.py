@@ -629,6 +629,24 @@ class TestEncoding:
         assert len(err.splitlines()) == 1
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("name, edit, column", [
+        ("dictionary.tsv", lambda text: text.replace("couper\t1\t", f"couper\t{LONG_INT}\t"),
+         "sense_id"),
+        ("dictionary.tsv", lambda text: text.replace("-Q-\t1", f"-Q-\t{LONG_INT}"), "level"),
+        ("corpus_lexicon.tsv", lambda text: text.replace("coup\t212", f"coup\t{LONG_INT}"),
+         "count"),
+        ("synonyms.tsv", lambda text: text + f"couper\t{LONG_INT}\ttrancher\n", "sense"),
+    ], ids=["sense_id", "level", "count", "synonym-sense"])
+    def test_long_integer_cell(self, capsys, tmp_path, name, edit, column):
+        argv = write_small_setup(tmp_path)[:-2]  # a --bank run skips two of these files
+        path = tmp_path / name
+        text = edit(path.read_text(encoding="utf-8"))
+        path.write_text(text, encoding="utf-8")
+        lineno = text[:text.index(LONG_INT)].count("\n") + 1
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_INPUT
+        assert err == f"error: {path}:{lineno}: {column} is not an integer: 5000 digits is too many\n"
+
     def test_nul_in_config_path(self, capsys, tmp_path):
         argv = write_small_setup(tmp_path)
         path = tmp_path / "config.json"

@@ -527,11 +527,20 @@ class TestBankFieldTypes:
         with pytest.raises(DepbankError, match=f"bad dependency record: {message}"):
             load_depbank(tmp_path / "bank.jsonl")
 
-    def test_repeated_dependency_loads_once(self, tmp_path):
+    def test_repeated_dependency_loads_once(self, tmp_path, monkeypatch):
         dep = ["SUBJECT", 0, 1, None, "BASE"]
-        write_record(tmp_path / "bank.jsonl", tokens=[GOOD_TOKEN, GOOD_TOKEN], deps=[dep, dep])
+        other = ["SUBJECT", 0, 1, None, "DERIVATIONAL"]
+        write_record(tmp_path / "bank.jsonl", tokens=[GOOD_TOKEN, GOOD_TOKEN],
+                     deps=[dep, other, dep, other])
+        # the loader tells repeats apart by their rows, comparing no Dependency
+        compared = []
+        monkeypatch.setattr(Dependency, "__eq__",
+                            lambda self, other: compared.append(self) or NotImplemented)
         (graph,) = load_depbank(tmp_path / "bank.jsonl")
-        assert graph.deps == [Dependency(SUBJECT, (0, 1))]
+        assert compared == []
+        monkeypatch.undo()
+        assert graph.deps == [Dependency(SUBJECT, (0, 1)),
+                              Dependency(SUBJECT, (0, 1), provenance=DERIVATIONAL)]
 
     @pytest.mark.parametrize("args", [[True, False], [0, 1.0], [0, "1"], [0, -1]])
     def test_rejects_non_integer_dependency_args(self, tmp_path, args):

@@ -54,7 +54,6 @@ from derivqa.qaengine import (
     QuestionStructure,
     answer,
     answer_baseline,
-    dep_match,
 )
 from derivqa.rephrase import DepTemplate, DerivationPattern, enrich, match_pattern
 
@@ -410,7 +409,7 @@ def test_enrich_matches_plain_enrichment(benchmark_resources, graph, compose):
                                                 with_alternates=True))
 def test_answer_coverage_matches_exhaustive_pairing(qgraph, tgraph):
     question = QuestionStructure("q", "text", qgraph)
-    best = oracles.max_coverage_pairs(qgraph, tgraph, dep_match)
+    best = oracles.max_coverage_pairs(qgraph, tgraph, oracles.dep_match)
     candidates = answer(question, DependencyBank([tgraph]), k=1)
     if not qgraph.deps:
         assert candidates == []
@@ -442,7 +441,7 @@ def test_answer_ranking_matches_exhaustive_scan(qgraph, bank, full):
     for position, graph in enumerate(bank):
         if not qgraph.deps:
             break
-        best = oracles.max_coverage_pairs(qgraph, graph, dep_match)
+        best = oracles.max_coverage_pairs(qgraph, graph, oracles.dep_match)
         coverage = Fraction(best, len(qgraph.deps))
         if coverage and (coverage == 1 or not full):
             scored.append((-coverage, position))
@@ -455,8 +454,67 @@ def test_answer_ranking_matches_exhaustive_scan(qgraph, bank, full):
         t_side = [ti for _, ti in candidate.matched]
         assert len(candidate.matched) == candidate.coverage * len(qgraph.deps)
         assert len(set(q_side)) == len(set(t_side)) == len(candidate.matched)
-        assert all(dep_match(qgraph, qgraph.deps[qi], graph, graph.deps[ti])
+        assert all(oracles.dep_match(qgraph, qgraph.deps[qi], graph, graph.deps[ti])
                    for qi, ti in candidate.matched)
+
+
+def _tokens(*words):
+    """Tokens of (lemma, pos[, alternates]) triples."""
+    return [TokenNode(i, w[0], w[0], w[1], alternates=frozenset(w[2:]))
+            for i, w in enumerate(words)]
+
+
+# The question's two SUBJECT dependencies share one key. The first graph
+# holds two dependencies under that key, the second through an alternate on
+# the sentence side only, and PREPPH dependencies under "de" and "par"; a
+# token lists its own lemma among its alternates, so one dependency yields
+# one key twice.
+SHARED_KEYS = (
+    DependencyGraph("q", "text", _tokens(("couper", VERB), ("ouvrier", NOUN),
+                                         ("ouvrier", NOUN)),
+                    [Dependency(SUBJECT, (0, 1)), Dependency(SUBJECT, (0, 2)),
+                     Dependency(PREPPH, (1, 2), prep="de")]),
+    [DependencyGraph("s0", "text", _tokens(("couper", VERB), ("ouvrier", NOUN, "ouvrier"),
+                                           ("courant", NOUN, "ouvrier")),
+                     [Dependency(PREPPH, (1, 2), prep="par"), Dependency(SUBJECT, (0, 1)),
+                      Dependency(SUBJECT, (0, 2), provenance=DERIVATIONAL),
+                      Dependency(PREPPH, (1, 2), prep="de")]),
+     DependencyGraph("s1", "text", _tokens(("couper", VERB), ("ouvrier", NOUN)),
+                     [Dependency(PREPPH, (1, 1), prep="par"), Dependency(SUBJECT, (0, 1))])],
+)
+
+
+@settings(max_examples=200)
+@given(graphs(max_tokens=4, max_deps=3, mixed=True, lemmas=FEW_LEMMAS),
+       st.lists(graphs(max_tokens=5, max_deps=5, with_alternates=True, mixed=True,
+                       lemmas=FEW_LEMMAS, min_deps=1),
+                min_size=1, max_size=8),
+       st.sampled_from([1, 5, None]), st.booleans())
+@example(*SHARED_KEYS, None, False)
+@example(*SHARED_KEYS, 1, True)
+@example(*SHARED_KEYS, 5, False)
+def test_answer_matches_plain_answer(qgraph, graphs_, k, full):
+    """`k` None stands for the bank's size."""
+    for position, graph in enumerate(graphs_):
+        graph.sentence_id = f"s{position}"
+        graph.text = f"text {position}"
+    bank = DependencyBank(graphs_)
+    k = len(bank) if k is None else k
+    question = QuestionStructure("q", "text", qgraph)
+    assert answer(question, bank, k=k, require_full_match=full) == \
+        oracles.plain_answer(question, bank, k=k, require_full_match=full)
+    # each key's postings: its (position, dependency index) pairs, ascending
+    # and once each, as one flat list of ints
+    keys = {}
+    for position, graph in enumerate(bank):
+        for index, dep in enumerate(graph.deps):
+            head, dependent = (graph.tokens[i] for i in dep.args)
+            for x in {head.lemma} | head.alternates:
+                for y in {dependent.lemma} | dependent.alternates:
+                    keys.setdefault((dep.label, dep.prep, x, y), []).extend((position, index))
+    assert all(type(run) is list and all(type(value) is int for value in run)
+               for run in bank.postings.values())
+    assert bank.postings == keys
 
 
 # content and non-content parts of speech, for the bag engine

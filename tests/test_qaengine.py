@@ -5,8 +5,13 @@ import pytest
 import oracles
 from derivqa import depgraph, pipeline, qaengine
 from derivqa.depgraph import (
+    DERIVATIONAL,
+    DIROBJ,
+    PREPPH,
     SUBJECT,
+    Dependency,
     DependencyBank,
+    DependencyGraph,
     toy_parse,
 )
 from derivqa.lexica import LexiconError
@@ -14,10 +19,10 @@ from derivqa.qaengine import (
     AnswerCandidate,
     EvalReport,
     QuestionError,
+    QuestionStructure,
     answer,
     answer_baseline,
     build_bag_index,
-    dep_match,
     evaluate,
     load_questions,
     parse_question,
@@ -48,41 +53,68 @@ def baseline_bank(res, benchmark_config):
                                pipeline.load_sentences(benchmark_config.sentences))
 
 
+def with_deps(graph, deps):
+    """`graph`'s tokens under the dependencies `deps`."""
+    return DependencyGraph(graph.sentence_id, graph.text, graph.tokens, list(deps))
+
+
+def answer_pairs(qgraph, tgraph):
+    """The (question dep, sentence dep) pairs `answer` matches on a bank
+    holding `tgraph` alone."""
+    candidates = answer(QuestionStructure("q", "", qgraph), DependencyBank([tgraph]), k=1)
+    return candidates[0].matched if candidates else []
+
+
 class TestDepMatch:
+    """The rule that pairs a question dependency with a sentence
+    dependency, checked on the reference `oracles.dep_match` and, through
+    the dependency index, on `answer`."""
+
     def make(self, res, text):
         return toy_parse(text, res.lexicon)
+
+    def assert_match(self, q, qdep, t, tdep, expected):
+        assert oracles.dep_match(q, qdep, t, tdep) is expected
+        pair = (q.deps.index(qdep), t.deps.index(tdep))
+        assert (pair in answer_pairs(q, t)) is expected
 
     def test_lemma_equality(self, res):
         q = self.make(res, "l'ouvrier coupa le courant .")
         t = self.make(res, "l'ouvrier a coupé le courant .")
         q_subj = next(d for d in q.deps if d.label == SUBJECT)
         t_subj = next(d for d in t.deps if d.label == SUBJECT)
-        assert dep_match(q, q_subj, t, t_subj)
+        self.assert_match(q, q_subj, t, t_subj, True)
 
     def test_label_must_agree(self, res):
         q = self.make(res, "l'ouvrier coupa le courant .")
         subj = next(d for d in q.deps if d.label == SUBJECT)
         other = next(d for d in q.deps if d.label != SUBJECT)
-        assert not dep_match(q, subj, q, other)
+        self.assert_match(q, subj, q, other, False)
+        relabeled = Dependency(DIROBJ, subj.args)
+        self.assert_match(with_deps(q, [subj]), subj, with_deps(q, [relabeled]), relabeled,
+                          False)
 
     def test_prep_must_agree(self, res):
         a = self.make(res, "la coupure du courant .")
         b = self.make(res, "la coupure du courant par l'ouvrier .")
         de = next(d for d in a.deps if d.prep == "de")
         par = next(d for d in b.deps if d.prep == "par")
-        assert not dep_match(a, de, b, par)
+        self.assert_match(a, de, b, par, False)
         same = next(d for d in b.deps if d.prep == "de")
-        assert dep_match(a, de, b, same)
+        self.assert_match(a, de, b, same, True)
+        # the same arguments under another preposition
+        by = Dependency(PREPPH, de.args, prep="par")
+        self.assert_match(a, de, with_deps(a, [by]), by, False)
 
     def test_alternates_count_for_sentence_tokens(self, res):
         q = self.make(res, "le chef gouverna l'empire .")
         t = self.make(res, "l'empereur gouverna l'empire .")
         q_subj = next(d for d in q.deps if d.label == SUBJECT)
         t_subj = next(d for d in t.deps if d.label == SUBJECT)
-        assert not dep_match(q, q_subj, t, t_subj)
+        self.assert_match(q, q_subj, t, t_subj, False)
         emperor = next(tok for tok in t.tokens if tok.lemma == "empereur")
         emperor.alternates = frozenset({"chef"})
-        assert dep_match(q, q_subj, t, t_subj)
+        self.assert_match(q, q_subj, t, t_subj, True)
 
     def test_question_alternates_play_no_role(self, res):
         q = self.make(res, "le chef gouverna l'empire .")
@@ -91,7 +123,14 @@ class TestDepMatch:
         chief.alternates = frozenset({"empereur"})
         q_subj = next(d for d in q.deps if d.label == SUBJECT)
         t_subj = next(d for d in t.deps if d.label == SUBJECT)
-        assert not dep_match(q, q_subj, t, t_subj)
+        self.assert_match(q, q_subj, t, t_subj, False)
+
+    def test_provenance_plays_no_role(self, res):
+        q = self.make(res, "l'ouvrier coupa le courant .")
+        subj = next(d for d in q.deps if d.label == SUBJECT)
+        derived = Dependency(SUBJECT, subj.args, provenance=DERIVATIONAL)
+        self.assert_match(q, subj, with_deps(q, [derived]), derived, True)
+        self.assert_match(with_deps(q, [derived]), derived, q, subj, True)
 
 
 class TestStructuralAnswer:
@@ -106,11 +145,21 @@ class TestStructuralAnswer:
     def test_matching_size_agrees_with_exhaustive_search(self, res, small_bank):
         q = parse_question("q", "l'ouvrier coupa quel courant ?", res.lexicon)
         for graph in small_bank:
-            best = oracles.max_coverage_pairs(q.graph, graph, dep_match)
+            best = oracles.max_coverage_pairs(q.graph, graph, oracles.dep_match)
             candidates = [c for c in answer(q, small_bank, k=3)
                           if c.sentence_id == graph.sentence_id]
             got = len(candidates[0].matched) if candidates else 0
             assert got == best
+
+    @pytest.mark.parametrize("mode", ["base", "deriv", "all"])
+    def test_fixture_questions_match_plain_answer(self, res, benchmark_config,
+                                                  benchmark_questions, mode):
+        bank = pipeline.build_bank(res, mode, pipeline.load_sentences(benchmark_config.sentences))
+        for question, _ in benchmark_questions:
+            for k in (1, 5, len(bank)):
+                for full in (False, True):
+                    assert answer(question, bank, k=k, require_full_match=full) == \
+                        oracles.plain_answer(question, bank, k=k, require_full_match=full)
 
     def test_zero_coverage_is_not_a_candidate(self, res, small_bank):
         q = parse_question("q", "le magistrat observa le temple ?", res.lexicon)
@@ -175,7 +224,7 @@ class TestStructuralAnswer:
         bank = DependencyBank(depgraph.copy_graph(g) for g in small_bank * 2)
         q = parse_question("q", "l'ouvrier coupa quel courant ?", res.lexicon)
         # s1 and s4 share a dependency with the question, s1, s3 and s4 a lemma
-        assert len(bank.sharing(q.graph)) == 4
+        assert len(bank.match_edges(q.graph)) == 4
         assert len(answer_baseline(q, bank, k=len(bank))) == 6
         built.clear()
         candidates = engine(q, bank, k=2)
