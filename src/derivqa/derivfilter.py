@@ -3,7 +3,7 @@ derivational resource built from the full generate/filter pipeline."""
 
 import logging
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .lexica import VERB, DerivInstruction, Dictionary, _write_lines
@@ -40,8 +40,6 @@ class ResourceStats:
 class DerivationalResource:
     by_lemma: dict = field(default_factory=dict)
     stats: ResourceStats = field(default_factory=ResourceStats)
-    # lemma -> corpus-attested candidates (None below the syllable floor)
-    attested: dict = field(default_factory=dict, repr=False, compare=False)
 
     def records_for(self, lemma: str, sense_id: int | None = None) -> list:
         """The derivative records of `lemma` usable in sense `sense_id`: those
@@ -56,26 +54,34 @@ class DerivationalResource:
         return [r for lemma in sorted(self.by_lemma) for r in self.by_lemma[lemma]]
 
 
-def filter_by_instructions(candidates, senses) -> list[DerivativeRecord]:
+def _instructions(sense, back) -> tuple:
+    """`sense`'s own instructions, then its back-instructions in `back`."""
+    return sense.instructions + back.get(sense.lemma, {}).get(sense.sense_id, ())
+
+
+def filter_by_instructions(candidates, senses, back=None) -> list[DerivativeRecord]:
     """Keep candidates whose suffix equals the suffix of some instruction.
 
-    All senses must belong to one lemma. Comparison is exact string equality
-    on the suffix (euphonic adjustments happened at generation time, the
-    candidate already records its effective suffix). The accepted record is
-    licensed for every sense carrying a matching instruction and takes its
-    part of speech from the first such instruction.
+    All senses must belong to one lemma. A sense's instructions are its own,
+    followed by its back-instructions in `back` (lemma -> sense id ->
+    instructions, as `symmetrize_instructions` returns). Comparison is exact
+    string equality on the suffix (euphonic adjustments happened at
+    generation time, the candidate already records its effective suffix).
+    The accepted record is licensed for every sense carrying a matching
+    instruction and takes its part of speech from the first such instruction.
     """
     lemmas = {s.lemma for s in senses}
     if len(lemmas) > 1:
         raise ValueError(f"senses of several lemmas passed together: {sorted(lemmas)}")
+    instructions = [(s.sense_id, _instructions(s, back or {})) for s in senses]
     records = []
     for cand in candidates:
         licensed = set()
         target_pos = None
-        for sense in senses:
-            for ins in sense.instructions:
+        for sense_id, own in instructions:
+            for ins in own:
                 if ins.suffix == cand.suffix:
-                    licensed.add(sense.sense_id)
+                    licensed.add(sense_id)
                     if target_pos is None:
                         target_pos = ins.target_pos
         if licensed:
@@ -89,95 +95,85 @@ def filter_by_instructions(candidates, senses) -> list[DerivativeRecord]:
     return records
 
 
-def build_resource(dictionary: Dictionary, model, corpus_lexicon,
-                   euphonics) -> DerivationalResource:
+def build_resource(dictionary: Dictionary, model, corpus_lexicon, euphonics,
+                   symmetrize: bool = False) -> DerivationalResource:
     """Run generate -> corpus filter -> instruction filter for every entry.
 
     Entries below the model's syllable floor are skipped, with a log line.
-    Output order is deterministic: lemmas sorted, records sorted by surface.
-    The resource keeps each lemma's corpus-attested candidates for `relicense`.
+    Every lemma is generated and corpus-filtered once, then licensed once;
+    with `symmetrize`, each sense is licensed by its own instructions and
+    then by its back-instructions (`symmetrize_instructions`). Output order
+    is deterministic: lemmas sorted, records sorted by surface. Generation
+    drops repeated surfaces, so a lemma's records are unique.
     """
-    resource = DerivationalResource()
+    stats = ResourceStats()
+    attested = {}  # lemma -> corpus-attested candidates (None below the syllable floor)
     for lemma in sorted(dictionary.senses):
         try:
-            generated, attested = attested_candidates(lemma, model, euphonics, corpus_lexicon)
+            generated, attested[lemma] = attested_candidates(
+                lemma, model, euphonics, corpus_lexicon)
         except TooShortError as exc:
             log.info("skipping %s: %s", lemma, exc)
-            resource.attested[lemma] = None
+            attested[lemma] = None
             continue
-        resource.stats.candidates_generated += generated
-        resource.attested[lemma] = attested
-    return relicense(resource, dictionary)
-
-
-def relicense(resource, dictionary: Dictionary) -> DerivationalResource:
-    """Run the instruction filter over `resource`'s attested candidates with
-    the senses of `dictionary`, which must hold the lemmas the resource was
-    built from. `build_resource` ends with it; after `symmetrize_instructions`
-    it gives what a fresh build would, stats included, generating nothing.
-    Generation drops repeated surfaces, so a lemma's attested surfaces, and
-    the records made from them, are unique.
-    """
-    index = dictionary.senses
-    if index.keys() != resource.attested.keys():
-        raise ValueError("dictionary lemmas differ from those the resource was built from")
-    stats = ResourceStats(candidates_generated=resource.stats.candidates_generated)
+        stats.candidates_generated += generated
+    back = symmetrize_instructions(dictionary, attested) if symmetrize else {}
     by_lemma = {}
-    for lemma, attested in resource.attested.items():
-        senses = index[lemma]
+    for lemma, candidates in attested.items():
+        senses = dictionary.senses[lemma]
         stats.entries_processed += len(senses)
-        instruction_count = sum(len(s.instructions) for s in senses)
-        stats.instructions_total += instruction_count
-        if attested is None:
-            stats.instructions_unmatched += instruction_count
+        instructions = [ins for s in senses for ins in _instructions(s, back)]
+        stats.instructions_total += len(instructions)
+        if candidates is None:
+            stats.instructions_unmatched += len(instructions)
             continue
-        records = sorted(filter_by_instructions(attested, senses), key=lambda r: r.surface)
+        records = sorted(filter_by_instructions(candidates, senses, back),
+                         key=lambda r: r.surface)
         if records:
             by_lemma[lemma] = records
         stats.derivatives_accepted += len(records)
         matched_suffixes = {r.suffix for r in records}
-        for sense in senses:
-            stats.instructions_unmatched += sum(
-                1 for ins in sense.instructions if ins.suffix not in matched_suffixes)
-    return DerivationalResource(by_lemma=by_lemma, stats=stats, attested=resource.attested)
+        stats.instructions_unmatched += sum(
+            1 for ins in instructions if ins.suffix not in matched_suffixes)
+    return DerivationalResource(by_lemma=by_lemma, stats=stats)
 
 
-def symmetrize_instructions(dictionary: Dictionary, resource) -> Dictionary:
-    """Give noun/adjective entries a back-instruction to their source verb.
+def symmetrize_instructions(dictionary: Dictionary, attested) -> dict:
+    """The back-instructions that lead noun/adjective senses to their source
+    verb, as lemma -> sense id -> instructions.
 
-    For every verbal sense whose instruction produced a derivative D found in
-    the resource, every dictionary sense of D in the same domain gains a
-    VERB instruction rebuilding the verb (suffix = verb ending after the
-    common prefix of D and the verb). Returns a new `Dictionary` in which
-    each sense that gains an instruction is a copy whose `instructions` end
-    with its back-instructions; every other record is the input's own. The
-    input is untouched.
+    `attested` maps each lemma to its corpus-attested candidates, or None.
+    For every verbal sense whose instruction licenses a candidate D, every
+    dictionary sense of D in the same domain that is not a verb gains a VERB
+    instruction rebuilding the verb (suffix = verb ending after the common
+    prefix of D and the verb), once. The dictionary is left as it is.
     """
     index = dictionary.senses
-    gained = {}  # id of a target record -> its new instructions
+    back = {}
     added = 0
-    for sense in [s for s in dictionary if s.pos == VERB]:
-        produced = {r.surface: r for r in resource.records_for(sense.lemma, sense.sense_id)}
+    for sense in dictionary:
+        if sense.pos != VERB or not attested.get(sense.lemma):
+            continue
+        candidates = sorted(attested[sense.lemma], key=lambda c: c.surface)
         for ins in sense.instructions:
-            for surface, record in sorted(produced.items()):
-                if record.suffix != ins.suffix:
+            for cand in candidates:
+                if cand.suffix != ins.suffix:
                     continue
-                for target in index.get(surface, []):
+                verb_suffix = sense.lemma[len(_common_prefix(cand.surface, sense.lemma)):]
+                if not verb_suffix:
+                    continue
+                verb = DerivInstruction(VERB, verb_suffix)
+                for target in index.get(cand.surface, []):
                     if target.pos == VERB or target.domain_code != sense.domain_code:
                         continue
-                    verb_suffix = sense.lemma[len(_common_prefix(surface, sense.lemma)):]
-                    if not verb_suffix:
+                    gained = back.setdefault(target.lemma, {})
+                    instructions = gained.get(target.sense_id, ())
+                    if verb in instructions:
                         continue
-                    back = DerivInstruction(VERB, verb_suffix)
-                    instructions = gained.get(id(target), target.instructions)
-                    if back in instructions:
-                        continue
-                    gained[id(target)] = instructions + (back,)
+                    gained[target.sense_id] = instructions + (verb,)
                     added += 1
     log.info("symmetrize: added %d back-instructions", added)
-    return Dictionary(
-        replace(s, instructions=gained[id(s)]) if id(s) in gained else s
-        for s in dictionary)
+    return back
 
 
 def audit_precision(resource, sample_size: int, gold: dict, seed: int = 17) -> Fraction:

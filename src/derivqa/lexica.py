@@ -46,7 +46,6 @@ class DerivInstruction:
 
     target_pos: str
     suffix: str
-    code_letter: str | None = None
 
 
 @dataclass
@@ -54,9 +53,9 @@ class SenseRecord:
     """One sense of a dictionary entry.
 
     `instructions` holds the sense's derivational instructions: those of its
-    code letters, in code-string order, which `load_dictionary` resolves,
-    then any back-instructions `derivfilter.symmetrize_instructions` adds,
-    which have no code letter.
+    code letters, in code-string order, which `load_dictionary` resolves.
+    Back-instructions under `symmetrize` never enter it: the resource build
+    licenses them beside it (`derivfilter.build_resource`).
     """
 
     lemma: str
@@ -71,7 +70,7 @@ class SenseRecord:
 class Dictionary(tuple):
     """The sense records of a dictionary, in file order: a read-only sequence.
 
-    `load_dictionary` and `derivfilter.symmetrize_instructions` return one.
+    `load_dictionary` returns one.
 
     `senses` maps each lemma to its records sorted by sense id, built on
     first use by `senses_by_lemma` and once per dictionary. A record whose
@@ -166,7 +165,7 @@ def load_code_table(path) -> dict[str, DerivInstruction]:
                                f"kind {kind} implies {KIND_TARGET_POS[kind]}, got {target_pos}")
         if not suffix:
             raise LexiconError(path, lineno, "instruction suffix must be nonempty")
-        table[letter] = DerivInstruction(target_pos, suffix, code_letter=letter)
+        table[letter] = DerivInstruction(target_pos, suffix)
     return table
 
 

@@ -191,12 +191,9 @@ def load_resources(config: PipelineConfig) -> Resources:
     """Load the question side, learn the suffix model, build and filter the
     resource, and load synonyms and patterns.
 
-    With `symmetrize` on, the resource donates back-instructions to
-    noun/adjective entries, then its candidates are licensed again by the
-    augmented dictionary so those instructions take effect; candidates are
-    generated and corpus-filtered once. `symmetrize` changes only
-    `instructions`, which sense tagging never reads, so the question side's
-    sense rules serve the augmented dictionary too.
+    With `symmetrize` on, the resource build also licenses the way back
+    from a derived noun or adjective to its verb (see
+    `derivfilter.build_resource`); the dictionary stays the loaded one.
     """
     question = load_question_resources(config)
     corpus_lexicon = lexica.load_corpus_lexicon(config.corpus_lexicon)
@@ -206,11 +203,8 @@ def load_resources(config: PipelineConfig) -> Resources:
         min_stem_len=config.min_stem_len,
         max_stems_per_lemma=config.max_stems_per_lemma,
         min_syllables=config.min_syllables)
-    resource = derivfilter.build_resource(question.dictionary, model, corpus_lexicon, euphonics)
-    if config.symmetrize:
-        # replaced, not kept beside it, so the plain dictionary is freed here
-        question.dictionary = derivfilter.symmetrize_instructions(question.dictionary, resource)
-        resource = derivfilter.relicense(resource, question.dictionary)
+    resource = derivfilter.build_resource(question.dictionary, model, corpus_lexicon, euphonics,
+                                          config.symmetrize)
     return Resources(
         **vars(question),
         synonyms=lexica.load_synonyms(config.synonyms, question.dictionary),

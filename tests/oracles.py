@@ -121,10 +121,12 @@ def plain_build(records, model, corpus_lexicon, euphonics):
 def deep_symmetrize(records, by_lemma) -> list:
     """Reference symmetrize on a deep copy of every record: each same-domain
     non-verb sense of a verb's licensed derivative gains a VERB
-    instruction for the verb's ending after the common prefix."""
+    instruction for the verb's ending after the common prefix, once: a
+    back-instruction is compared only with those added before it."""
     from derivqa.lexica import VERB, DerivInstruction
 
     augmented = copy.deepcopy(list(records))
+    added = set()  # (id of a target, back-instruction)
     for sense in [r for r in augmented if r.pos == VERB]:
         for ins in sense.instructions:
             for record in sorted(by_lemma.get(sense.lemma, []), key=lambda r: r.surface):
@@ -137,18 +139,17 @@ def deep_symmetrize(records, by_lemma) -> list:
                             or target.domain_code != sense.domain_code or not ending):
                         continue
                     back = DerivInstruction(VERB, ending)
-                    if back not in target.instructions:
+                    if (id(target), back) not in added:
+                        added.add((id(target), back))
                         target.instructions += (back,)
     return augmented
 
 
 def double_build(records, model, corpus_lexicon, euphonics):
     """Reference symmetrized build: build, deep-copying symmetrize, build
-    again. Returns (by_lemma, stats, augmented records)."""
+    again. Returns (by_lemma, stats)."""
     by_lemma, _ = plain_build(records, model, corpus_lexicon, euphonics)
-    augmented = deep_symmetrize(records, by_lemma)
-    by_lemma, stats = plain_build(augmented, model, corpus_lexicon, euphonics)
-    return by_lemma, stats, augmented
+    return plain_build(deep_symmetrize(records, by_lemma), model, corpus_lexicon, euphonics)
 
 
 def template_matches_dep(template, dep) -> bool:

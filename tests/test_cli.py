@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
 import re
@@ -12,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import derivqa
-from derivqa import derivfilter, lexica, morphogen, pipeline, rephrase
+from derivqa import depgraph, derivfilter, lexica, morphogen, pipeline, rephrase
 from derivqa.cli import EXIT_CONFIG, EXIT_INPUT, EXIT_OK, main
 from derivqa.depgraph import save_depbank, toy_parse
 from derivqa.pipeline import packaged_data
@@ -704,3 +706,70 @@ def test_mutated_inputs_never_raise(small_setup, name, edits):
         assert main(argv[:-2]) in (EXIT_OK, EXIT_INPUT, EXIT_CONFIG)
     finally:
         path.write_bytes(original)
+
+
+# Cell values that probe every column's checks: empty, NUL, a line separator
+# and a byte-order mark that a line-based reader might split or strip, the
+# synonym wildcard, a negative and a 5,000-digit integer, and the names
+# parts of speech and dependency labels go by.
+HOSTILE_CELLS = ["", "\x00", "\u2028", "\ufeff", "*", "-1", "9" * 5_000,
+                 *sorted(lexica.CONTENT_POS), *sorted(depgraph.KNOWN_LABELS),
+                 *sorted(depgraph.PROVENANCES)]
+CELL_FILES = ["config.json", "dictionary.tsv", "inflections.tsv", "corpus_lexicon.tsv",
+              "synonyms.tsv", "euphonics.tsv", "code_table.tsv", "sentences.tsv",
+              "questions.tsv"]
+
+
+@pytest.fixture(scope="module")
+def cell_setup(tmp_path_factory):
+    """The benchmark fixture with the packaged code table and patterns
+    named in its config, so one `evaluate` run reads every file above."""
+    directory = tmp_path_factory.mktemp("cells")
+    for name in ("code_table.tsv", "patterns.txt"):
+        (directory / name).write_bytes(packaged_data(name).read_bytes())
+    config = copy_benchmark_setup(directory, code_table="code_table.tsv",
+                                  patterns="patterns.txt")
+    return directory, ["--config", config, "--mode", "all", "evaluate"]
+
+
+def set_cell(name, text, row, column, value):
+    """`text` with one cell set to `value`: a config value, written as a
+    JSON number when it is one, or a cell of a TSV data row."""
+    if name == "config.json":
+        raw = json.loads(text)
+        key = sorted(raw)[row % len(raw)]
+        literal = value if value.lstrip("-").isdigit() else json.dumps(value)
+        return "{" + ", ".join(f"{json.dumps(k)}: {literal if k == key else json.dumps(v)}"
+                               for k, v in raw.items()) + "}"
+    lines = text.split("\n")
+    rows = [i for i, line in enumerate(lines) if line and not line.startswith("#")]
+    i = rows[row % len(rows)]
+    cells = lines[i].split("\t")
+    cells[column % len(cells)] = value
+    lines[i] = "\t".join(cells)
+    return "\n".join(lines)
+
+
+@settings(max_examples=150, deadline=None)
+@given(name=st.sampled_from(CELL_FILES), row=st.integers(min_value=0, max_value=200),
+       column=st.integers(min_value=0, max_value=11), value=st.sampled_from(HOSTILE_CELLS))
+@example(name="dictionary.tsv", row=0, column=1, value="9" * 5_000)
+@example(name="corpus_lexicon.tsv", row=0, column=1, value="9" * 5_000)
+@example(name="config.json", row=0, column=0, value="9" * 5_000)
+def test_hostile_cells_keep_the_exit_contract(cell_setup, name, row, column, value):
+    """A run ends in 0, 1 or 2, and a failing one prints one error line."""
+    directory, argv = cell_setup
+    path = directory / name
+    original = path.read_bytes()
+    path.write_text(set_cell(name, original.decode("utf-8"), row, column, value),
+                    encoding="utf-8")
+    err = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv)
+    finally:
+        path.write_bytes(original)
+    assert code in (EXIT_OK, EXIT_INPUT, EXIT_CONFIG)
+    errors = [line for line in err.getvalue().split("\n")
+              if line.startswith(("error: ", "config error: "))]
+    assert len(errors) == (code != EXIT_OK)

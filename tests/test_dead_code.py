@@ -22,9 +22,6 @@ EXEMPT = {"audit_precision"}
 
 # Stored values that no code reads by name, each with the reason it stays.
 EXEMPT_FIELDS = {
-    "DerivInstruction.code_letter":
-        "read through dataclass equality: symmetrize_instructions' `back in instructions` "
-        "keeps an uncoded back-instruction apart from a coded one with the same suffix",
     "AnswerCandidate.matched":
         "a result `answer` returns to library callers; the planned `ask --explain` prints it",
     "EvalReport.wrong_only_count":

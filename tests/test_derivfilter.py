@@ -11,7 +11,6 @@ from derivqa.derivfilter import (
     audit_precision,
     build_resource,
     filter_by_instructions,
-    relicense,
     save_resource,
     symmetrize_instructions,
 )
@@ -25,7 +24,7 @@ from derivqa.lexica import (
     load_code_table,
     parse_derivation_codes,
 )
-from derivqa.morphogen import CandidateDerivative
+from derivqa.morphogen import CandidateDerivative, SuffixModel, TooShortError, attested_candidates
 from derivqa.pipeline import packaged_data
 
 CODE_TABLE = load_code_table(packaged_data("code_table.tsv"))
@@ -36,9 +35,16 @@ def verb_sense(lemma, sense_id, codes, domain="GEN"):
                        instructions=tuple(parse_derivation_codes(codes, CODE_TABLE)))
 
 
-def back_instructions(sense):
-    """The instructions symmetrize added: they have no code letter."""
-    return [ins for ins in sense.instructions if ins.code_letter is None]
+def attested_by_lemma(dictionary, model, corpus_lexicon, euphonics):
+    """The corpus-attested candidates `build_resource` makes for each lemma
+    (None below the syllable floor)."""
+    attested = {}
+    for lemma in dictionary.senses:
+        try:
+            attested[lemma] = attested_candidates(lemma, model, euphonics, corpus_lexicon)[1]
+        except TooShortError:
+            attested[lemma] = None
+    return attested
 
 
 class TestInstructionFilter:
@@ -156,85 +162,63 @@ class TestBuildResource:
 
 
 class TestSymmetrize:
-    def test_adds_exactly_the_back_instructions(self, benchmark_resources, benchmark_filter_inputs):
+    @pytest.fixture()
+    def base(self, benchmark_resources, benchmark_filter_inputs):
+        """The benchmark dictionary, freshly loaded, and its attested candidates."""
         res = benchmark_resources
-        from derivqa import lexica
-        base_dictionary = lexica.load_dictionary(res.config.dictionary, CODE_TABLE)
-        first = build_resource(base_dictionary, res.model, *benchmark_filter_inputs)
-        augmented = symmetrize_instructions(base_dictionary, first)
-        added = {
-            (s.lemma, ins.suffix)
-            for s in augmented
-            for ins in back_instructions(s)
-        }
-        assert added == {("coupure", "er"), ("formalisation", "er")}
-        # the copy's own index holds the augmented records
-        assert isinstance(augmented, Dictionary)
-        assert {
-            (lemma, ins.suffix)
-            for lemma, senses in augmented.senses.items()
-            for s in senses
-            for ins in back_instructions(s)
-        } == added
-        # the originals were not touched
-        assert all(not back_instructions(s) for s in base_dictionary)
+        dictionary = lexica.load_dictionary(res.config.dictionary, CODE_TABLE)
+        return dictionary, attested_by_lemma(dictionary, res.model, *benchmark_filter_inputs)
 
-    def test_back_instruction_respects_domain(self, benchmark_resources, benchmark_filter_inputs):
-        # formalisation is MAT; only formaliser's MAT sense (2) donates, and
-        # the GEN sense (1) does not create a second copy.
-        res = benchmark_resources
-        from derivqa import lexica
-        base_dictionary = lexica.load_dictionary(res.config.dictionary, CODE_TABLE)
-        first = build_resource(base_dictionary, res.model, *benchmark_filter_inputs)
-        augmented = symmetrize_instructions(base_dictionary, first)
-        formalisation = [s for s in augmented if s.lemma == "formalisation"]
-        assert len(formalisation) == 1
-        assert [ins.suffix for ins in back_instructions(formalisation[0])] == ["er"]
+    def test_adds_exactly_the_back_instructions(self, base):
+        back = symmetrize_instructions(*base)
+        assert back == {"coupure": {1: (DerivInstruction(VERB, "er"),)},
+                        "formalisation": {1: (DerivInstruction(VERB, "er"),)}}
 
-    def test_copies_only_the_senses_that_gain(self, benchmark_resources, benchmark_filter_inputs):
-        res = benchmark_resources
-        from derivqa import lexica
-        base_dictionary = lexica.load_dictionary(res.config.dictionary, CODE_TABLE)
-        before = copy.deepcopy(list(base_dictionary))
-        records = list(base_dictionary)
-        first = build_resource(base_dictionary, res.model, *benchmark_filter_inputs)
-        augmented = symmetrize_instructions(base_dictionary, first)
-        gained = [s.lemma for s in augmented if back_instructions(s)]
-        assert gained == ["coupure", "formalisation"]
-        assert len(augmented) == len(base_dictionary)
-        for old, new in zip(base_dictionary, augmented):
-            if new.lemma in gained:
-                assert new is not old
-                assert new.instructions[:len(old.instructions)] == old.instructions
-            else:
-                assert new is old
-        # the input dictionary and its records are untouched
-        assert list(base_dictionary) == before
-        assert all(a is b for a, b in zip(base_dictionary, records))
+    def test_back_instruction_respects_domain(self, base):
+        # formalisation is MAT: a GEN verb sense licensing it donates nothing
+        dictionary, attested = base
+        formalisation = dictionary.senses["formalisation"]
+        for domain, expected in [("GEN", {}),
+                                 ("MAT", {"formalisation": {1: (DerivInstruction(VERB, "er"),)}})]:
+            verb = verb_sense("formaliser", 1, "-B-", domain=domain)
+            assert symmetrize_instructions(Dictionary([verb, *formalisation]), attested) == expected
+
+    def test_leaves_the_dictionary_untouched(self, base, benchmark_resources,
+                                             benchmark_filter_inputs):
+        dictionary, attested = base
+        before = copy.deepcopy(list(dictionary))
+        records = list(dictionary)
+        symmetrize_instructions(dictionary, attested)
+        resource = build_resource(dictionary, benchmark_resources.model,
+                                  *benchmark_filter_inputs, symmetrize=True)
+        assert resource == benchmark_resources.resource
+        assert list(dictionary) == before
+        assert all(a is b for a, b in zip(dictionary, records))
 
     def test_coded_instruction_does_not_hide_the_back_instruction(
             self, benchmark_resources, benchmark_filter_inputs):
-        # coupure carries a coded VERB instruction with the suffix of its
-        # back-instruction to couper; the two differ only in code_letter.
-        table = {**CODE_TABLE, "V": DerivInstruction(VERB, "er", code_letter="V")}
+        # coupure carries a coded VERB instruction equal to its back-instruction
+        # to couper; back-instructions are deduplicated only among themselves.
+        table = {**CODE_TABLE, "V": DerivInstruction(VERB, "er")}
         coded = tuple(parse_derivation_codes("-V-", table))
         dictionary = Dictionary([
             verb_sense("couper", 1, "-U-"),
             SenseRecord(lemma="coupure", sense_id=1, pos=NOUN, domain_code="GEN",
                         instructions=coded),
         ])
-        resource = build_resource(dictionary, benchmark_resources.model,
-                                  *benchmark_filter_inputs)
-        augmented = symmetrize_instructions(dictionary, resource)
-        back = DerivInstruction(VERB, "er")
-        assert augmented.senses["coupure"][0].instructions == coded + (back,)
-        assert relicense(resource, augmented).stats.instructions_total == 3
+        model = benchmark_resources.model
+        back = symmetrize_instructions(
+            dictionary, attested_by_lemma(dictionary, model, *benchmark_filter_inputs))
+        assert back == {"coupure": {1: coded}}
+        resource = build_resource(dictionary, model, *benchmark_filter_inputs, symmetrize=True)
+        assert resource.stats.instructions_total == 3
 
-    def test_symmetrizing_again_gains_nothing(self, benchmark_resources):
+    def test_symmetrizing_again_gains_nothing(self, benchmark_resources, benchmark_filter_inputs):
+        # the build adds nothing to the dictionary, so a second one is the same
         res = benchmark_resources
-        again = symmetrize_instructions(res.dictionary, res.resource)
-        assert len(again) == len(res.dictionary)
-        assert all(a is b for a, b in zip(again, res.dictionary))
+        again = build_resource(res.dictionary, res.model, *benchmark_filter_inputs,
+                               symmetrize=True)
+        assert again == res.resource
 
     def test_rebuilds_verb_after_second_pass(self, benchmark_resources):
         records = benchmark_resources.resource.records_for("coupure")
@@ -243,19 +227,43 @@ class TestSymmetrize:
         assert records[0].suffix == "er"
 
 
-class TestRelicense:
-    def test_same_dictionary_gives_the_same_resource(self, benchmark_resources):
-        res = benchmark_resources
-        again = relicense(res.resource, res.dictionary)
-        assert again == res.resource
-        assert again.attested is res.resource.attested
+class TestBackDerivativeRule:
+    """Under `symmetrize`, a derived noun gets a record back to a verb only
+    when one of its own candidates carries the back-instruction's suffix:
+    that suffix must be a learned one, and any attested candidate of the
+    noun with it is accepted, not only the source verb. ROADMAP item 16
+    (inverting the accepted records) would change both edges, and item 15
+    builds on it; such a change has to change these pins on purpose."""
 
-    def test_rejects_other_lemmas(self, benchmark_resources, benchmark_filter_inputs):
-        res = benchmark_resources
-        resource = build_resource(Dictionary([verb_sense("laver", 1, "-G-")]), res.model,
-                                  *benchmark_filter_inputs)
-        with pytest.raises(ValueError, match="dictionary lemmas differ"):
-            relicense(resource, Dictionary([verb_sense("couper", 1, "-G-")]))
+    def build(self, rows, suffixes, corpus):
+        dictionary = Dictionary(
+            SenseRecord(lemma=lemma, sense_id=sense_id, pos=pos, domain_code="GEN",
+                        instructions=tuple(parse_derivation_codes(codes, CODE_TABLE)))
+            for lemma, sense_id, pos, codes in rows)
+        model = SuffixModel(suffixes=suffixes, min_stem_len=3, max_stems_per_lemma=2,
+                            min_syllables=2)
+        return build_resource(dictionary, model, lexica.CorpusLexicon(corpus), (),
+                              symmetrize=True)
+
+    def test_back_suffix_must_be_learned(self):
+        # caceur's back-instruction to cacer has the suffix "r", which no
+        # candidate of caceur carries: "r" is not a learned suffix.
+        resource = self.build(
+            [("cacer", 1, VERB, "--"), ("cacer", 2, VERB, "-E-"), ("caceur", 1, NOUN, "")],
+            ("er", "eur"), {"cacer", "caceur"})
+        assert resource.by_lemma == {"cacer": [
+            DerivativeRecord("caceur", NOUN, "eur", "cacer", frozenset({2}))]}
+        assert (resource.stats.instructions_total, resource.stats.instructions_unmatched) == (2, 1)
+
+    def test_other_candidates_ending_like_the_verb_are_accepted(self):
+        # cacure's back-instruction (VERB, "er") licenses cacer, its source
+        # verb, and cacurer, made from its other stem cacur.
+        resource = self.build(
+            [("cacer", 1, VERB, "-U-"), ("cacure", 1, NOUN, "")],
+            ("e", "er", "ure"), {"cacer", "cacure", "cacurer"})
+        assert resource.records_for("cacure") == [
+            DerivativeRecord("cacer", VERB, "er", "cacure", frozenset({1})),
+            DerivativeRecord("cacurer", VERB, "er", "cacure", frozenset({1}))]
 
 
 def test_load_resources_parses_each_code_string_once(benchmark_resources, monkeypatch):

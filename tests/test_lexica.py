@@ -62,8 +62,8 @@ class TestDictionary:
         path = write(tmp_path, "d.tsv", "\n".join(rows) + "\n")
         with caplog.at_level("WARNING", logger="derivqa"):
             records = load_dictionary(path, CODE_TABLE)
-        assert [[ins.code_letter for ins in r.instructions] for r in records] == [
-            ["Q", "B"], ["Q", "B"], ["E"]]
+        assert [[(ins.target_pos, ins.suffix) for ins in r.instructions] for r in records] == [
+            [(ADJ, "é"), (NOUN, "ation")], [(ADJ, "é"), (NOUN, "ation")], [(NOUN, "eur")]]
         assert [r.getMessage() for r in caplog.records] == [
             f"unknown derivation code 'R' in {codes!r}"]
 
