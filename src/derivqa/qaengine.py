@@ -63,6 +63,20 @@ class AnswerCandidate:
     text: str = ""
 
 
+def _try_assign(edges: list, owner: dict, qi: int, visited: set) -> bool:
+    """Give question dependency `qi` a sentence dependency not in `visited`,
+    moving earlier owners along an augmenting path; `owner` maps each taken
+    sentence dependency to its question dependency."""
+    for ti in edges[qi]:
+        if ti in visited:
+            continue
+        visited.add(ti)
+        if ti not in owner or _try_assign(edges, owner, owner[ti], visited):
+            owner[ti] = qi
+            return True
+    return False
+
+
 def _max_matching(edges: list) -> list:
     """Largest one-to-one pairing of question deps onto sentence deps.
 
@@ -71,19 +85,8 @@ def _max_matching(edges: list) -> list:
     question. Returns the matched (question index, sentence index) pairs.
     """
     owner = {}
-
-    def try_assign(qi, visited) -> bool:
-        for ti in edges[qi]:
-            if ti in visited:
-                continue
-            visited.add(ti)
-            if ti not in owner or try_assign(owner[ti], visited):
-                owner[ti] = qi
-                return True
-        return False
-
     for qi in range(len(edges)):
-        try_assign(qi, set())
+        _try_assign(edges, owner, qi, set())
     return sorted((qi, ti) for ti, qi in owner.items())
 
 

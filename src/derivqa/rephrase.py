@@ -202,30 +202,32 @@ def enrich_synonyms(graph: DependencyGraph, synonyms) -> DependencyGraph:
     return out
 
 
+def _extend_bindings(templates, deps, index: int, binding: dict, results: list) -> None:
+    """Append to `results` every extension of `binding` over
+    `templates[index:]`, choosing `deps` in order for each template."""
+    if index == len(templates):
+        results.append(binding)
+        return
+    template = templates[index]
+    for dep in deps:
+        if dep.label != template.label or dep.prep != template.prep:
+            continue
+        trial = dict(binding)
+        consistent = True
+        for var, token_index in zip(template.args, dep.args):
+            if trial.get(var, token_index) != token_index:
+                consistent = False
+                break
+            trial[var] = token_index
+        if consistent:
+            _extend_bindings(templates, deps, index + 1, trial, results)
+
+
 def _enumerate_bindings(templates, deps, pivot: int) -> list:
     """All total assignments of template variables to token indices, one per
     way of choosing `deps`; `match_pattern` drops repeated ones."""
     results = []
-
-    def extend(index, binding):
-        if index == len(templates):
-            results.append(binding)
-            return
-        template = templates[index]
-        for dep in deps:
-            if dep.label != template.label or dep.prep != template.prep:
-                continue
-            trial = dict(binding)
-            consistent = True
-            for var, token_index in zip(template.args, dep.args):
-                if trial.get(var, token_index) != token_index:
-                    consistent = False
-                    break
-                trial[var] = token_index
-            if consistent:
-                extend(index + 1, trial)
-
-    extend(0, {PIVOT_VAR: pivot})
+    _extend_bindings(templates, deps, 0, {PIVOT_VAR: pivot}, results)
     return results
 
 

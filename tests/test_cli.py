@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import hashlib
 import io
 import json
@@ -14,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import derivqa
-from derivqa import depgraph, derivfilter, lexica, morphogen, pipeline, rephrase
+from derivqa import cli, depgraph, derivfilter, lexica, morphogen, pipeline, rephrase
 from derivqa.cli import EXIT_CONFIG, EXIT_INPUT, EXIT_OK, main
 from derivqa.depgraph import save_depbank, toy_parse
 from derivqa.pipeline import packaged_data
@@ -38,6 +39,15 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_process(*argv):
+    """`python -m derivqa.cli ARGV` with this checkout's package on the path."""
+    package_root = str(Path(derivqa.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (package_root, os.environ.get("PYTHONPATH")) if p))
+    return subprocess.run([sys.executable, "-m", "derivqa.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
 
 
 def write_small_setup(directory) -> list:
@@ -410,15 +420,70 @@ class TestStderr:
             assert run(capsys, "--config", BENCHMARK_CONFIG, "preprocess",
                        "--out", bank)[0] == EXIT_OK
             argv += ["--bank", bank]
-        package_root = str(Path(derivqa.__file__).resolve().parent.parent)
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            p for p in (package_root, os.environ.get("PYTHONPATH")) if p))
-        proc = subprocess.run([sys.executable, "-m", "derivqa.cli", *argv], env=env,
-                              capture_output=True, text=True, timeout=120)
+        proc = run_process(*argv)
         assert proc.returncode == EXIT_OK
         warnings = [line for line in proc.stderr.splitlines()
                     if "unknown derivation code 'R'" in line]
         assert len(warnings) == 1
+
+
+@pytest.fixture(scope="module")
+def benchmark_bank(tmp_path_factory):
+    """The benchmark fixture's bank, written by `preprocess`."""
+    bank = str(tmp_path_factory.mktemp("bank") / "bank.jsonl")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["--config", BENCHMARK_CONFIG, "preprocess", "--out", bank]) == EXIT_OK
+    return bank
+
+
+class TestCollector:
+    """A command runs with the cyclic garbage collector off; `main` gives
+    the caller back the setting it found, however the command ends."""
+
+    ASK = ("ask", "--question", "De quel chef Domitien est-il le successeur ?")
+
+    @pytest.fixture(params=[True, False], ids=["caller-enabled", "caller-disabled"])
+    def caller_setting(self, request):
+        collecting = gc.isenabled()
+        (gc.enable if request.param else gc.disable)()
+        yield request.param
+        (gc.enable if collecting else gc.disable)()
+
+    @pytest.mark.parametrize("flags, exit_code", [
+        ((), EXIT_OK),
+        (("--mode", "base"), EXIT_INPUT),  # a bank from another configuration
+        (("--k", "9"), EXIT_CONFIG),
+    ], ids=["exit-0", "exit-1", "exit-2"])
+    def test_exit_codes_restore_the_caller_setting(self, capsys, benchmark_bank,
+                                                   caller_setting, flags, exit_code):
+        code = run(capsys, "--config", BENCHMARK_CONFIG, *flags, *self.ASK,
+                   "--bank", benchmark_bank)[0]
+        assert code == exit_code
+        assert gc.isenabled() is caller_setting
+
+    def test_a_missing_subcommand_restores_the_caller_setting(self, capsys, caller_setting):
+        with pytest.raises(SystemExit) as exc:
+            main(["--config", BENCHMARK_CONFIG])
+        assert exc.value.code == 2
+        assert "required: command" in capsys.readouterr().err
+        assert gc.isenabled() is caller_setting
+
+    def test_the_command_runs_with_the_collector_off(self, capsys, monkeypatch,
+                                                     caller_setting):
+        seen = []
+        monkeypatch.setitem(cli._COMMANDS, "stats",
+                            lambda res, args: seen.append(gc.isenabled()) or EXIT_OK)
+        assert run(capsys, "--config", BENCHMARK_CONFIG, "stats")[0] == EXIT_OK
+        assert seen == [False]
+        assert gc.isenabled() is caller_setting
+
+    def test_a_process_prints_what_main_prints(self, capsys, benchmark_bank):
+        argv = ["--config", BENCHMARK_CONFIG, *self.ASK, "--bank", benchmark_bank]
+        code, out, _ = run(capsys, *argv)
+        assert code == EXIT_OK
+        assert out.startswith("1.\ts06\t1\t")
+        proc = run_process(*argv)
+        assert (proc.returncode, proc.stdout) == (code, out)
 
 
 class TestStats:

@@ -235,6 +235,22 @@ class TestStructuralAnswer:
             parse_question("q", "quoi zzz ?", res.lexicon)
 
 
+class TestMaxMatching:
+    """`_max_matching(edges)`: `edges[qi]` lists the sentence dependencies
+    question dependency `qi` matches."""
+
+    def test_an_augmenting_path_undoes_a_first_choice(self):
+        # q0 takes s0 first; q1 can only have s0, so q0 moves on to s1. s0
+        # was taken first, yet the pairs come back sorted by question index.
+        assert qaengine._max_matching([[0, 1], [0]]) == [(0, 1), (1, 0)]
+
+    def test_a_dependency_without_edges_stays_unmatched(self):
+        assert qaengine._max_matching([[], [0, 1], [0]]) == [(1, 1), (2, 0)]
+
+    def test_nothing_to_match(self):
+        assert qaengine._max_matching([[], []]) == []
+
+
 class TestBagBaseline:
     def test_counts_shared_lemmas(self, res, small_bank):
         q = parse_question("q", "l'ouvrier coupa quel courant ?", res.lexicon)

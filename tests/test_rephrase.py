@@ -6,6 +6,8 @@ from oracles import dep_signature, graph_equal
 from derivqa.depgraph import (
     BASE,
     DERIVATIONAL,
+    PREPPH,
+    SUBJECT,
     Dependency,
     copy_graph,
     toy_parse,
@@ -22,6 +24,7 @@ from derivqa.pipeline import (
 )
 from derivqa.rephrase import (
     DepTemplate,
+    _enumerate_bindings,
     PatternError,
     apply_pattern,
     enrich,
@@ -243,6 +246,32 @@ class TestMatchPattern:
         assert token.sense_id == 1
         assert match_pattern(graph, patterns["v2n_ation_svo"], pivot,
                              res.resource, res.dictionary) == []
+
+
+class TestEnumerateBindings:
+    def test_templates_sharing_a_variable(self):
+        # SUBJ(P,X) then PREPPH(X,de,Y) at pivot 0: X is bound by the first
+        # template, so the second keeps only dependencies headed by that X
+        templates = (DepTemplate(SUBJECT, ("P", "X")), DepTemplate(PREPPH, ("X", "Y"), "de"))
+        deps = [
+            Dependency(SUBJECT, (0, 1)),
+            Dependency(SUBJECT, (3, 1)),          # P is 0, not 3
+            Dependency(SUBJECT, (0, 2)),
+            Dependency(PREPPH, (1, 4), prep="de"),
+            Dependency(PREPPH, (2, 5), prep="de"),
+            Dependency(PREPPH, (1, 8), prep="à"),  # another preposition
+            Dependency(PREPPH, (1, 9), prep="de"),
+        ]
+        assert _enumerate_bindings(templates, deps, 0) == [
+            {"P": 0, "X": 1, "Y": 4},
+            {"P": 0, "X": 1, "Y": 9},
+            {"P": 0, "X": 2, "Y": 5},
+        ]
+
+    def test_no_consistent_choice(self):
+        templates = (DepTemplate(SUBJECT, ("P", "X")), DepTemplate(PREPPH, ("X", "P"), "de"))
+        deps = [Dependency(SUBJECT, (0, 1)), Dependency(PREPPH, (1, 2), prep="de")]
+        assert _enumerate_bindings(templates, deps, 0) == []
 
 
 class TestApplyPattern:
