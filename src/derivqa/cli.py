@@ -45,7 +45,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_pre = sub.add_parser("preprocess",
                            help="parse, disambiguate, and enrich the corpus")
-    p_pre.add_argument("--out", required=True, help="write the bank (JSON lines) here")
+    p_pre.add_argument("--out", required=True,
+                       help="write the bank (tab-separated, one line per graph) here")
 
     p_ask = sub.add_parser("ask", help="answer one question against a bank")
     p_ask.add_argument("--question", required=True, help="question text")

@@ -1,5 +1,5 @@
 """Dependency graphs over tokens, a deterministic parser for a restricted
-French grammar, and the JSON-lines bank format.
+French grammar, and the tab-separated bank format.
 
 The parser covers exactly what the pipeline needs: subject-verb-object
 clauses (simple past, present, or avoir + participle), copular attribute
@@ -10,13 +10,13 @@ infinitive with its object, and a bare noun phrase. Anything else fails
 with an explicit error rather than producing a wrong parse.
 """
 
-import json
 import logging
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .lexica import ADJ, ADV, CONTENT_POS, NOUN, VERB, _read_lines, _write_lines, normalize
+from .lexica import (ADJ, ADV, CONTENT_POS, NOUN, VERB, _int_cell, _read_lines, _write_lines,
+                     normalize)
 
 log = logging.getLogger(__name__)
 
@@ -500,73 +500,165 @@ def toy_parse(sentence: str, lexicon, sentence_id: str = "s0") -> DependencyGrap
 
 
 # ---------------------------------------------------------------------------
-# Bank serialization (JSON lines, format 2)
+# Bank serialization (tab-separated lines, format 3)
 # ---------------------------------------------------------------------------
 
-BANK_FORMAT = 2
+BANK_FORMAT = 3
+_BANK_TAG = "derivqa_bank"
+# What `save_depbank` writes only if it holds: the reader splits lines at
+# newlines and cells at tabs, and drops a carriage return ending a line.
+_CELL_RULE = "a string with no tab or newline, the line's last not ending in a carriage return"
 
 
 def save_depbank(graphs, path):
-    """Write a header line, then one row per graph.
+    """Write a header line, then one line per graph, each a row of
+    tab-separated cells in which an empty cell stands for none.
 
-    The header is `{"derivqa_bank":2,"mode":M,"fingerprint":F}`, taken from
-    the bank's `mode` and `fingerprint`; a plain sequence of graphs writes
-    nulls. A row is `[id, text, tokens, deps]`, with each token
-    `[surface, lemma, pos, features, sense, alternates]` (its index is its
-    position) and each dependency `[label, arg0, arg1, prep, provenance]`.
+    The header is `derivqa_bank, 3, mode, fingerprint`, taken from the
+    bank's `mode` and `fingerprint`; a plain sequence of graphs writes
+    empty cells. A graph line is `id, text, N`, then the 7 cells of each of
+    its N tokens, `surface, lemma, pos, sense, alternates, pattern, source`,
+    then the 5 cells of each dependency, `label, arg0, arg1, prep,
+    provenance`. A token's index is its position; its alternates are sorted
+    and joined by `;`; pattern and source are a derivative token's
+    `deriv_pattern` and `deriv_source` features.
+
+    A bank that `load_depbank` would not give back as it is raises
+    DepbankError, naming the file and the sentence id, and nothing is
+    written: a cell that is not a string, or holds a tab or a newline; a
+    line that would end in a carriage return, which the reader drops; an
+    empty mode or fingerprint; a sense that is not an integer or None;
+    alternates that are not a set of strings, each non-empty and without
+    `;`; features other than none or a non-empty `deriv_pattern` and
+    `deriv_source` string; an id that is the header tag.
     """
-    header = {"derivqa_bank": BANK_FORMAT,
-              "mode": getattr(graphs, "mode", None),
-              "fingerprint": getattr(graphs, "fingerprint", None)}
-    lines = [json.dumps(header, separators=(",", ":"))]
+    mode, fingerprint = getattr(graphs, "mode", None), getattr(graphs, "fingerprint", None)
+    header = None if "" in (mode, fingerprint) else _bank_line(
+        [_BANK_TAG, str(BANK_FORMAT), mode or "", fingerprint or ""])
+    if header is None:
+        raise DepbankError(f"{path}: bank header: mode and fingerprint must be None or "
+                           f"{_CELL_RULE}, and not empty")
+    lines = [header]
     for g in graphs:
-        row = [
-            g.sentence_id,
-            g.text,
-            [[t.surface, t.lemma, t.pos, t.features, t.sense_id, sorted(t.alternates)]
-             for t in g.tokens],
-            [[d.label, *d.args, d.prep, d.provenance] for d in g.deps],
-        ]
-        lines.append(json.dumps(row, ensure_ascii=False, separators=(",", ":"),
-                                sort_keys=True))
+        sid = g.sentence_id
+        if sid == _BANK_TAG:
+            raise _save_error(path, sid, "an id must not be the bank header tag")
+        if type(g.tokens) is not list or type(g.deps) is not list:
+            raise _save_error(path, sid, "tokens and deps must be lists")
+        cells = [sid, g.text, str(len(g.tokens))]
+        for index, t in enumerate(g.tokens):
+            features, sense, words = t.features, t.sense_id, t.alternates
+            pattern = source = alternates = ""
+            if features or type(features) is not dict:
+                deriv = _deriv_cells(features)
+                if deriv is None:
+                    raise _save_error(path, sid, f"token {index}: features must be empty, or "
+                                      "a non-empty deriv_pattern and deriv_source string")
+                pattern, source = deriv
+            if sense is None:
+                sense = ""
+            elif type(sense) is int:
+                sense = str(sense)
+            else:
+                raise _save_error(path, sid, f"token {index}: sense must be an integer or None")
+            if words is not _NO_ALTERNATES:
+                alternates = _alternates_cell(words)
+                if alternates is None:
+                    raise _save_error(path, sid, f"token {index}: alternates must be a set of "
+                                      "non-empty strings without ';'")
+            cells += (t.surface, t.lemma, t.pos, sense, alternates, pattern, source)
+        for d in g.deps:
+            cells += (d.label, str(d.args[0]), str(d.args[1]), d.prep or "", d.provenance)
+        line = _bank_line(cells)
+        if line is None:
+            raise _save_error(path, sid, f"every cell must be {_CELL_RULE}")
+        lines.append(line)
     _write_lines(path, lines)
+
+
+def _save_error(path, sentence_id, message: str) -> DepbankError:
+    return DepbankError(f"{path}: id={sentence_id!r}: {message}")
+
+
+def _deriv_cells(features) -> tuple | None:
+    """The pattern and source cells of a derivative token's `features`;
+    None unless they are exactly those two keys, each a non-empty string."""
+    if type(features) is dict and len(features) == 2:
+        pattern, source = features.get("deriv_pattern"), features.get("deriv_source")
+        if type(pattern) is str and type(source) is str and pattern and source:
+            return pattern, source
+    return None
+
+
+def _alternates_cell(words) -> str | None:
+    """`words` as an alternates cell; None unless it reads back as them: a
+    set of strings, none empty or holding `;`."""
+    if not isinstance(words, (set, frozenset)):
+        return None
+    if not words:
+        return ""
+    try:
+        ordered = sorted(words)
+        cell = ";".join(ordered)
+    except TypeError:
+        return None
+    return cell if ordered[0] and cell.count(";") == len(ordered) - 1 else None
+
+
+def _bank_line(cells) -> str | None:
+    """The cells joined by tabs; None unless the line reads back as them."""
+    try:
+        line = "\t".join(cells)
+    except TypeError:
+        return None
+    if line.count("\t") != len(cells) - 1 or "\n" in line or line.endswith("\r"):
+        return None
+    return line
+
+
+def _bank_error(path, lineno: int, message: str) -> DepbankError:
+    return DepbankError(f"{path}:{lineno}: {message}")
 
 
 def load_depbank(path) -> DependencyBank:
     """Read a bank written by `save_depbank`; sentence ids must be unique.
 
-    The first non-blank line must be a format-2 header. A later header
-    identical to it is skipped, so banks saved under one configuration may
-    be concatenated; a differing one is an error.
+    The first non-blank line must be a format-3 header; a bank of an
+    earlier format, such as format 2's JSON lines, is refused with "rerun
+    preprocess". A later header identical to it is skipped, so banks saved
+    under one configuration may be concatenated; a differing one is an
+    error. Every cell is checked as it is read, and a fault raises a
+    `FILE:LINE:` DepbankError. Equal dependencies of a bank load as one
+    shared `Dependency`, and equal alternates cells as one frozenset.
     """
     graphs = []
     seen = set()
-    shared = {}
+    # cell -> value, shared by the whole bank: integer cells, alternates
+    # cells and the 5-cell groups of dependencies
+    ints, alternates, shared = {}, {"": _NO_ALTERNATES}, {}
     header = None
-    lines = _read_lines(path, lambda p, lineno, message: DepbankError(f"{p}:{lineno}: {message}"))
-    for lineno, line in lines:
+    for lineno, line in _read_lines(path, _bank_error):
         if not line.strip():
             continue
-        try:
-            record = json.loads(line)
-        except (ValueError, RecursionError) as exc:
-            raise DepbankError(f"{path}:{lineno}: not valid JSON: {exc}")
-        if header is None:
-            if not _is_header(record):
-                raise DepbankError(f"{path}:{lineno}: not a derivqa_bank {BANK_FORMAT} "
-                                   "header; rerun preprocess")
-            header = record["mode"], record["fingerprint"]
-        elif _is_header(record):
-            other = record["mode"], record["fingerprint"]
-            if other != header:
-                raise DepbankError(f"{path}:{lineno}: bank header differs from the first one "
-                                   f"({describe_bank(*other)} against {describe_bank(*header)}); "
-                                   "rerun preprocess")
+        cells = line.split("\t")
+        if cells[0] == _BANK_TAG:
+            if len(cells) != 4 or cells[1] != str(BANK_FORMAT):
+                raise _bank_error(path, lineno, f"not a derivqa_bank {BANK_FORMAT} header; "
+                                  "rerun preprocess")
+            other = cells[2] or None, cells[3] or None
+            if header is None:
+                header = other
+            elif other != header:
+                raise _bank_error(path, lineno, "bank header differs from the first one "
+                                  f"({describe_bank(*other)} against {describe_bank(*header)}); "
+                                  "rerun preprocess")
+        elif header is None:
+            raise _bank_error(path, lineno, f"not a derivqa_bank {BANK_FORMAT} header; "
+                              "rerun preprocess")
         else:
-            graph = _graph_from_row(record, f"{path}:{lineno}", shared)
+            graph = _graph_from_cells(cells, path, lineno, ints, alternates, shared)
             if graph.sentence_id in seen:
-                raise DepbankError(f"{path}:{lineno}: duplicate sentence id "
-                                   f"{graph.sentence_id!r}")
+                raise _bank_error(path, lineno, f"duplicate sentence id {graph.sentence_id!r}")
             seen.add(graph.sentence_id)
             graphs.append(graph)
     if header is None:
@@ -574,70 +666,82 @@ def load_depbank(path) -> DependencyBank:
     return DependencyBank(graphs, *header)
 
 
-def _is_header(record) -> bool:
-    return (type(record) is dict
-            and record.keys() == {"derivqa_bank", "mode", "fingerprint"}
-            and type(record["derivqa_bank"]) is int and record["derivqa_bank"] == BANK_FORMAT
-            and all(value is None or type(value) is str
-                    for value in (record["mode"], record["fingerprint"])))
-
-
 def describe_bank(mode, fingerprint) -> str:
     """A bank configuration, as error messages name it."""
     return f"mode={mode} fingerprint={fingerprint}"
 
 
-def _graph_from_row(row, where: str, shared: dict) -> DependencyGraph:
-    """One graph row, checked; `shared` maps each dependency row already read
-    to its `Dependency`, so equal dependencies of a bank are one object. Equal
-    rows are equal dependencies, so a row repeated in a graph is dropped by
-    its row alone."""
-    if type(row) is not list or len(row) != 4:
-        raise DepbankError(f"{where}: a graph row must be a list [id, text, tokens, deps]")
-    sentence_id, text, raw_tokens, raw_deps = row
-    rid = f"{where} (id={sentence_id!r})"
-    if type(sentence_id) is not str or type(text) is not str:
-        raise DepbankError(f"{rid}: id and text must be strings")
-    if type(raw_tokens) is not list or type(raw_deps) is not list:
-        raise DepbankError(f"{rid}: tokens and deps must be lists")
+def _graph_from_cells(cells, path, lineno: int, ints: dict, alternates: dict,
+                      shared: dict) -> DependencyGraph:
+    """One graph line's cells, checked. `ints`, `alternates` and `shared`
+    map cells already read to their values, and equal dependencies are one
+    object, so a dependency repeated in a graph is dropped by its identity."""
+    if len(cells) < 3:
+        raise _bank_error(path, lineno, "a graph line must start with id, text and token count")
+    sentence_id, text, count = cells[0], cells[1], cells[2]
+    n = ints.get(count)
+    if n is None:
+        n = ints[count] = _int_cell(path, lineno, f"id={sentence_id!r}: token count", count,
+                                    _bank_error)
+    end = 3 + 7 * n
+    if n < 0 or len(cells) < end or (len(cells) - end) % 5:
+        raise _bank_error(path, lineno, f"id={sentence_id!r}: {len(cells) - 3} cells follow "
+                          f"a token count of {n}; a graph line holds 7 per token, then 5 per "
+                          "dependency")
     tokens = []
-    for index, raw in enumerate(raw_tokens):
-        if type(raw) is not list or len(raw) != 6:
-            raise DepbankError(f"{rid}: token {index} must be a list [surface, lemma, pos, "
-                               "features, sense, alternates]")
-        surface, lemma, pos, features, sense, alternates = raw
-        if type(surface) is not str or type(lemma) is not str or type(pos) is not str:
-            raise DepbankError(f"{rid}: token {index}: surface, lemma and pos must be strings")
-        if type(features) is not dict or (
-                features and not all(type(v) is str for v in features.values())):
-            raise DepbankError(f"{rid}: token {index}: features must be an object of strings")
-        if sense is not None and type(sense) is not int:
-            raise DepbankError(f"{rid}: token {index}: sense must be an integer or null")
-        if type(alternates) is not list or (
-                alternates and not all(type(a) is str for a in alternates)):
-            raise DepbankError(f"{rid}: token {index}: alternates must be a list of strings")
-        tokens.append(TokenNode(index, surface, lemma, pos, features, sense,
-                                frozenset(alternates) if alternates else _NO_ALTERNATES))
-    n = len(tokens)
-    deps = {}  # dependency row -> Dependency, first occurrence first
-    for raw in raw_deps:
-        if type(raw) is not list or len(raw) != 5:
-            raise DepbankError(f"{rid}: a dependency must be a list [label, arg0, arg1, "
-                               "prep, provenance]")
-        label, arg0, arg1, prep, provenance = raw
-        if type(arg0) is not int or type(arg1) is not int or not (0 <= arg0 < n and 0 <= arg1 < n):
-            raise DepbankError(f"{rid}: dependency args not integers or out of range: "
-                               f"{[arg0, arg1]}")
-        key = (label, arg0, arg1, prep, provenance)
-        try:
-            dep = shared[key]
-        except (KeyError, TypeError):
-            # A key that cannot be hashed holds a list or an object, which
-            # Dependency rejects, so it is never stored.
-            try:
-                dep = Dependency(label, (arg0, arg1), prep, provenance)
-            except (TypeError, ValueError) as exc:
-                raise DepbankError(f"{rid}: bad dependency record: {exc}")
-            shared[key] = dep
-        deps.setdefault(key, dep)
+    run = iter(cells[3:end])
+    for index, (surface, lemma, pos, sense, alts, pattern, source) in enumerate(
+            zip(run, run, run, run, run, run, run)):
+        if sense:
+            sense_id = ints.get(sense)
+            if sense_id is None:
+                sense_id = ints[sense] = _int_cell(
+                    path, lineno, f"id={sentence_id!r}: token {index} sense", sense, _bank_error)
+        else:
+            sense_id = None
+        words = alternates.get(alts)
+        if words is None:
+            words = frozenset(alts.split(";"))
+            if "" in words:
+                raise _bank_error(path, lineno, f"id={sentence_id!r}: token {index}: an "
+                                  f"alternate is empty: {alts!r}")
+            alternates[alts] = words
+        if pattern and source:
+            features = {"deriv_pattern": pattern, "deriv_source": source}
+        elif pattern or source:
+            raise _bank_error(path, lineno, f"id={sentence_id!r}: token {index}: a pattern "
+                              "needs a source, and a source a pattern")
+        else:
+            features = {}
+        tokens.append(TokenNode(index, surface, lemma, pos, features, sense_id, words))
+    deps = {}  # id -> Dependency, first occurrence first
+    run = iter(cells[end:])
+    for key in zip(run, run, run, run, run):
+        dep = shared.get(key)
+        if dep is None:
+            dep = shared[key] = _dependency_from_cells(key, path, lineno, sentence_id, shared)
+        if dep.args[0] >= n or dep.args[1] >= n:
+            raise _bank_error(path, lineno, f"id={sentence_id!r}: dependency args out of "
+                              f"range: {list(dep.args)}")
+        deps[id(dep)] = dep
     return DependencyGraph(sentence_id, text, tokens, list(deps.values()))
+
+
+def _dependency_from_cells(cells, path, lineno: int, sentence_id: str,
+                           shared: dict) -> Dependency:
+    """The dependency of 5 cells not read before; the one already read when
+    the cells spell its args otherwise, such as `01` for `1`."""
+    label, arg0, arg1, prep, provenance = cells
+    where = f"id={sentence_id!r}: dependency"
+    args = (_int_cell(path, lineno, f"{where} arg0", arg0, _bank_error),
+            _int_cell(path, lineno, f"{where} arg1", arg1, _bank_error))
+    if args[0] < 0 or args[1] < 0:
+        raise _bank_error(path, lineno, f"{where} args out of range: {list(args)}")
+    written = (label, str(args[0]), str(args[1]), prep, provenance)
+    if written in shared:
+        return shared[written]
+    try:
+        dep = shared[written] = Dependency(label, args, prep or None, provenance)
+    except ValueError as exc:
+        raise _bank_error(path, lineno, f"id={sentence_id!r}: bad dependency record: {exc}")
+    return dep

@@ -300,17 +300,17 @@ def _only_pos(dictionary: Dictionary, lemma: str) -> str | None:
     return kinds.pop() if len(kinds) == 1 else None
 
 
-def _int_cell(path, lineno: int, column: str, cell: str) -> int:
+def _int_cell(path, lineno: int, column: str, cell: str, error=LexiconError) -> int:
     """`cell` as an integer: ASCII digits after an optional `-`, nothing else,
-    and no more digits than `int` converts."""
+    and no more digits than `int` converts; otherwise raises
+    `error(path, lineno, message)`."""
     digits = cell[1:] if cell.startswith("-") else cell
     if not (digits.isascii() and digits.isdigit()):
-        raise LexiconError(path, lineno, f"{column} is not an integer: {cell!r}")
+        raise error(path, lineno, f"{column} is not an integer: {cell!r}")
     try:
         return int(cell)
     except ValueError:  # past the interpreter's limit on digits converted
-        raise LexiconError(path, lineno,
-                           f"{column} is not an integer: {len(digits)} digits is too many")
+        raise error(path, lineno, f"{column} is not an integer: {len(digits)} digits is too many")
 
 
 def _split_multi(cell: str) -> tuple[str, ...]:

@@ -211,6 +211,29 @@ def copy_benchmark_setup(directory, **overrides) -> str:
     return str(directory / "config.json")
 
 
+# sha256 of the fixture's `preprocess` bank in each mode.
+FORMAT_3_DIGESTS = {
+    "baseline": "1cfd3e8abc94586dbfd50ccab09b7a050a181dcfcf756433808740e975fc1803",
+    "base": "23955a621daaf8051256e78eee62f1cd9595386ebfd82eebff58f54d56d78bf5",
+    "deriv": "953579d11be995363598f6dfcae40fc2d6151cf71f1d78fd246b14abc1338e6f",
+    "all": "f902438d6fb081fd2d59a5ddcaed748271c97a72526e0d66e20fbe63941190fd",
+}
+
+
+def format_2_text(bank) -> str:
+    """`bank` as format 2 wrote it: a JSON header, then one JSON array per
+    graph, `[id, text, tokens, deps]`."""
+    header = {"derivqa_bank": 2, "mode": bank.mode, "fingerprint": bank.fingerprint}
+    lines = [json.dumps(header, separators=(",", ":"))]
+    for g in bank:
+        row = [g.sentence_id, g.text,
+               [[t.surface, t.lemma, t.pos, t.features, t.sense_id, sorted(t.alternates)]
+                for t in g.tokens],
+               [[d.label, *d.args, d.prep, d.provenance] for d in g.deps]]
+        lines.append(json.dumps(row, ensure_ascii=False, separators=(",", ":"), sort_keys=True))
+    return "".join(line + "\n" for line in lines)
+
+
 class TestBankConfiguration:
     """`ask` and `evaluate --bank` refuse a bank built under another mode or
     fingerprint (resource files and bank-shaping tunables)."""
@@ -239,48 +262,32 @@ class TestBankConfiguration:
     ])
     def test_preprocessed_bank_bytes(self, capsys, tmp_path, mode, digest):
         """The fixture's banks, byte for byte: a change meant to leave the
-        output as it is must leave these digests as they are."""
+        output as it is must leave these digests as they are.
+
+        `digest` is the bank's digest in format 2, which the loaded format-3
+        bank still gives when `format_2_text` writes it: format 3 holds the
+        very graphs format 2 held. `FORMAT_3_DIGESTS` pins the file."""
         bank = tmp_path / "bank.jsonl"
         code, _, _ = run(capsys, "--config", BENCHMARK_CONFIG, "--mode", mode,
                          "preprocess", "--out", str(bank))
         assert code == EXIT_OK
-        assert hashlib.sha256(bank.read_bytes()).hexdigest() == digest
+        assert hashlib.sha256(bank.read_bytes()).hexdigest() == FORMAT_3_DIGESTS[mode]
+        legacy = format_2_text(depgraph.load_depbank(bank)).encode("utf-8")
+        assert hashlib.sha256(legacy).hexdigest() == digest
 
     @pytest.mark.parametrize("mode", pipeline.MODES)
-    def test_bank_with_proper_features_answers_the_same(self, capsys, tmp_path, mode):
-        """A bank written while the parser marked each proper noun
-        `{"proper":"true"}` still loads, and asks and scores as the bank
-        written now; the fingerprint did not change with the marking."""
+    def test_format_2_bank_is_refused(self, capsys, tmp_path, mode):
+        """A bank format 2 wrote under this very configuration (see
+        `test_preprocessed_bank_bytes`) is refused: it must be rebuilt."""
         bank, legacy = tmp_path / "bank.jsonl", tmp_path / "legacy.jsonl"
         run(capsys, "--config", BENCHMARK_CONFIG, "--mode", mode,
             "preprocess", "--out", str(bank))
-        lexicon = pipeline.load_question_resources(pipeline.load_config(BENCHMARK_CONFIG)).lexicon
-        header, *rows = bank.read_text(encoding="utf-8").splitlines()
-        lines, marked = [header], 0
-        for row in map(json.loads, rows):
-            for token in row[2]:
-                surface, lemma, pos, features = token[:4]
-                if (pos == "NOUN" and surface == lemma and surface[0].isupper()
-                        and not features and not lexicon.readings(surface)):
-                    token[3] = {"proper": "true"}
-                    marked += 1
-            lines.append(json.dumps(row, ensure_ascii=False, separators=(",", ":"),
-                                    sort_keys=True))
-        legacy.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
-        assert marked == 13
-        assert legacy.read_bytes().replace(b'{"proper":"true"}', b"{}") == bank.read_bytes()
-        outputs = {}
-        for path in (bank, legacy):
-            report = tmp_path / f"{path.stem}.tsv"
-            outputs[path] = [
-                run(capsys, "--config", BENCHMARK_CONFIG, "--mode", mode, "ask", "--question",
-                    "De quel chef Domitien est-il le successeur ?", "--bank", str(path)),
-                run(capsys, "--config", BENCHMARK_CONFIG, "--mode", mode,
-                    "evaluate", "--bank", str(path), "--out", str(report)),
-                report.read_bytes(),
-            ]
-        assert outputs[legacy] == outputs[bank]
-        assert outputs[bank][0][0] == outputs[bank][1][0] == EXIT_OK
+        legacy.write_text(format_2_text(depgraph.load_depbank(bank)), encoding="utf-8")
+        refusal = f"error: {legacy}:1: not a derivqa_bank 3 header; rerun preprocess\n"
+        for command in (["ask", "--question", "De quel chef Domitien est-il le successeur ?"],
+                        ["evaluate"]):
+            assert run(capsys, "--config", BENCHMARK_CONFIG, "--mode", mode, *command,
+                       "--bank", str(legacy)) == (EXIT_INPUT, "", refusal)
 
     def test_bank_from_another_mode(self, capsys, tmp_path):
         bank = str(tmp_path / "bank.jsonl")
@@ -608,18 +615,30 @@ class TestExitCodes:
                              "ask", "--question", "quelle coupure du flux ?",
                              "--bank", str(bank))
         assert code == EXIT_INPUT
-        assert "not valid JSON" in err
+        assert err == f"error: {bank}:1: not a derivqa_bank 3 header; rerun preprocess\n"
 
     def test_bank_with_boolean_dependency_arg(self, capsys, tmp_path):
         bank = tmp_path / "bank.jsonl"
-        bank.write_text('{"derivqa_bank":2,"mode":null,"fingerprint":null}\n'
-                        '["s1","x",[["a","a","NOUN",{},null,[]]],'
-                        '[["MODIFIER",false,0,null,"BASE"]]]\n', encoding="utf-8")
+        bank.write_text("derivqa_bank\t3\t\t\n"
+                        "s1\tx\t1\ta\ta\tNOUN\t\t\t\t\tMODIFIER\tfalse\t0\t\tBASE\n",
+                        encoding="utf-8")
         code, out, err = run(capsys, "--config", BENCHMARK_CONFIG,
                              "ask", "--question", "quelle coupure du flux ?",
                              "--bank", str(bank))
         assert code == EXIT_INPUT
-        assert "error:" in err and "args not integers or out of range: [False, 0]" in err
+        assert err == (f"error: {bank}:2: id='s1': dependency arg0 is not an integer: "
+                       "'false'\n")
+
+    def test_preprocess_refuses_a_bank_it_could_not_read_back(self, capsys, tmp_path):
+        config = copy_benchmark_setup(tmp_path)
+        sentences = tmp_path / "sentences.tsv"
+        sentences.write_text(sentences.read_text(encoding="utf-8").replace(
+            "s01\t", "derivqa_bank\t", 1), encoding="utf-8")
+        bank = tmp_path / "bank.tsv"
+        assert run(capsys, "--config", config, "preprocess", "--out", str(bank)) == (
+            EXIT_INPUT, "",
+            f"error: {bank}: id='derivqa_bank': an id must not be the bank header tag\n")
+        assert not bank.exists()
 
     def test_bank_with_repeated_sentence_id(self, capsys, tmp_path, benchmark_resources):
         bank = tmp_path / "bank.jsonl"
@@ -637,7 +656,7 @@ class TestExitCodes:
         bank = tmp_path / "bank.jsonl"
         save_depbank([toy_parse("l'ouvrier a coupé le courant .",
                                 benchmark_resources.lexicon, "s1")], bank)
-        bank.write_text(bank.read_text(encoding="utf-8").replace('"SUBJECT"', '"FOREIGN"'),
+        bank.write_text(bank.read_text(encoding="utf-8").replace("\tSUBJECT\t", "\tFOREIGN\t"),
                         encoding="utf-8")
         code, out, err = run(capsys, "--config", BENCHMARK_CONFIG,
                              "ask", "--question", "l'ouvrier coupa quel courant ?",
@@ -680,11 +699,11 @@ class TestEncoding:
         ("config.json", lambda text: NESTED, EXIT_CONFIG,
          "config.json: invalid JSON: maximum recursion depth"),
         ("bank.jsonl", lambda text: NESTED, EXIT_INPUT,
-         "bank.jsonl:1: not valid JSON: maximum recursion depth"),
+         "bank.jsonl:1: not a derivqa_bank 3 header; rerun preprocess"),
         ("config.json", lambda text: text.replace('"k": 5', f'"k": {LONG_INT}'), EXIT_CONFIG,
          "config.json: invalid JSON: Exceeds the limit (4300 digits)"),
-        ("bank.jsonl", lambda text: text + f'["s2","t",[],[{LONG_INT}]]\n', EXIT_INPUT,
-         "bank.jsonl:3: not valid JSON: Exceeds the limit (4300 digits)"),
+        ("bank.jsonl", lambda text: text + f"s2\tt\t{LONG_INT}\n", EXIT_INPUT,
+         "bank.jsonl:3: id='s2': token count is not an integer: 5000 digits is too many"),
     ], ids=["config.json", "bank.jsonl", "config.json-long-integer", "bank.jsonl-long-integer"])
     def test_deeply_nested_json(self, capsys, tmp_path, name, edit, exit_code, message):
         argv = write_small_setup(tmp_path)
@@ -745,11 +764,12 @@ EDITS = st.lists(st.tuples(st.sampled_from(["replace", "insert", "delete"]),
 @example(name="patterns.txt", edits=[("insert", 0, 0xE9)])
 @example(name="code_table.tsv", edits=[("insert", 0, 0xE9)])
 @example(name="bank.jsonl", edits=[("insert", 0, 0xE9)])
-# The bank's header: the 2 of "derivqa_bank":2, the opening brace, and the
-# first byte of the fingerprint, which starts at byte 48 in a deriv bank.
-@example(name="bank.jsonl", edits=[("replace", 16, ord("3"))])
+# The bank's header, "derivqa_bank<TAB>3<TAB>deriv<TAB>FINGERPRINT": the
+# format digit at byte 13, the first byte of the tag, and the first byte of
+# the fingerprint, which starts at byte 21 in a deriv bank.
+@example(name="bank.jsonl", edits=[("replace", 13, ord("2"))])
 @example(name="bank.jsonl", edits=[("delete", 0, 0)])
-@example(name="bank.jsonl", edits=[("replace", 48, ord("x"))])
+@example(name="bank.jsonl", edits=[("replace", 21, ord("x"))])
 def test_mutated_inputs_never_raise(small_setup, name, edits):
     """Both with the bank, which any resource edit makes foreign, and
     without it, so a question is answered under the edited resources."""
@@ -775,31 +795,65 @@ def test_mutated_inputs_never_raise(small_setup, name, edits):
 
 # Cell values that probe every column's checks: empty, NUL, a line separator
 # and a byte-order mark that a line-based reader might split or strip, the
-# synonym wildcard, a negative and a 5,000-digit integer, and the names
-# parts of speech and dependency labels go by.
-HOSTILE_CELLS = ["", "\x00", "\u2028", "\ufeff", "*", "-1", "9" * 5_000,
+# synonym wildcard, a negative integer, one past every bank graph's tokens
+# and a 5,000-digit one, and the names parts of speech and dependency
+# labels go by.
+HOSTILE_CELLS = ["", "\x00", "\u2028", "\ufeff", "*", "-1", "99", "9" * 5_000,
                  *sorted(lexica.CONTENT_POS), *sorted(depgraph.KNOWN_LABELS),
                  *sorted(depgraph.PROVENANCES)]
 CELL_FILES = ["config.json", "dictionary.tsv", "inflections.tsv", "corpus_lexicon.tsv",
               "synonyms.tsv", "euphonics.tsv", "code_table.tsv", "sentences.tsv",
-              "questions.tsv"]
+              "questions.tsv", "bank.jsonl"]
+# The cells of a bank graph line the test sets, one per drawn column.
+BANK_CELLS = ("count", "sense", "label", "arg0", "arg1")
 
 
 @pytest.fixture(scope="module")
 def cell_setup(tmp_path_factory):
     """The benchmark fixture with the packaged code table and patterns
-    named in its config, so one `evaluate` run reads every file above."""
+    named in its config, so one `evaluate` run reads every file above but
+    the bank, and its `all` bank, which `ask --bank` reads."""
     directory = tmp_path_factory.mktemp("cells")
     for name in ("code_table.tsv", "patterns.txt"):
         (directory / name).write_bytes(packaged_data(name).read_bytes())
     config = copy_benchmark_setup(directory, code_table="code_table.tsv",
                                   patterns="patterns.txt")
-    return directory, ["--config", config, "--mode", "all", "evaluate"]
+    argv = ["--config", config, "--mode", "all"]
+    bank = str(directory / "bank.jsonl")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main([*argv, "preprocess", "--out", bank]) == EXIT_OK
+    return directory, [*argv, "evaluate"], [
+        *argv, "ask", "--question", "De quel chef Domitien est-il le successeur ?", "--bank", bank]
+
+
+def set_bank_cell(text, row, column, value):
+    """`text`, a bank, with one cell of a graph line set to `value`: the
+    token count, a token's sense, or a dependency's label or arg, as
+    `column` picks; `row` picks the line and the token or dependency."""
+    lines = text.split("\n")
+    rows = [i for i, line in enumerate(lines) if line and not line.startswith("derivqa_bank")]
+    i = rows[row % len(rows)]
+    cells = lines[i].split("\t")
+    n = int(cells[2])
+    deps = (len(cells) - 3 - 7 * n) // 5
+    kind = BANK_CELLS[column % len(BANK_CELLS)]
+    if kind == "sense":
+        index = 3 + 7 * (row % n) + 3
+    elif kind != "count" and deps:
+        index = 3 + 7 * n + 5 * (row % deps) + ("label", "arg0", "arg1").index(kind)
+    else:
+        index = 2
+    cells[index] = value
+    lines[i] = "\t".join(cells)
+    return "\n".join(lines)
 
 
 def set_cell(name, text, row, column, value):
     """`text` with one cell set to `value`: a config value, written as a
-    JSON number when it is one, or a cell of a TSV data row."""
+    JSON number when it is one, a bank cell (see `set_bank_cell`), or a cell
+    of a TSV data row."""
+    if name == "bank.jsonl":
+        return set_bank_cell(text, row, column, value)
     if name == "config.json":
         raw = json.loads(text)
         key = sorted(raw)[row % len(raw)]
@@ -821,9 +875,16 @@ def set_cell(name, text, row, column, value):
 @example(name="dictionary.tsv", row=0, column=1, value="9" * 5_000)
 @example(name="corpus_lexicon.tsv", row=0, column=1, value="9" * 5_000)
 @example(name="config.json", row=0, column=0, value="9" * 5_000)
+@example(name="bank.jsonl", row=0, column=0, value="9" * 5_000)
+@example(name="bank.jsonl", row=0, column=1, value="9" * 5_000)
+@example(name="bank.jsonl", row=0, column=3, value="9" * 5_000)
+@example(name="bank.jsonl", row=0, column=2, value="")
+@example(name="bank.jsonl", row=0, column=4, value="99")
 def test_hostile_cells_keep_the_exit_contract(cell_setup, name, row, column, value):
-    """A run ends in 0, 1 or 2, and a failing one prints one error line."""
-    directory, argv = cell_setup
+    """A run ends in 0, 1 or 2, and a failing one prints one error line. An
+    edited bank is read by `ask --bank`, any other file by `evaluate`."""
+    directory, evaluate_argv, bank_argv = cell_setup
+    argv = bank_argv if name == "bank.jsonl" else evaluate_argv
     path = directory / name
     original = path.read_bytes()
     path.write_text(set_cell(name, original.decode("utf-8"), row, column, value),

@@ -1,5 +1,4 @@
 import gc
-import json
 
 import pytest
 
@@ -302,53 +301,89 @@ class TestGraphComparison:
         assert len(a.deps) == 1
 
 
-NULL_HEADER = '{"derivqa_bank":2,"mode":null,"fingerprint":null}'
-GOOD_TOKEN = ["chef", "chef", "NOUN", {}, None, []]
-TOKEN_FIELDS = ("surface", "lemma", "pos", "features", "sense", "alternates")
+NULL_HEADER = "derivqa_bank\t3\t\t"
+GOOD_TOKEN = ["chef", "chef", "NOUN", "", "", "", ""]
+TOKEN_CELLS = ("surface", "lemma", "pos", "sense", "alternates", "pattern", "source")
+# A graph line written the way format 2 wrote it: one JSON array.
+FORMAT_2_ROW = '["s1","x",[["chef","chef","NOUN",{},null,[]]],[]]'
 
 
-def token(**fields):
-    """GOOD_TOKEN with the named fields replaced."""
-    return [fields.get(name, value) for name, value in zip(TOKEN_FIELDS, GOOD_TOKEN)]
+def token(**cells):
+    """GOOD_TOKEN with the named cells replaced."""
+    return [cells.get(name, value) for name, value in zip(TOKEN_CELLS, GOOD_TOKEN)]
+
+
+def graph_line(sid="s1", text="x", tokens=(GOOD_TOKEN,), deps=(), count=None):
+    """A format-3 graph line: id, text, token count, then the token and
+    dependency cells as given."""
+    cells = [sid, text, str(len(tokens)) if count is None else count]
+    for cell_group in (*tokens, *deps):
+        cells += cell_group
+    return "\t".join(cells)
 
 
 def write_bank(path, *lines, header=NULL_HEADER):
-    """Write `header`, then one line per row: a string as it is, anything
-    else as JSON."""
-    lines = [header, *(row if isinstance(row, str) else json.dumps(row) for row in lines)]
-    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    path.write_text("".join(line + "\n" for line in [header, *lines]), encoding="utf-8")
 
 
 def write_record(path, **fields):
-    record = {"id": "s1", "text": "x", "tokens": [GOOD_TOKEN], "deps": []}
-    record.update(fields)
-    write_bank(path, list(record.values()))
+    write_bank(path, graph_line(**fields))
+
+
+def load_error(path) -> str:
+    """The message `load_depbank(path)` fails with, less the path before it."""
+    with pytest.raises(DepbankError) as excinfo:
+        load_depbank(path)
+    message = str(excinfo.value)
+    assert message.startswith(str(path))
+    return message[len(str(path)):]
+
+
+def save_error(graphs, path) -> str:
+    """The message `save_depbank(graphs, path)` fails with, less the path
+    before it; it writes nothing."""
+    with pytest.raises(DepbankError) as excinfo:
+        save_depbank(graphs, path)
+    assert not path.exists()
+    message = str(excinfo.value)
+    assert message.startswith(f"{path}: ")
+    return message[len(f"{path}: "):]
+
+
+def derivative_graph(lexicon):
+    """A parsed graph with alternates, a sense and one derivative token."""
+    graph = toy_parse("l'ouvrier coupa le courant .", lexicon, "s1")
+    graph.tokens[1].alternates = frozenset({"artisan", "travailleur"})
+    graph.tokens[1].sense_id = 1
+    graph.tokens.append(TokenNode(len(graph.tokens), "coupure", "coupure", NOUN,
+                                  {"deriv_pattern": "v2n_ure_obj", "deriv_source": "couper"}))
+    graph.add_dep(Dependency(PREPPH, (5, 4), prep="de", provenance=DERIVATIONAL))
+    return graph
 
 
 class TestBankSerialization:
     def test_round_trip(self, tmp_path, lexicon):
         graphs = [
-            toy_parse("l'ouvrier coupa le courant .", lexicon, "s1"),
+            derivative_graph(lexicon),
             toy_parse("Domitien est le successeur de l'empereur .", lexicon, "s2"),
         ]
-        graphs[0].tokens[1].alternates = frozenset({"artisan"})
-        graphs[0].tokens[1].sense_id = 1
         path = tmp_path / "bank.jsonl"
         save_depbank(DependencyBank(graphs, "deriv", "f00d"), path)
-        assert path.read_text(encoding="utf-8").splitlines()[0] == (
-            '{"derivqa_bank":2,"mode":"deriv","fingerprint":"f00d"}')
+        header, first = path.read_text(encoding="utf-8").splitlines()[:2]
+        assert header == "derivqa_bank\t3\tderiv\tf00d"
+        assert first.split("\t")[:3] == ["s1", "l'ouvrier coupa le courant .", "6"]
+        assert first.split("\t")[3 + 7:3 + 14] == [
+            "ouvrier", "ouvrier", "NOUN", "1", "artisan;travailleur", "", ""]
+        assert first.split("\t")[3 + 35:3 + 42] == [
+            "coupure", "coupure", "NOUN", "", "", "v2n_ure_obj", "couper"]
+        assert first.split("\t")[-5:] == ["PREPPH", "5", "4", "de", "DERIVATIONAL"]
         loaded = load_depbank(path)
         assert (loaded.mode, loaded.fingerprint) == ("deriv", "f00d")
         assert [g.sentence_id for g in loaded] == ["s1", "s2"]
         for original, reread in zip(graphs, loaded):
             assert graph_equal(original, reread)
-            assert [
-                (t.surface, t.lemma, t.pos, t.features, t.sense_id, t.alternates)
-                for t in original.tokens
-            ] == [
-                (t.surface, t.lemma, t.pos, t.features, t.sense_id, t.alternates)
-                for t in reread.tokens
-            ]
+            assert reread.tokens == original.tokens
+            assert reread.deps == original.deps
 
     def test_plain_list_saves_a_null_header(self, tmp_path, lexicon):
         path = tmp_path / "bank.jsonl"
@@ -360,8 +395,7 @@ class TestBankSerialization:
     def test_empty_bank_is_a_header_and_round_trips(self, tmp_path):
         path = tmp_path / "bank.jsonl"
         save_depbank(DependencyBank((), "base", "f00d"), path)
-        assert path.read_text(encoding="utf-8") == (
-            '{"derivqa_bank":2,"mode":"base","fingerprint":"f00d"}\n')
+        assert path.read_text(encoding="utf-8") == "derivqa_bank\t3\tbase\tf00d\n"
         loaded = load_depbank(path)
         assert (len(loaded), loaded.mode, loaded.fingerprint) == (0, "base", "f00d")
         save_depbank(loaded, tmp_path / "again.jsonl")
@@ -369,81 +403,115 @@ class TestBankSerialization:
 
     def test_line_separators_stay_inside_the_text(self, tmp_path, lexicon):
         graph = toy_parse("l'ouvrier coupa le courant .", lexicon, "s1")
-        graph.text = "l'ouvrier\u2028coupa\u0085le courant ."
+        graph.text = "l'ouvrier coupa\u0085le\rcourant .\r"
         path = tmp_path / "bank.jsonl"
         save_depbank([graph], path)
         (reread,) = load_depbank(path)
         assert reread.text == graph.text
 
     def test_rejects_invalid_json(self, tmp_path):
+        """A line of broken JSON, like any line of an earlier format, is no
+        format-3 header."""
         path = tmp_path / "bank.jsonl"
         path.write_text("{not json}\n", encoding="utf-8")
-        with pytest.raises(DepbankError, match="not valid JSON"):
-            load_depbank(path)
+        assert load_error(path) == ":1: not a derivqa_bank 3 header; rerun preprocess"
 
     @pytest.mark.parametrize("text, message", [
+        # banks of earlier formats, one JSON value per line
         ('{"id":"s1","text":"x","tokens":[],"deps":[]}\n',
-         "bank.jsonl:1: not a derivqa_bank 2 header; rerun preprocess"),
-        ('\n["s1","x",[],[]]\n', "bank.jsonl:2: not a derivqa_bank 2 header; rerun preprocess"),
+         ":1: not a derivqa_bank 3 header; rerun preprocess"),
+        ('\n["s1","x",[],[]]\n', ":2: not a derivqa_bank 3 header; rerun preprocess"),
         ('{"derivqa_bank":1,"mode":null,"fingerprint":null}\n',
-         "bank.jsonl:1: not a derivqa_bank 2 header"),
+         ":1: not a derivqa_bank 3 header; rerun preprocess"),
         ('{"derivqa_bank":true,"mode":null,"fingerprint":null}\n',
-         "bank.jsonl:1: not a derivqa_bank 2 header"),
+         ":1: not a derivqa_bank 3 header; rerun preprocess"),
         ('{"derivqa_bank":2,"mode":3,"fingerprint":null}\n',
-         "bank.jsonl:1: not a derivqa_bank 2 header"),
-        ('{"derivqa_bank":2,"mode":null}\n', "bank.jsonl:1: not a derivqa_bank 2 header"),
-        ("", "bank.jsonl: no derivqa_bank 2 header; rerun preprocess"),
-        (NULL_HEADER + '\n["s1","x",[],[]]\n'
-         '{"derivqa_bank":2,"mode":"deriv","fingerprint":null}\n',
-         r"bank.jsonl:3: bank header differs from the first one \(mode=deriv fingerprint=None "
-         r"against mode=None fingerprint=None\); rerun preprocess"),
+         ":1: not a derivqa_bank 3 header; rerun preprocess"),
+        ('{"derivqa_bank":2,"mode":null}\n', ":1: not a derivqa_bank 3 header; rerun preprocess"),
+        ("", ": no derivqa_bank 3 header; rerun preprocess"),
+        (NULL_HEADER + "\n" + graph_line() + "\nderivqa_bank\t3\tderiv\t\n",
+         ":3: bank header differs from the first one (mode=deriv fingerprint=None "
+         "against mode=None fingerprint=None); rerun preprocess"),
+        ('{"derivqa_bank":2,"mode":"deriv","fingerprint":"f00d"}\n' + FORMAT_2_ROW + "\n",
+         ":1: not a derivqa_bank 3 header; rerun preprocess"),
+        # format-3 counterparts
+        (graph_line() + "\n", ":1: not a derivqa_bank 3 header; rerun preprocess"),
+        ("\n" + graph_line() + "\n", ":2: not a derivqa_bank 3 header; rerun preprocess"),
+        ("derivqa_bank\t1\t\t\n", ":1: not a derivqa_bank 3 header; rerun preprocess"),
+        ("derivqa_bank\ttrue\t\t\n", ":1: not a derivqa_bank 3 header; rerun preprocess"),
+        ("derivqa_bank\t03\t\t\n", ":1: not a derivqa_bank 3 header; rerun preprocess"),
+        ("derivqa_bank\t3\t\n", ":1: not a derivqa_bank 3 header; rerun preprocess"),
+        ("derivqa_bank\t3\t\t\t\n", ":1: not a derivqa_bank 3 header; rerun preprocess"),
+        ("derivqa_bank\n", ":1: not a derivqa_bank 3 header; rerun preprocess"),
+        (NULL_HEADER + "\nderivqa_bank\t2\t\t\n",
+         ":2: not a derivqa_bank 3 header; rerun preprocess"),
+        (NULL_HEADER + "\nderivqa_bank\t3\t\tf00d\n",
+         ":2: bank header differs from the first one (mode=None fingerprint=f00d "
+         "against mode=None fingerprint=None); rerun preprocess"),
     ], ids=["v1-record", "no-header", "format-1", "format-true", "mode-int", "short-header",
-            "empty-file", "second-header-differs"])
+            "empty-file", "second-header-differs", "format-2",
+            "v3-record", "v3-no-header", "v3-format-1", "v3-format-true", "v3-format-03",
+            "v3-short-header", "v3-long-header", "v3-tag-alone", "v3-later-format-2",
+            "v3-second-fingerprint"])
     def test_rejects_a_missing_or_foreign_header(self, tmp_path, text, message):
         path = tmp_path / "bank.jsonl"
         path.write_text(text, encoding="utf-8")
-        with pytest.raises(DepbankError, match=message):
-            load_depbank(path)
+        assert load_error(path) == message
 
     def test_repeated_identical_header_is_skipped(self, tmp_path):
         path = tmp_path / "bank.jsonl"
-        write_bank(path, ["s1", "x", [GOOD_TOKEN], []], NULL_HEADER, ["s2", "y", [], []])
+        write_bank(path, graph_line("s1"), NULL_HEADER, graph_line("s2", "y", tokens=()))
         assert [g.sentence_id for g in load_depbank(path)] == ["s1", "s2"]
 
-    @pytest.mark.parametrize("row, message", [
-        (["s1", "x", [GOOD_TOKEN]], r"graph row must be a list \[id, text, tokens, deps\]"),
-        ({"id": "s1", "text": "x", "tokens": [], "deps": []}, "graph row must be a list"),
-        (["s1", "x", [GOOD_TOKEN[:5]], []], "token 0 must be a list"),
-        (["s1", "x", [GOOD_TOKEN + [0]], []], "token 0 must be a list"),
-        (["s1", "x", [{"surface": "chef"}], []], "token 0 must be a list"),
-        (["s1", "x", [GOOD_TOKEN], [["SUBJECT", 0, 0, None]]], "dependency must be a list"),
-        (["s1", "x", [GOOD_TOKEN], [{"label": "SUBJECT", "args": [0, 0]}]],
-         "dependency must be a list"),
+    @pytest.mark.parametrize("line, message", [
+        ("s1\tx", ":2: a graph line must start with id, text and token count"),
+        ('{"id": "s1", "text": "x", "tokens": [], "deps": []}',
+         ":2: a graph line must start with id, text and token count"),
+        (graph_line(tokens=[GOOD_TOKEN[:6]], count="1"),
+         ":2: id='s1': 6 cells follow a token count of 1; a graph line holds 7 per token, "
+         "then 5 per dependency"),
+        (graph_line(tokens=[GOOD_TOKEN + [""]], count="1"),
+         ":2: id='s1': 8 cells follow a token count of 1; a graph line holds 7 per token, "
+         "then 5 per dependency"),
+        (graph_line(tokens=[['{"surface": "chef"}']], count="1"),
+         ":2: id='s1': 1 cells follow a token count of 1; a graph line holds 7 per token, "
+         "then 5 per dependency"),
+        (graph_line(deps=[["SUBJECT", "0", "0", ""]]),
+         ":2: id='s1': 11 cells follow a token count of 1; a graph line holds 7 per token, "
+         "then 5 per dependency"),
+        (graph_line(deps=[['{"label": "SUBJECT", "args": [0, 0]}']]),
+         ":2: id='s1': 8 cells follow a token count of 1; a graph line holds 7 per token, "
+         "then 5 per dependency"),
     ], ids=["record-short", "record-object", "token-short", "token-long", "token-object",
             "dependency-short", "dependency-object"])
-    def test_rejects_rows_of_the_wrong_shape(self, tmp_path, row, message):
+    def test_rejects_rows_of_the_wrong_shape(self, tmp_path, line, message):
         path = tmp_path / "bank.jsonl"
-        write_bank(path, row)
-        with pytest.raises(DepbankError, match=message):
-            load_depbank(path)
+        write_bank(path, line)
+        assert load_error(path) == message
 
     def test_rejects_out_of_range_dep(self, tmp_path):
-        write_record(tmp_path / "bank.jsonl", deps=[["SUBJECT", 0, 3, None, "BASE"]])
-        with pytest.raises(DepbankError, match="out of range"):
-            load_depbank(tmp_path / "bank.jsonl")
+        write_record(tmp_path / "bank.jsonl", deps=[["SUBJECT", "0", "3", "", "BASE"]])
+        assert load_error(tmp_path / "bank.jsonl") == (
+            ":2: id='s1': dependency args out of range: [0, 3]")
+
+    def test_rejects_an_arg_in_range_of_an_earlier_graph_only(self, tmp_path):
+        dep = ["SUBJECT", "0", "1", "", "BASE"]
+        write_bank(tmp_path / "bank.jsonl", graph_line("s1", tokens=[GOOD_TOKEN] * 2, deps=[dep]),
+                   graph_line("s2", deps=[dep]))
+        assert load_error(tmp_path / "bank.jsonl") == (
+            ":3: id='s2': dependency args out of range: [0, 1]")
 
     def test_rejects_bad_provenance(self, tmp_path):
-        write_record(tmp_path / "bank.jsonl", deps=[["MODIFIER", 0, 0, None, "GUESS"]])
-        with pytest.raises(DepbankError, match="bad dependency record: unknown provenance"):
-            load_depbank(tmp_path / "bank.jsonl")
+        write_record(tmp_path / "bank.jsonl", deps=[["MODIFIER", "0", "0", "", "GUESS"]])
+        assert load_error(tmp_path / "bank.jsonl") == (
+            ":2: id='s1': bad dependency record: unknown provenance 'GUESS'")
 
     def test_rejects_repeated_sentence_id(self, tmp_path, lexicon):
         graphs = [toy_parse("l'ouvrier a coupé le courant .", lexicon, "x"),
                   toy_parse("le domestique lave le linge .", lexicon, "x")]
         path = tmp_path / "bank.jsonl"
         save_depbank(graphs, path)
-        with pytest.raises(DepbankError, match=r"bank.jsonl:3: duplicate sentence id 'x'"):
-            load_depbank(path)
+        assert load_error(path) == ":3: duplicate sentence id 'x'"
 
     def test_banks_are_read_only_sequences(self, tmp_path, benchmark_resources):
         from collections.abc import Sequence
@@ -473,13 +541,101 @@ class TestBankSerialization:
         assert (tmp_path / "again.jsonl").read_bytes() == path.read_bytes()
 
 
+def set_text(graph, value):
+    graph.text = value
+
+
+def set_surface(graph, value):
+    graph.tokens[0].surface = value
+
+
+def set_features(graph, value):
+    graph.tokens[0].features = value
+
+
+def set_alternates(graph, value):
+    graph.tokens[0].alternates = value
+
+
+def set_last_source(graph, value):
+    """The source of a derivative token whose cells end the line."""
+    graph.tokens[0].features = {"deriv_pattern": "p", "deriv_source": value}
+    graph.deps = []
+
+
+def set_prep(graph, value):
+    graph.deps[0] = Dependency(PREPPH, (0, 0), prep=value)
+
+
+CELL_FAULT = ("every cell must be a string with no tab or newline, the line's last not "
+              "ending in a carriage return")
+
+
+class TestBankWriter:
+    """`save_depbank` refuses a bank `load_depbank` would not give back as it
+    is, and writes nothing."""
+
+    @pytest.mark.parametrize("edit, value, message", [
+        (set_text, "a\tb", CELL_FAULT),
+        (set_text, "a\nb", CELL_FAULT),
+        (set_surface, "a\tb", CELL_FAULT),
+        (set_prep, "de\n", CELL_FAULT),
+        (set_last_source, "x\r", CELL_FAULT),
+        (set_alternates, frozenset({"a", ""}),
+         "token 0: alternates must be a set of non-empty strings without ';'"),
+        (set_alternates, frozenset({"a;b"}),
+         "token 0: alternates must be a set of non-empty strings without ';'"),
+        (set_features, {"proper": "true"},
+         "token 0: features must be empty, or a non-empty deriv_pattern and deriv_source "
+         "string"),
+        (set_features, {"deriv_pattern": "p"},
+         "token 0: features must be empty, or a non-empty deriv_pattern and deriv_source "
+         "string"),
+        (set_features, {"deriv_pattern": "p", "deriv_source": ""},
+         "token 0: features must be empty, or a non-empty deriv_pattern and deriv_source "
+         "string"),
+        (set_features, {"deriv_pattern": "p", "deriv_source": "x", "proper": "true"},
+         "token 0: features must be empty, or a non-empty deriv_pattern and deriv_source "
+         "string"),
+    ], ids=["tab-in-text", "newline-in-text", "tab-in-surface", "newline-in-prep",
+            "final-carriage-return", "empty-alternate", "alternate-with-semicolon",
+            "other-feature", "pattern-alone", "empty-source", "third-feature"])
+    def test_refuses_a_cell_that_would_not_read_back(self, tmp_path, edit, value, message):
+        graph = DependencyGraph("s1", "x", [TokenNode(0, "chef", "chef", NOUN)],
+                                [Dependency(SUBJECT, (0, 0))])
+        edit(graph, value)
+        assert save_error([graph], tmp_path / "bank.jsonl") == f"id='s1': {message}"
+
+    def test_refuses_the_header_tag_as_an_id(self, tmp_path):
+        graph = DependencyGraph("derivqa_bank", "x", [TokenNode(0, "chef", "chef", NOUN)])
+        assert save_error([graph], tmp_path / "bank.jsonl") == (
+            "id='derivqa_bank': an id must not be the bank header tag")
+
+    @pytest.mark.parametrize("mode, fingerprint", [
+        ("", None), ("deriv", ""), ("de\triv", None), ("deriv", "f00d\r"), ("deriv", 3),
+    ], ids=["empty-mode", "empty-fingerprint", "tab-in-mode", "final-carriage-return",
+            "fingerprint-int"])
+    def test_refuses_a_header_that_would_not_read_back(self, tmp_path, mode, fingerprint):
+        bank = DependencyBank((), mode, fingerprint)
+        assert save_error(bank, tmp_path / "bank.jsonl") == (
+            "bank header: mode and fingerprint must be None or a string with no tab or "
+            "newline, the line's last not ending in a carriage return, and not empty")
+
+
+def _as_dependency(cells):
+    label, arg0, arg1, prep, provenance = cells
+    return Dependency(label, (int(arg0), int(arg1)), prep or None, provenance)
+
+
 class TestBankFieldTypes:
     def test_good_record_loads(self, tmp_path):
         write_record(tmp_path / "bank.jsonl",
-                     tokens=[token(sense=2, alternates=["patron"], features={"proper": "true"})])
+                     tokens=[token(sense="2", alternates="patron;responsable",
+                                   pattern="v2n_ure_obj", source="couper")])
         (graph,) = load_depbank(tmp_path / "bank.jsonl")
-        assert graph.tokens[0] == TokenNode(0, "chef", "chef", "NOUN", {"proper": "true"},
-                                            2, {"patron"})
+        assert graph.tokens[0] == TokenNode(
+            0, "chef", "chef", "NOUN", {"deriv_pattern": "v2n_ure_obj", "deriv_source": "couper"},
+            2, {"patron", "responsable"})
 
     @pytest.mark.parametrize("field, value", [
         ("alternates", "chef"),
@@ -497,9 +653,42 @@ class TestBankFieldTypes:
         ("sense", 1.0),
     ])
     def test_rejects_bad_token_field(self, tmp_path, field, value):
-        write_record(tmp_path / "bank.jsonl", tokens=[token(**{field: value})])
-        with pytest.raises(DepbankError, match=rf"{field}\b[^:]*must be"):
-            load_depbank(tmp_path / "bank.jsonl")
+        """Every format-3 cell reads as a string, so a token field of the
+        wrong type is refused when the bank is written."""
+        messages = {
+            "alternates": "token 0: alternates must be a set of non-empty strings without ';'",
+            "surface": CELL_FAULT,
+            "lemma": CELL_FAULT,
+            "pos": CELL_FAULT,
+            "features": "token 0: features must be empty, or a non-empty deriv_pattern and "
+                        "deriv_source string",
+            "sense": "token 0: sense must be an integer or None",
+        }
+        node = TokenNode(0, "chef", "chef", NOUN)
+        setattr(node, "sense_id" if field == "sense" else field, value)
+        graph = DependencyGraph("s1", "x", [node])
+        assert save_error([graph], tmp_path / "bank.jsonl") == f"id='s1': {messages[field]}"
+
+    @pytest.mark.parametrize("cells, message", [
+        (token(sense="two"), "id='s1': token 0 sense is not an integer: 'two'"),
+        (token(sense="True"), "id='s1': token 0 sense is not an integer: 'True'"),
+        (token(sense="1.0"), "id='s1': token 0 sense is not an integer: '1.0'"),
+        (token(sense=" 3"), "id='s1': token 0 sense is not an integer: ' 3'"),
+        (token(sense="9" * 5_000),
+         "id='s1': token 0 sense is not an integer: 5000 digits is too many"),
+        (token(alternates=";"), "id='s1': token 0: an alternate is empty: ';'"),
+        (token(alternates="patron;;responsable"),
+         "id='s1': token 0: an alternate is empty: 'patron;;responsable'"),
+        (token(pattern="v2n_ure_obj"),
+         "id='s1': token 0: a pattern needs a source, and a source a pattern"),
+        (token(source="couper"),
+         "id='s1': token 0: a pattern needs a source, and a source a pattern"),
+    ], ids=["sense-two", "sense-True", "sense-1.0", "sense-space", "sense-long",
+            "alternates-semicolon", "alternates-double-semicolon", "pattern-alone",
+            "source-alone"])
+    def test_rejects_bad_token_cell(self, tmp_path, cells, message):
+        write_record(tmp_path / "bank.jsonl", tokens=[cells])
+        assert load_error(tmp_path / "bank.jsonl") == f":2: {message}"
 
     @pytest.mark.parametrize("field, value", [
         ("id", 5),
@@ -508,31 +697,53 @@ class TestBankFieldTypes:
         ("deps", {"label": "SUBJECT"}),
     ])
     def test_rejects_bad_record_field(self, tmp_path, field, value):
-        write_record(tmp_path / "bank.jsonl", **{field: value})
-        with pytest.raises(DepbankError, match=rf"{field}\b[^:]*must be"):
-            load_depbank(tmp_path / "bank.jsonl")
+        """As a token field, a graph field of the wrong type is refused when
+        the bank is written."""
+        graph = DependencyGraph("s1", "x", [TokenNode(0, "chef", "chef", NOUN)])
+        setattr(graph, "sentence_id" if field == "id" else field, value)
+        message = ("tokens and deps must be lists" if field in ("tokens", "deps")
+                   else CELL_FAULT)
+        assert save_error([graph], tmp_path / "bank.jsonl") == (
+            f"id={graph.sentence_id!r}: {message}")
+
+    @pytest.mark.parametrize("count, message", [
+        ("x", "id='s1': token count is not an integer: 'x'"),
+        ("", "id='s1': token count is not an integer: ''"),
+        ("1.0", "id='s1': token count is not an integer: '1.0'"),
+        ("9" * 5_000, "id='s1': token count is not an integer: 5000 digits is too many"),
+        ("-1", "id='s1': 7 cells follow a token count of -1; a graph line holds 7 per token, "
+               "then 5 per dependency"),
+        ("2", "id='s1': 7 cells follow a token count of 2; a graph line holds 7 per token, "
+              "then 5 per dependency"),
+        ("0", "id='s1': 7 cells follow a token count of 0; a graph line holds 7 per token, "
+              "then 5 per dependency"),
+    ], ids=["word", "empty", "float", "long", "negative", "too-many", "too-few"])
+    def test_rejects_bad_token_count(self, tmp_path, count, message):
+        write_record(tmp_path / "bank.jsonl", count=count)
+        assert load_error(tmp_path / "bank.jsonl") == f":2: {message}"
 
     @pytest.mark.parametrize("dep, message", [
-        ([5, 0, 0, None, "BASE"], "unknown dependency label 5"),
-        (["FOREIGN", 0, 0, None, "BASE"], "unknown dependency label 'FOREIGN'"),
-        (["PREPPH", 0, 0, ["de"], "BASE"], "PREPPH takes two token args and a preposition string"),
-        (["PREPPH", 0, 0, None, "BASE"], "PREPPH takes two token args and a preposition string"),
-        (["SUBJECT", 0, 0, "de", "BASE"], "SUBJECT takes exactly two token args and no prep"),
-        (["SUBJECT", 0, 0, None, ["BASE"]], "unhashable type: 'list'"),
-        (["SUBJECT", 0, 0, None, "SYNONYM"], "unknown provenance 'SYNONYM'"),
-    ], ids=["label-int", "label-foreign", "prep-list", "prep-missing", "prep-extra",
-            "provenance-list", "provenance-synonym"])
+        (["5", "0", "0", "", "BASE"], "unknown dependency label '5'"),
+        (["FOREIGN", "0", "0", "", "BASE"], "unknown dependency label 'FOREIGN'"),
+        (["PREPPH", "0", "0", "", "BASE"], "PREPPH takes two token args and a preposition string"),
+        (["SUBJECT", "0", "0", "de", "BASE"],
+         "SUBJECT takes exactly two token args and no preposition"),
+        (["SUBJECT", "0", "0", "", '["BASE"]'], "unknown provenance '[\"BASE\"]'"),
+        (["SUBJECT", "0", "0", "", "SYNONYM"], "unknown provenance 'SYNONYM'"),
+        (["SUBJECT", "0", "0", "", ""], "unknown provenance ''"),
+    ], ids=["label-int", "label-foreign", "prep-missing", "prep-extra",
+            "provenance-list", "provenance-synonym", "provenance-empty"])
     def test_rejects_bad_dependency_field(self, tmp_path, dep, message):
         write_record(tmp_path / "bank.jsonl", deps=[dep])
-        with pytest.raises(DepbankError, match=f"bad dependency record: {message}"):
-            load_depbank(tmp_path / "bank.jsonl")
+        assert load_error(tmp_path / "bank.jsonl") == (
+            f":2: id='s1': bad dependency record: {message}")
 
     def test_repeated_dependency_loads_once(self, tmp_path, monkeypatch):
-        dep = ["SUBJECT", 0, 1, None, "BASE"]
-        other = ["SUBJECT", 0, 1, None, "DERIVATIONAL"]
+        dep = ["SUBJECT", "0", "1", "", "BASE"]
+        other = ["SUBJECT", "0", "1", "", "DERIVATIONAL"]
         write_record(tmp_path / "bank.jsonl", tokens=[GOOD_TOKEN, GOOD_TOKEN],
                      deps=[dep, other, dep, other])
-        # the loader tells repeats apart by their rows, comparing no Dependency
+        # the loader tells repeats apart by their cells, comparing no Dependency
         compared = []
         monkeypatch.setattr(Dependency, "__eq__",
                             lambda self, other: compared.append(self) or NotImplemented)
@@ -542,22 +753,32 @@ class TestBankFieldTypes:
         assert graph.deps == [Dependency(SUBJECT, (0, 1)),
                               Dependency(SUBJECT, (0, 1), provenance=DERIVATIONAL)]
 
-    @pytest.mark.parametrize("args", [[True, False], [0, 1.0], [0, "1"], [0, -1]])
+    @pytest.mark.parametrize("args", [["True", "False"], ["0", "1.0"], ["0", " 1"], ["0", "-1"],
+                                      ["9" * 5_000, "0"], ["0", ""]])
     def test_rejects_non_integer_dependency_args(self, tmp_path, args):
         write_record(tmp_path / "bank.jsonl", tokens=[GOOD_TOKEN, GOOD_TOKEN],
-                     deps=[["SUBJECT", *args, None, "BASE"]])
-        with pytest.raises(DepbankError, match="args not integers or out of range"):
-            load_depbank(tmp_path / "bank.jsonl")
+                     deps=[["SUBJECT", *args, "", "BASE"]])
+        messages = {
+            ("True", "False"): "dependency arg0 is not an integer: 'True'",
+            ("0", "1.0"): "dependency arg1 is not an integer: '1.0'",
+            ("0", " 1"): "dependency arg1 is not an integer: ' 1'",
+            ("0", "-1"): "dependency args out of range: [0, -1]",
+            ("9" * 5_000, "0"): "dependency arg0 is not an integer: 5000 digits is too many",
+            ("0", ""): "dependency arg1 is not an integer: ''",
+        }
+        assert load_error(tmp_path / "bank.jsonl") == f":2: id='s1': {messages[tuple(args)]}"
 
     def test_equal_dependencies_of_a_bank_are_one_object(self, tmp_path):
-        dep = ["SUBJECT", 0, 0, None, "BASE"]
-        derived = ["SUBJECT", 0, 0, None, "DERIVATIONAL"]
-        write_bank(tmp_path / "bank.jsonl", ["s1", "x", [GOOD_TOKEN], [dep]],
-                   ["s2", "y", [GOOD_TOKEN], [dep, derived]])
+        """Also when a hand-edited cell spells an arg otherwise: such a
+        repeat in one graph is dropped, as a repeat of the same cells is."""
+        dep = ["SUBJECT", "0", "0", "", "BASE"]
+        derived = ["SUBJECT", "0", "0", "", "DERIVATIONAL"]
+        respelled = ["SUBJECT", "00", "-0", "", "BASE"]
+        write_bank(tmp_path / "bank.jsonl", graph_line("s1", deps=[respelled]),
+                   graph_line("s2", "y", deps=[dep, derived, respelled]))
         first, second = load_depbank(tmp_path / "bank.jsonl")
         assert first.deps[0] is second.deps[0]
-        assert second.deps == [Dependency(SUBJECT, (0, 0)),
-                               Dependency(SUBJECT, (0, 0), provenance=DERIVATIONAL)]
+        assert second.deps == [_as_dependency(dep), _as_dependency(derived)]
 
 
 class TestLoadedBankFootprint:
