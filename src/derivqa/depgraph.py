@@ -71,6 +71,8 @@ class TokenNode:
     copy the original's. Tokens are slotted and carry no `__dict__`.
     `features` is empty on a parsed token; a derivative token holds the
     `deriv_pattern` and `deriv_source` that `rephrase.apply_pattern` writes.
+    Loaded tokens of equal cells share their strings, sense and alternates,
+    but each has its own `features` dict and its position as `index`.
     """
 
     index: int
@@ -108,8 +110,16 @@ class Dependency:
             raise ValueError(f"{self.label} takes exactly two token args and no preposition")
 
 
-@dataclass
+@dataclass(slots=True)
 class DependencyGraph:
+    """A sentence's tokens, in order, and its dependencies between them.
+
+    Graphs are slotted and carry no `__dict__`. In a loaded bank, tokens of
+    equal cells share their strings, sense and alternates, and equal
+    dependencies are one `Dependency`; each graph owns its token and
+    dependency lists, and each token its `features` dict and `index`.
+    """
+
     sentence_id: str
     text: str
     tokens: list
@@ -627,21 +637,27 @@ def load_depbank(path) -> DependencyBank:
     earlier format, such as format 2's JSON lines, is refused with "rerun
     preprocess". A later header identical to it is skipped, so banks saved
     under one configuration may be concatenated; a differing one is an
-    error. Every cell is checked as it is read, and a fault raises a
-    `FILE:LINE:` DepbankError. Equal dependencies of a bank load as one
-    shared `Dependency`, and equal alternates cells as one frozenset.
+    error. Every cell is checked the first time it is read, and a fault
+    raises a `FILE:LINE:` DepbankError. Equal dependencies of a bank load as
+    one shared `Dependency`, and equal alternates cells as one frozenset.
+    Equal token groups of 7 cells are checked once and share their values,
+    each string being one object for the whole bank; each token keeps its
+    own `features` dict and its position as `index`.
     """
     graphs = []
     seen = set()
-    # cell -> value, shared by the whole bank: integer cells, alternates
-    # cells and the 5-cell groups of dependencies
+    # Cells already read -> their value, for the whole bank: integer cells,
+    # alternates cells, and in `shared` each string cell of a token, a
+    # token's 7 cells, a dependency's 5 cells and a line's dependency cells
+    # (a string holding tabs, so never a single cell).
     ints, alternates, shared = {}, {"": _NO_ALTERNATES}, {}
     header = None
     for lineno, line in _read_lines(path, _bank_error):
         if not line.strip():
             continue
-        cells = line.split("\t")
+        cells = line.split("\t", 3)
         if cells[0] == _BANK_TAG:
+            cells = line.split("\t")
             if len(cells) != 4 or cells[1] != str(BANK_FORMAT):
                 raise _bank_error(path, lineno, f"not a derivqa_bank {BANK_FORMAT} header; "
                                   "rerun preprocess")
@@ -673,9 +689,14 @@ def describe_bank(mode, fingerprint) -> str:
 
 def _graph_from_cells(cells, path, lineno: int, ints: dict, alternates: dict,
                       shared: dict) -> DependencyGraph:
-    """One graph line's cells, checked. `ints`, `alternates` and `shared`
-    map cells already read to their values, and equal dependencies are one
-    object, so a dependency repeated in a graph is dropped by its identity."""
+    """One graph line, split at its first three tabs, checked. `ints`,
+    `alternates` and `shared` map cells already read to their values.
+
+    The token groups are read by `_tokens_from_cells`: equal groups are
+    checked once and share their values, and each token gets its own
+    `features` dict and its position as `index`. The dependency cells are
+    read as one string, so a line whose dependency cells were read before
+    takes the same dependencies, checked against its own token count."""
     if len(cells) < 3:
         raise _bank_error(path, lineno, "a graph line must start with id, text and token count")
     sentence_id, text, count = cells[0], cells[1], cells[2]
@@ -683,65 +704,116 @@ def _graph_from_cells(cells, path, lineno: int, ints: dict, alternates: dict,
     if n is None:
         n = ints[count] = _int_cell(path, lineno, f"id={sentence_id!r}: token count", count,
                                     _bank_error)
-    end = 3 + 7 * n
-    if n < 0 or len(cells) < end or (len(cells) - end) % 5:
-        raise _bank_error(path, lineno, f"id={sentence_id!r}: {len(cells) - 3} cells follow "
+    rest = cells[3] if len(cells) > 3 else None
+    following = 0 if rest is None else rest.count("\t") + 1
+    end = 7 * n
+    if n < 0 or following < end or (following - end) % 5:
+        raise _bank_error(path, lineno, f"id={sentence_id!r}: {following} cells follow "
                           f"a token count of {n}; a graph line holds 7 per token, then 5 per "
                           "dependency")
-    tokens = []
-    run = iter(cells[3:end])
-    for index, (surface, lemma, pos, sense, alts, pattern, source) in enumerate(
-            zip(run, run, run, run, run, run, run)):
-        if sense:
-            sense_id = ints.get(sense)
-            if sense_id is None:
-                sense_id = ints[sense] = _int_cell(
-                    path, lineno, f"id={sentence_id!r}: token {index} sense", sense, _bank_error)
-        else:
-            sense_id = None
-        words = alternates.get(alts)
-        if words is None:
-            words = frozenset(alts.split(";"))
-            if "" in words:
-                raise _bank_error(path, lineno, f"id={sentence_id!r}: token {index}: an "
-                                  f"alternate is empty: {alts!r}")
-            alternates[alts] = words
-        if pattern and source:
-            features = {"deriv_pattern": pattern, "deriv_source": source}
-        elif pattern or source:
-            raise _bank_error(path, lineno, f"id={sentence_id!r}: token {index}: a pattern "
-                              "needs a source, and a source a pattern")
-        else:
-            features = {}
-        tokens.append(TokenNode(index, surface, lemma, pos, features, sense_id, words))
+    cells = rest.split("\t", end) if following else []
+    tokens = _tokens_from_cells(cells, path, lineno, sentence_id, ints, alternates, shared)
+    if following == end:
+        return DependencyGraph(sentence_id, text, tokens, [])
+    tail = cells[-1]
+    found = shared.get(tail)
+    if found is None:
+        found = shared[tail] = _dependencies_from_cells(tail, path, lineno, sentence_id, n, ints,
+                                                        shared)
+    deps, top = found
+    if top >= n:  # raises the error of the first dependency out of range
+        _dependencies_from_cells(tail, path, lineno, sentence_id, n, ints, shared)
+    return DependencyGraph(sentence_id, text, tokens, list(deps))
+
+
+def _dependencies_from_cells(tail: str, path, lineno: int, sentence_id: str, n: int,
+                             ints: dict, shared: dict) -> tuple:
+    """The dependencies of a line's dependency cells, checked against its
+    `n` tokens, and their highest arg. Equal dependencies are one object,
+    so one repeated in the line is kept once, by its identity."""
     deps = {}  # id -> Dependency, first occurrence first
-    run = iter(cells[end:])
+    top = 0
+    run = iter(tail.split("\t"))
     for key in zip(run, run, run, run, run):
         dep = shared.get(key)
         if dep is None:
-            dep = shared[key] = _dependency_from_cells(key, path, lineno, sentence_id, shared)
-        if dep.args[0] >= n or dep.args[1] >= n:
+            dep = shared[key] = _dependency_from_cells(key, path, lineno, sentence_id, ints,
+                                                       shared)
+        head, dependent = dep.args
+        if head >= n or dependent >= n:
             raise _bank_error(path, lineno, f"id={sentence_id!r}: dependency args out of "
-                              f"range: {list(dep.args)}")
+                              f"range: {[head, dependent]}")
+        if head > top or dependent > top:
+            top = head if head > dependent else dependent
         deps[id(dep)] = dep
-    return DependencyGraph(sentence_id, text, tokens, list(deps.values()))
+    return tuple(deps.values()), top
 
 
-def _dependency_from_cells(cells, path, lineno: int, sentence_id: str,
+def _tokens_from_cells(cells, path, lineno: int, sentence_id: str, ints: dict,
+                       alternates: dict, shared: dict) -> list:
+    """The tokens of a line's token cells, 7 per token: surface, lemma, pos,
+    sense, alternates, pattern and source.
+
+    Equal groups of 7 cells are checked once, the first time they are read,
+    and their tokens share the values read: the strings, each the first
+    one of the bank that spells it, the sense and the alternates. Each token
+    gets its own `features` dict, and its position as its `index`."""
+    tokens = []
+    first = shared.setdefault
+    run = iter(cells)
+    for index, key in enumerate(zip(run, run, run, run, run, run, run)):
+        token = shared.get(key)
+        if token is None:
+            surface, lemma, pos, sense, alts, pattern, source = key
+            if sense:
+                sense_id = ints.get(sense)
+                if sense_id is None:
+                    sense_id = ints[sense] = _int_cell(path, lineno, f"id={sentence_id!r}: token "
+                                                       f"{index} sense", sense, _bank_error)
+            else:
+                sense_id = None
+            words = alternates.get(alts)
+            if words is None:
+                words = frozenset(alts.split(";"))
+                if "" in words:
+                    raise _bank_error(path, lineno, f"id={sentence_id!r}: token {index}: an "
+                                      f"alternate is empty: {alts!r}")
+                alternates[alts] = words
+            if (not pattern) != (not source):
+                raise _bank_error(path, lineno, f"id={sentence_id!r}: token {index}: a pattern "
+                                  "needs a source, and a source a pattern")
+            lemma = first(lemma, lemma)
+            if pattern:
+                pattern, source = first(pattern, pattern), first(source, source)
+            token = shared[key] = (lemma if surface == lemma else first(surface, surface), lemma,
+                                   first(pos, pos), sense_id, words, pattern, source)
+        surface, lemma, pos, sense_id, words, pattern, source = token
+        tokens.append(TokenNode(index, surface, lemma, pos,
+                                {"deriv_pattern": pattern, "deriv_source": source} if pattern
+                                else {}, sense_id, words))
+    return tokens
+
+
+def _dependency_from_cells(cells, path, lineno: int, sentence_id: str, ints: dict,
                            shared: dict) -> Dependency:
     """The dependency of 5 cells not read before; the one already read when
     the cells spell its args otherwise, such as `01` for `1`."""
     label, arg0, arg1, prep, provenance = cells
-    where = f"id={sentence_id!r}: dependency"
-    args = (_int_cell(path, lineno, f"{where} arg0", arg0, _bank_error),
-            _int_cell(path, lineno, f"{where} arg1", arg1, _bank_error))
-    if args[0] < 0 or args[1] < 0:
-        raise _bank_error(path, lineno, f"{where} args out of range: {list(args)}")
-    written = (label, str(args[0]), str(args[1]), prep, provenance)
+    head, dependent = ints.get(arg0), ints.get(arg1)
+    if head is None:
+        head = ints[arg0] = _int_cell(path, lineno, f"id={sentence_id!r}: dependency arg0",
+                                      arg0, _bank_error)
+    if dependent is None:
+        dependent = ints[arg1] = _int_cell(path, lineno, f"id={sentence_id!r}: dependency arg1",
+                                           arg1, _bank_error)
+    if head < 0 or dependent < 0:
+        raise _bank_error(path, lineno, f"id={sentence_id!r}: dependency args out of range: "
+                          f"{[head, dependent]}")
+    written = (label, str(head), str(dependent), prep, provenance)
     if written in shared:
         return shared[written]
     try:
-        dep = shared[written] = Dependency(label, args, prep or None, provenance)
+        dep = shared[written] = Dependency(label, (head, dependent), prep or None, provenance)
     except ValueError as exc:
         raise _bank_error(path, lineno, f"id={sentence_id!r}: bad dependency record: {exc}")
     return dep

@@ -768,6 +768,18 @@ class TestBankFieldTypes:
         }
         assert load_error(tmp_path / "bank.jsonl") == f":2: id='s1': {messages[tuple(args)]}"
 
+    @pytest.mark.parametrize("good, bad, message", [
+        (token(sense="2"), token(sense="x"), "token 1 sense is not an integer: 'x'"),
+        (token(pattern="v2n_ure_obj", source="couper"), token(pattern="v2n_ure_obj"),
+         "token 1: a pattern needs a source, and a source a pattern"),
+    ], ids=["sense", "pattern-alone"])
+    def test_rejects_a_bad_token_a_cell_away_from_a_good_one(self, tmp_path, good, bad, message):
+        """Equal token cells are checked once; a group one cell away from a
+        good one read before is checked, and named by its own line and index."""
+        write_bank(tmp_path / "bank.jsonl", graph_line("s1", tokens=[good]),
+                   graph_line("s2", "y", tokens=[good, bad]))
+        assert load_error(tmp_path / "bank.jsonl") == f":3: id='s2': {message}"
+
     def test_equal_dependencies_of_a_bank_are_one_object(self, tmp_path):
         """Also when a hand-edited cell spells an arg otherwise: such a
         repeat in one graph is dropped, as a repeat of the same cells is."""
@@ -805,3 +817,42 @@ class TestLoadedBankFootprint:
         empty = {id(t.alternates) for t in tokens if not t.alternates}
         assert empty == {id(TokenNode(0, "x", "x", NOUN).alternates)}
         assert not any(hasattr(t, "__dict__") for t in tokens)
+        assert not any(hasattr(graph, "__dict__") for graph in bank)
+
+    def test_equal_cells_share_their_values_and_each_token_owns_the_rest(
+            self, tmp_path, benchmark_resources):
+        path = tmp_path / "bank.tsv"
+        save_depbank(pipeline.build_bank(benchmark_resources, "all"), path)
+        bank = load_depbank(path)
+        tokens = [t for graph in bank for t in graph.tokens]
+        derivatives = [t.features for t in tokens if t.features]
+        fields = {
+            "surface": [t.surface for t in tokens],
+            "lemma": [t.lemma for t in tokens],
+            "pos": [t.pos for t in tokens],
+            "pattern": [features["deriv_pattern"] for features in derivatives],
+            "source": [features["deriv_source"] for features in derivatives],
+        }
+        for name, values in fields.items():
+            assert len(set(values)) < len(values), name
+            assert len({id(value) for value in values}) == len(set(values)), name
+        assert len({id(t.features) for t in tokens}) == len(tokens)
+        for graph in bank:
+            assert [t.index for t in graph.tokens] == list(range(len(graph.tokens)))
+
+        # A derivative token and an equal-celled one of another graph.
+        by_cells = {}
+        for position, graph in enumerate(bank):
+            for t in graph.tokens:
+                cells = (t.surface, t.lemma, t.pos, t.sense_id, t.alternates,
+                         tuple(t.features.items()))
+                by_cells.setdefault(cells, {}).setdefault(position, t)
+        twins = [list(found.values()) for cells, found in by_cells.items()
+                 if cells[-1] and len(found) > 1]
+        assert twins
+        changed, other = twins[0][:2]
+        before = (other.sense_id, other.alternates, dict(other.features))
+        changed.sense_id = 99
+        changed.alternates = changed.alternates | {"autre"}
+        changed.features["deriv_note"] = "x"
+        assert (other.sense_id, other.alternates, other.features) == before

@@ -275,9 +275,11 @@ def test_symmetrized_build_matches_plain_double_build(tmp_path_factory, lexicon,
 # Texts with the characters a line- or cell-based reader could trip on; a
 # tab or a newline is refused by the writer (test_depgraph.TestBankWriter).
 TEXTS = st.text(alphabet="ab é'\"\\;\r\u0085\u2028", max_size=12)
-FEATURES = st.just({}) | st.builds(lambda pattern, source: {"deriv_pattern": pattern,
-                                                            "deriv_source": source},
-                                   WORDS, WORDS)
+# Pattern/source pairs mostly from a small pool, so that derivative tokens of
+# equal cells recur and the loader's sharing is exercised on them too.
+DERIVATIONS = [("v2n_ure_obj", "couper"), ("v2n_age_obj", "laver"), ("v2n_eur_svo", "couper")]
+FEATURES = st.just({}) | (st.sampled_from(DERIVATIONS) | st.tuples(WORDS, WORDS)).map(
+    lambda pair: {"deriv_pattern": pair[0], "deriv_source": pair[1]})
 HEADERS = st.tuples(st.none() | st.sampled_from(pipeline.MODES),
                     st.none() | st.text(alphabet="0123456789abcdef", min_size=1, max_size=64))
 
@@ -321,6 +323,12 @@ def test_depbank_round_trip(tmp_path_factory, bank, other):
         assert graph_equal(reread, graph)
         assert token_fields(reread) == token_fields(graph)
         assert reread.deps == graph.deps
+    # Equal strings load as one object; every token owns its features dict.
+    tokens = [t for graph in loaded for t in graph.tokens]
+    for values in ([t.surface for t in tokens], [t.lemma for t in tokens],
+                   [t.pos for t in tokens]):
+        assert len({id(value) for value in values}) == len(set(values))
+    assert len({id(t.features) for t in tokens}) == len(tokens)
     save_depbank(loaded, directory / "again.jsonl")
     assert (directory / "again.jsonl").read_bytes() == path.read_bytes()
 
