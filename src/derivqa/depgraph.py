@@ -15,7 +15,7 @@ import re
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .lexica import (ADJ, ADV, CONTENT_POS, NOUN, VERB, _int_cell, _read_lines, _write_lines,
+from .lexica import (ADJ, CONTENT_POS, NOUN, VERB, _int_cell, _read_lines, _write_lines,
                      normalize)
 
 log = logging.getLogger(__name__)
@@ -84,13 +84,13 @@ class TokenNode:
     alternates: frozenset = _NO_ALTERNATES
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Dependency:
     """A labeled dependency; args are token indices into the owning graph.
 
     The label is one of `KNOWN_LABELS`, and the two args are (head,
     dependent). PREPPH carries its preposition as a literal string next to
-    them.
+    them. Dependencies are slotted and carry no `__dict__`.
     """
 
     label: str
@@ -257,10 +257,9 @@ _CLOSED = {
 _ELIDED = {"l'", "d'", "n'", "s'", "j'", "m'", "t'", "qu'"}
 _CLITIC_RE = re.compile(r"^(.+?)(?:-t)?-(il|elle|ils|elles|on)$")
 _FINITE = {"pres", "ps", "impf", "fut", "cond"}
-_TAG_POS = {"V": VERB, "N": NOUN, "ADJ": ADJ, "ADV": ADV}
 
 
-@dataclass
+@dataclass(slots=True)
 class _Item:
     surface: str
     kind: str
@@ -274,7 +273,7 @@ def _tokenize(sentence: str) -> list:
         chunk = chunk.strip(".,!?;:«»()\"")
         if not chunk:
             continue
-        m = _CLITIC_RE.match(chunk)
+        m = _CLITIC_RE.match(chunk) if "-" in chunk else None
         clitic = None
         if m and normalize(m.group(1)) not in _PRONS:
             chunk, clitic = m.group(1), m.group(2)
@@ -302,7 +301,7 @@ def _classify(pieces, lexicon) -> list:
             items.append(_Item(surface, PRON, lemma=surface[1:]))
         elif low in _CLOSED:
             items.append(_Item(surface, *_CLOSED[low]))
-        elif readings := tuple(lexicon.readings(surface)):
+        elif readings := lexicon.by_form.get(low):
             items.append(_Item(surface, "WORD", readings=readings))
         elif surface[0].isupper():
             items.append(_Item(surface, "PROPER", lemma=surface))
@@ -312,13 +311,12 @@ def _classify(pieces, lexicon) -> list:
 
 
 def _reading(item, pos: str, subtags=None):
-    """The first reading of a WORD item with part of speech `pos`, and with
-    a second tag in `subtags` if given; None for any other item or None."""
-    for r in item.readings if item else ():
-        parts = r.morph_tags.split(":")
-        if (_TAG_POS.get(parts[0], parts[0]) == pos
-                and (subtags is None or len(parts) > 1 and parts[1] in subtags)):
-            return r
+    """The entry of the first reading of a WORD item with part of speech
+    `pos`, and with a subtag in `subtags` if given (see
+    `lexica.InflectionLexicon`); None for any other item or None."""
+    for entry, reading_pos, subtag in item.readings if item else ():
+        if reading_pos == pos and (subtags is None or subtag in subtags):
+            return entry
     return None
 
 
@@ -328,17 +326,15 @@ class _Parser:
     dependent, prep) in the order the grammar finds them."""
 
     def __init__(self, items):
-        self.items = items
+        # The items, then one None: `self.items[self.i]` is the next item, None at the end.
+        self.items = [*items, None]
         self.i = 0
         self.choices = {}
         self.deps = []
 
-    def peek(self):
-        return self.items[self.i] if self.i < len(self.items) else None
-
     def skip(self, kind: str, lemma=None) -> bool:
         """Take the next item if it has `kind`, and `lemma` if given."""
-        item = self.peek()
+        item = self.items[self.i]
         if item is None or item.kind != kind or lemma is not None and item.lemma != lemma:
             return False
         self.i += 1
@@ -347,7 +343,7 @@ class _Parser:
     def word(self, pos: str, subtags=None):
         """Take the next item under its `pos` reading (see `_reading`) and
         return its index; None, taking nothing, if it has no such reading."""
-        reading = _reading(self.peek(), pos, subtags)
+        reading = _reading(self.items[self.i], pos, subtags)
         if reading is None:
             return None
         self.choices[self.i] = (reading.lemma, pos)
@@ -364,10 +360,10 @@ class _Parser:
 
     def np(self):
         """[DET] (NOUN (ADJ | PROPER)* | PROPER); returns the head item index."""
-        if self.peek() is None:
+        if self.items[self.i] is None:
             self.fail("expected a noun phrase")
         self.skip(DET)
-        item = self.peek()
+        item = self.items[self.i]
         if item is None:
             self.fail("dangling determiner")
         if self.skip("PROPER"):
@@ -378,7 +374,7 @@ class _Parser:
                       else f"expected a noun phrase at {item.surface!r}")
         while True:
             # A word that may be a finite verb is the clause's verb, not an ADJ.
-            if (_reading(self.peek(), VERB, _FINITE) is None
+            if (_reading(self.items[self.i], VERB, _FINITE) is None
                     and (adj := self.word(ADJ)) is not None):
                 self.add(MODIFIER, head, adj)
             elif self.skip("PROPER"):
@@ -412,17 +408,17 @@ class _Parser:
 
     def parse(self):
         items = self.items
-        if not items:
-            self.fail("empty sentence")
         first = items[0]
-        if (first.kind == PREP and first.lemma == "de" and len(items) > 1
+        if first is None:
+            self.fail("empty sentence")
+        if (first.kind == PREP and first.lemma == "de" and items[1] is not None
                 and items[1].kind == DET and items[1].lemma in _QUEL):
             self.fronted_interrogative()
         elif _reading(first, VERB, {"inf"}) and not _reading(first, NOUN):
             self.infinitive_fragment()
         else:
             self.clause_or_fragment()
-        if self.i != len(items):
+        if items[self.i] is not None:
             self.fail(f"trailing material from {items[self.i].surface!r}")
         return self.choices, self.deps
 
@@ -445,14 +441,14 @@ class _Parser:
         self.pp_chain(obj, verb)
 
     def subject(self) -> int:
-        if self.peek() is None:
+        if self.items[self.i] is None:
             self.fail("expected a subject")
         return self.i - 1 if self.skip(PRON) else self.np()
 
     def clause_or_fragment(self):
         subject = self.subject()
         self.pp_chain(subject, subject)
-        item = self.peek()
+        item = self.items[self.i]
         if item is None:
             return  # bare noun phrase fragment
         if self.skip(_AUX, "avoir"):
@@ -470,11 +466,11 @@ class _Parser:
 
     def verb_complements(self, verb: int, subject: int):
         self.add(SUBJECT, verb, subject)
-        if self.peek() is None:
+        if self.items[self.i] is None:
             return
         # The case marker of an indirect object, normalized away.
         self.skip(PREP, "à") or self.skip(PREP, "de")
-        if self.peek() is None:
+        if self.items[self.i] is None:
             self.fail("dangling preposition")
         obj = self.np()
         self.add(DIROBJ, verb, obj)
@@ -503,10 +499,10 @@ def toy_parse(sentence: str, lexicon, sentence_id: str = "s0") -> DependencyGrap
             lemma, pos = item.lemma, OTHER if item.kind == _AUX else item.kind
         tokens.append(TokenNode(idx, item.surface, lemma, pos))
 
-    graph = DependencyGraph(sentence_id, sentence, tokens)
-    for label, head, dependent, prep in raw_deps:
-        graph.add_dep(Dependency(label, (head, dependent), prep=prep))
-    return graph
+    # Each item is the dependent of at most one dependency, so none repeats.
+    return DependencyGraph(sentence_id, sentence, tokens,
+                           [Dependency(label, (head, dependent), prep)
+                            for label, head, dependent, prep in raw_deps])
 
 
 # ---------------------------------------------------------------------------

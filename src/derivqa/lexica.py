@@ -198,18 +198,35 @@ class InflectionEntry:
     morph_tags: str
 
 
+# Head tag -> the part of speech it names.
+_TAG_POS = {"V": VERB, "N": NOUN, "ADJ": ADJ, "ADV": ADV}
+
+
 class InflectionLexicon:
-    """Surface form -> readings multimap over inflection entries; `entries`
-    keeps them in file order for the suffix learner."""
+    """Normalized surface form -> readings multimap over inflection
+    entries; `entries` keeps them in file order for the suffix learner.
+
+    `by_form` maps each normalized form to its readings in file order, one
+    (entry, pos, subtag) tuple per entry, its tags split once here at `:`.
+    The first part gives the part of speech: `V`, `N`, `ADJ` and `ADV` name
+    VERB, NOUN, ADJ and ADV, and any other first part is kept as it is. The
+    second part is the subtag, such as `inf`, `pp` or a finite tense; it is
+    None for a tag without a `:`.
+    """
 
     def __init__(self, entries):
         self.entries = tuple(entries)
-        self._by_form: dict[str, list[InflectionEntry]] = {}
+        by_form: dict[str, tuple[tuple[InflectionEntry, str, str | None], ...]] = {}
+        split = {}  # tags -> (pos, subtag), each distinct tag string split once
         for e in self.entries:
-            self._by_form.setdefault(normalize(e.surface_form), []).append(e)
-
-    def readings(self, surface: str) -> list[InflectionEntry]:
-        return self._by_form.get(normalize(surface), [])
+            tags = split.get(e.morph_tags)
+            if tags is None:
+                parts = e.morph_tags.split(":", 2)
+                tags = split[e.morph_tags] = (_TAG_POS.get(parts[0], parts[0]),
+                                              parts[1] if len(parts) > 1 else None)
+            form = normalize(e.surface_form)
+            by_form[form] = by_form.get(form, ()) + ((e,) + tags,)
+        self.by_form = by_form
 
 
 def load_inflections(path) -> list[InflectionEntry]:

@@ -358,3 +358,53 @@ def graph_equal(a, b, ignore_provenance: bool = False) -> bool:
     sig_a = {dep_signature(a, d, keep) for d in a.deps}
     sig_b = {dep_signature(b, d, keep) for d in b.deps}
     return sig_a == sig_b
+
+
+_CLITIC_RE = re.compile(r"^(.+?)(?:-t)?-(il|elle|ils|elles|on)$")
+_PRONS = {"il", "elle", "ils", "elles", "on", "je", "tu", "nous", "vous"}
+_ELIDED = {"l'", "d'", "n'", "s'", "j'", "m'", "t'", "qu'"}
+
+
+def tokenize(sentence: str) -> list:
+    """Reference tokenizer: the clitic regex tried on every chunk, with or
+    without a hyphen; raises the parser's UnknownTokenError on a leading `-`."""
+    from derivqa.depgraph import UnknownTokenError
+
+    pieces = []
+    for chunk in sentence.split():
+        chunk = chunk.strip(".,!?;:«»()\"")
+        if not chunk:
+            continue
+        m = _CLITIC_RE.match(chunk)
+        clitic = None
+        if m and m.group(1).lower() not in _PRONS:
+            chunk, clitic = m.group(1), m.group(2)
+        while "'" in chunk:
+            head, rest = chunk.split("'", 1)
+            prefix = head.lower() + "'"
+            if prefix in _ELIDED and rest:
+                pieces.append(prefix)
+                chunk = rest
+            else:
+                break
+        if chunk.startswith("-"):
+            raise UnknownTokenError(chunk)
+        pieces.append(chunk)
+        if clitic:
+            pieces.append("-" + clitic)
+    return pieces
+
+
+_TAG_POS = {"V": "VERB", "N": "NOUN", "ADJ": "ADJ", "ADV": "ADV"}
+
+
+def reading(entries, pos: str, subtags=None):
+    """Reference reading choice: the first of `entries` whose tags, split at
+    every `:` on each call, name `pos` and, if `subtags` is given, have a
+    second part in it."""
+    for entry in entries:
+        parts = entry.morph_tags.split(":")
+        if (_TAG_POS.get(parts[0], parts[0]) == pos
+                and (subtags is None or len(parts) > 1 and parts[1] in subtags)):
+            return entry
+    return None

@@ -26,6 +26,8 @@ from derivqa.depgraph import (
     save_depbank,
     toy_parse,
 )
+from derivqa.lexica import ADJ, VERB, InflectionEntry, InflectionLexicon
+import oracles
 from oracles import dep_signature, graph_equal
 
 
@@ -198,6 +200,32 @@ class TestToyParser:
         assert graph.text == "la coupure du courant ."
 
 
+class TestReadingChoice:
+    """The parser's reading choice over the tags `InflectionLexicon` splits
+    once is the old choice that split them on every call."""
+
+    # every (pos, subtags) query the parser makes
+    QUERIES = [(NOUN, None), (ADJ, None), (VERB, {"inf"}), (VERB, {"pp"}),
+               (VERB, depgraph._FINITE)]
+    EDGE_TAGS = ["ADV", "V:", "X:pp", "V:pp:m:s"]
+
+    def test_pre_split_tags_choose_as_split_per_call(self, lexicon):
+        edges = [InflectionEntry(form, "edge", tags)
+                 for form in ("coupé", "Edge") for tags in self.EDGE_TAGS]
+        edges += [InflectionEntry("edge2", "edge", tags) for tags in reversed(self.EDGE_TAGS)]
+        entries = [*lexicon.entries, *edges]
+        groups = {}  # normalized form -> its entries in file order
+        for e in entries:
+            groups.setdefault(e.surface_form.lower(), []).append(e)
+        by_form = InflectionLexicon(entries).by_form
+        assert by_form.keys() == groups.keys()
+        for form, group in groups.items():
+            item = depgraph._Item(form, "WORD", readings=by_form[form])
+            for pos, subtags in self.QUERIES:
+                assert (depgraph._reading(item, pos, subtags)
+                        is oracles.reading(group, pos, subtags)), (form, pos, subtags)
+
+
 def lemma_sigs(graph):
     """(label, prep, head lemma, dependent lemma) of each dependency."""
     return {(d.label, d.prep, *(graph.tokens[i].lemma for i in d.args)) for d in graph.deps}
@@ -245,7 +273,9 @@ class TestGrammarPins:
             (PREPPH, "de", "coupure", "courant")}, id="noun-phrase-fragment"),
     ])
     def test_construction(self, lexicon, sentence, expected):
-        assert lemma_sigs(toy_parse(sentence, lexicon)) == expected
+        graph = toy_parse(sentence, lexicon)
+        assert lemma_sigs(graph) == expected
+        assert len(graph.deps) == len(expected)  # no dependency twice
 
     # The twelve `fail` messages and the unknown token. The unattached-word
     # check in `toy_parse` guards against a wrong graph; no sentence reaches it.
@@ -818,6 +848,7 @@ class TestLoadedBankFootprint:
         assert empty == {id(TokenNode(0, "x", "x", NOUN).alternates)}
         assert not any(hasattr(t, "__dict__") for t in tokens)
         assert not any(hasattr(graph, "__dict__") for graph in bank)
+        assert not any(hasattr(d, "__dict__") for graph in bank for d in graph.deps)
 
     def test_equal_cells_share_their_values_and_each_token_owns_the_rest(
             self, tmp_path, benchmark_resources):

@@ -11,6 +11,7 @@ from derivqa.lexica import (
     NOUN,
     VERB,
     Dictionary,
+    InflectionEntry,
     LexiconError,
     SenseRecord,
     load_code_table,
@@ -195,9 +196,18 @@ class TestInflections:
         path = write(tmp_path, "i.tsv", "coupa\tcouper\tV:ps:3s\nCoupa\tcouper\tV:ps:3s\n")
         entries = load_inflections(path)
         lexicon = lexica.InflectionLexicon(entries)
-        assert len(lexicon.readings("coupa")) == 2  # case-insensitive lookup
-        assert lexicon.readings("COUPA") == lexicon.readings("coupa")
-        assert lexicon.readings("absent") == []
+        # both spellings under the normalized form, in file order
+        assert lexicon.by_form == {"coupa": ((entries[0], VERB, "ps"), (entries[1], VERB, "ps"))}
+        assert "absent" not in lexicon.by_form
+
+    def test_tags_split_once_into_pos_and_subtag(self):
+        entries = [InflectionEntry(form, "x", tags) for form, tags in [
+            ("a", "ADV"), ("b", "V:"), ("c", "X:pp"), ("d", "V:pp:m:s"), ("e", "N:f:s"),
+            ("f", "ADJ:m"), ("g", "")]]
+        lexicon = lexica.InflectionLexicon(entries)
+        assert [lexicon.by_form[e.surface_form][0][1:] for e in entries] == [
+            (ADV, None), (VERB, ""), ("X", "pp"), (VERB, "pp"), (NOUN, "f"), (ADJ, "m"),
+            ("", None)]
 
     def test_rejects_empty_form(self, tmp_path):
         path = write(tmp_path, "i.tsv", "\tcouper\tV:ps:3s\n")

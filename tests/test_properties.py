@@ -103,6 +103,35 @@ def test_syllable_count_matches_regex_oracle(word):
     assert syllable_count(word) == oracles.syllables(word)
 
 
+# --- tokenizer --------------------------------------------------------------
+
+# Chunk parts: words, clitics and `-t-`, elisions and apostrophes, hyphens
+# and the punctuation the tokenizer strips.
+CHUNK_PARTS = st.sampled_from(
+    ["coupa", "Titus", "courant", "est", "a", "il", "elle", "on", "IL", "t", "-", "-t", "-t-",
+     "-il", "-elle", "-on", "-ils", "-elles", "'", "l'", "L'", "d'", "qu'", "aujourd'hui",
+     ".", ",", "!", "?", ";", ":", "«", "»", "(", ")", '"'])
+TOKENIZER_INPUTS = st.lists(st.lists(CHUNK_PARTS, min_size=1, max_size=5).map("".join),
+                            max_size=6).map(" ".join)
+
+
+@given(TOKENIZER_INPUTS)
+@example("l'ouvrier coupa-t-il le courant ?")
+@example("est-il -il il-il on-t-on")
+@example("aujourd'hui qu'elle-t-elle")
+def test_tokenize_matches_regex_on_every_chunk_oracle(sentence):
+    from derivqa.depgraph import UnknownTokenError, _tokenize
+
+    try:
+        want = oracles.tokenize(sentence)
+    except UnknownTokenError as exc:
+        with pytest.raises(UnknownTokenError) as info:
+            _tokenize(sentence)
+        assert str(info.value) == str(exc)
+    else:
+        assert _tokenize(sentence) == want
+
+
 # --- suffix learning --------------------------------------------------------
 
 # A three-letter alphabet (plus a capital, which both learners fold) makes
