@@ -70,7 +70,11 @@ class DerivationPattern:
 
 @dataclass
 class PatternMatch:
-    """One way a pattern fits a graph: bindings plus the derivative to add."""
+    """One way a pattern fits a graph: bindings plus the derivative to add.
+
+    The matches of one binding share its `bindings` dict, so it is
+    read-only; `apply_pattern` copies it before binding the derivative.
+    """
 
     pattern: DerivationPattern
     bindings: dict
@@ -244,41 +248,47 @@ def _construction_ok(pattern: DerivationPattern, senses, sense_id) -> bool:
     return any(code.startswith(pattern.construction) for code in codes)
 
 
+def _pivot_lemmas(token: TokenNode, use_alternates: bool) -> list:
+    """The (lemma, sense) pairs a pattern pivots on at `token`: its own lemma
+    in its sense, then under composition its sorted alternates, whose sense
+    is unknown."""
+    lemmas = [(token.lemma, token.sense_id)]
+    if use_alternates:
+        lemmas.extend((alt, None) for alt in sorted(token.alternates))
+    return lemmas
+
+
 def match_pattern(graph: DependencyGraph, pattern: DerivationPattern, pivot: int,
                   resource, dictionary: Dictionary, use_alternates: bool = False) -> list:
     """All ways `pattern` applies at the given pivot token.
 
-    Bindings are sought in BASE dependencies only, and only when the pivot
-    has an eligible derivative. A match is produced per (binding, eligible
-    derivative); under composition (`use_alternates`) the pivot's
-    alternates are consulted as additional pivot lemmas.
+    Bindings are sought in BASE dependencies only, and only when a pivot
+    lemma has an eligible derivative: a record of the pattern's derivative
+    part of speech and suffix, from a lemma whose senses pass the CONSTR
+    check. The pivot lemmas are the token's own lemma and, under
+    composition (`use_alternates`), its alternates. A match is produced per
+    distinct (binding, eligible derivative), binding-major in the order
+    found; the matches of one binding share its dict.
     Returns [] when the pivot's part of speech differs from the pattern's.
     """
     token = graph.tokens[pivot]
     if token.pos != pattern.pivot_pos:
         return []
-    pivot_lemmas = [(token.lemma, token.sense_id)]
-    if use_alternates:
-        pivot_lemmas.extend((alt, None) for alt in sorted(token.alternates))
     records = []
-    for lemma, sense_id in pivot_lemmas:
+    for lemma, sense_id in _pivot_lemmas(token, use_alternates):
         eligible = [r for r in resource.records_for(lemma, sense_id)
                     if r.target_pos == pattern.deriv_pos and r.suffix == pattern.deriv_suffix]
         if eligible and _construction_ok(pattern, dictionary.senses.get(lemma, []), sense_id):
             records.extend(eligible)
     if not records:
         return []
+    records = dict.fromkeys(records)  # a record may repeat across, or within, lemmas
     base_deps = [d for d in graph.deps if d.provenance == BASE]
-    matches = []
-    seen = set()
+    bindings = {}
     for binding in _enumerate_bindings(pattern.inputs, base_deps, pivot):
-        for record in records:
-            key = (record, tuple(sorted(binding.items())))
-            if key in seen:
-                continue
-            seen.add(key)
-            matches.append(PatternMatch(pattern, dict(binding), record))
-    return matches
+        bindings.setdefault(frozenset(binding.items()), binding)
+    return [PatternMatch(pattern, binding, record)
+            for binding in bindings.values() for record in records]
 
 
 def apply_pattern(graph: DependencyGraph, match: PatternMatch) -> TokenNode:
@@ -290,15 +300,16 @@ def apply_pattern(graph: DependencyGraph, match: PatternMatch) -> TokenNode:
     derivative).
     """
     record = match.derivative
+    surface = record.surface
     pattern_id = match.pattern.pattern_id
-    token = next((t for t in graph.tokens
-                  if t.features.get("deriv_pattern") == pattern_id
-                  and t.lemma == record.surface), None)
-    if token is None:
+    for token in graph.tokens:
+        if token.lemma == surface and token.features.get("deriv_pattern") == pattern_id:
+            break
+    else:
         token = TokenNode(
             index=len(graph.tokens),
-            surface=record.surface,
-            lemma=record.surface,
+            surface=surface,
+            lemma=surface,
             pos=record.target_pos,
             features={"deriv_pattern": pattern_id,
                       "deriv_source": record.source_lemma},
@@ -317,24 +328,37 @@ def enrich(graph: DependencyGraph, synonyms, patterns, resource, dictionary,
            compose: bool = False) -> DependencyGraph:
     """Synonym alternates, then every pattern match, in one new graph.
 
-    Each pattern is tried only at the tokens of `graph` whose part of
-    speech is the pattern's pivot part of speech, on the token's own
-    lemma; matches are applied in deterministic order. Under `compose`
-    patterns also pivot on the token's synonym alternates, and a derivative
-    of the pivot's own lemma gets its own synonyms as alternates. A
-    derivative reached only through an alternate gets none.
+    Each pattern is tried, in ascending token order, only at the tokens of
+    `graph` of its pivot part of speech where a pivot lemma holds a record
+    of its derivative part of speech and suffix; `match_pattern` returns []
+    at every other token. The pivot lemmas are the token's own lemma and,
+    under `compose`, its synonym alternates. Matches are applied in
+    deterministic order. Under `compose` a derivative of the pivot's own
+    lemma gets its own synonyms as alternates; a derivative reached only
+    through an alternate gets none.
     """
     out = enrich_synonyms(graph, synonyms)
-    pivots = {}  # part of speech -> positions of the graph's own tokens
-    for position, token in enumerate(graph.tokens):
-        pivots.setdefault(token.pos, []).append(position)
+    pivot_poses = {pattern.pivot_pos for pattern in patterns}
+    # (pivot pos, derivative pos, suffix) -> ascending positions of the
+    # graph's own tokens where a pivot lemma holds such a record
+    pivots = {}
+    for position, token in enumerate(out.tokens):
+        if token.pos not in pivot_poses:
+            continue
+        for lemma, sense_id in _pivot_lemmas(token, compose):
+            for record in resource.records_for(lemma, sense_id):
+                positions = pivots.setdefault((token.pos, record.target_pos, record.suffix), [])
+                if not positions or positions[-1] != position:
+                    positions.append(position)
     for pattern in patterns:
-        for pivot in pivots.get(pattern.pivot_pos, ()):
+        key = (pattern.pivot_pos, pattern.deriv_pos, pattern.deriv_suffix)
+        for pivot in pivots.get(key, ()):
             lemma = out.tokens[pivot].lemma
             matches = match_pattern(out, pattern, pivot, resource, dictionary,
                                     use_alternates=compose)
-            matches.sort(key=lambda m: (m.derivative.surface,
-                                        tuple(sorted(m.bindings.items()))))
+            if len(matches) > 1:
+                matches.sort(key=lambda m: (m.derivative.surface,
+                                            tuple(sorted(m.bindings.items()))))
             for match in matches:
                 token = apply_pattern(out, match)
                 if compose and match.derivative.source_lemma == lemma:

@@ -400,6 +400,17 @@ ALTERNATE_ONLY = DependencyGraph("alt", "text", [
     TokenNode(0, "laver", "laver", VERB, alternates=frozenset({"couper"})),
     TokenNode(1, "linge", "linge", NOUN)], [Dependency(DIROBJ, (0, 1))])
 
+# "laver" has records of other suffixes (-age, -eur, ...), none of -ure
+OWN_LEMMA_OTHER_SUFFIXES = DependencyGraph("own", "text", [
+    TokenNode(0, "laver", "laver", VERB),
+    TokenNode(1, "linge", "linge", NOUN)], [Dependency(DIROBJ, (0, 1))])
+
+# "couper" has no synonyms, so its own lemma stays among its alternates and
+# under compose its records come through both pivot lemmas
+OWN_LEMMA_AMONG_ALTERNATES = DependencyGraph("self", "text", [
+    TokenNode(0, "couper", "couper", VERB, alternates=frozenset({"couper"})),
+    TokenNode(1, "linge", "linge", NOUN)], [Dependency(DIROBJ, (0, 1))])
+
 
 @settings(max_examples=80)
 @given(graphs(with_alternates=True), st.sampled_from(PATTERNS), st.booleans())
@@ -431,6 +442,9 @@ def test_matcher_bindings_match_exhaustive_enumeration(benchmark_resources, grap
 @settings(max_examples=80, deadline=None)
 @given(graphs(with_alternates=True, mixed=True), st.booleans())
 @example(ALTERNATE_ONLY, True)
+@example(OWN_LEMMA_OTHER_SUFFIXES, False)
+@example(OWN_LEMMA_OTHER_SUFFIXES, True)
+@example(OWN_LEMMA_AMONG_ALTERNATES, True)
 def test_enrich_matches_plain_enrichment(benchmark_resources, graph, compose):
     res = benchmark_resources
     args = (graph, res.synonyms, res.patterns + PATTERNS, res.resource, res.dictionary)

@@ -22,6 +22,7 @@ from derivqa.pipeline import (
     load_sentences,
     packaged_data,
 )
+from derivqa import rephrase
 from derivqa.rephrase import (
     DepTemplate,
     _enumerate_bindings,
@@ -239,6 +240,15 @@ class TestMatchPattern:
         assert [(t.lemma, t.features) for t in out.tokens[len(graph.tokens):]] == [
             ("coupure", {"deriv_pattern": "v2n_ure_obj", "deriv_source": "trancher"})]
 
+    def test_repeated_dependencies_bind_once(self, res, patterns):
+        # every dependency twice: four ways to choose, one binding
+        graph = parsed(res, "l'ouvrier a coupé le courant .")
+        graph.deps += graph.deps
+        pivot = next(t.index for t in graph.tokens if t.lemma == "couper")
+        matches = match_pattern(graph, patterns["v2n_eur_svo"], pivot,
+                                res.resource, res.dictionary)
+        assert [m.derivative.surface for m in matches] == ["coupeur"]
+
     def test_unlicensed_sense_blocks_derivative(self, res, patterns):
         graph = parsed(res, "la conduite formalise Pierre .")
         pivot = next(t.index for t in graph.tokens if t.lemma == "formaliser")
@@ -416,3 +426,103 @@ class TestEnrichmentModes:
                     through_alternates += 1
                 assert token.alternates == want, (sid, token.lemma)
         assert with_synonyms and through_alternates
+
+
+# --- where enrich tries a pattern -----------------------------------------------
+
+def _record(surface, suffix, source):
+    return DerivativeRecord(surface, NOUN, suffix, source, frozenset({1}))
+
+
+TRANCHAGE = _record("tranchage", "age", "trancher")
+COUPURE = _record("coupure", "ure", "couper")
+
+# sentence, lemma -> alternates set on its parsed token, the resource's
+# by_lemma, and the derivative lemmas enrich adds without and with compose
+GROUPING_CASES = {
+    # the pivot's own lemma has an -age record only, so no -ure pattern runs
+    "own_lemma_other_suffix_only": (
+        "le boucher trancha la viande .", {}, {"trancher": [TRANCHAGE]},
+        (["tranchage"] * 2, ["tranchage"] * 2)),
+    # only the alternate "couper" holds an -ure record
+    "alternate_alone_holds_the_kind": (
+        "le boucher trancha la viande .", {}, {"couper": [COUPURE]},
+        ([], ["coupure"] * 2)),
+    # one lemma maps to no record, another lists its record twice
+    "empty_and_repeated_records": (
+        "le boucher trancha la viande .", {}, {"trancher": [], "couper": [COUPURE] * 2},
+        ([], ["coupure"] * 2)),
+    # "couper" has no synonyms, so its own lemma stays among its alternates
+    # and under compose the same record comes through both pivot lemmas
+    "own_lemma_among_alternates": (
+        "l'ouvrier a coupé le courant .", {"couper": frozenset({"couper"})},
+        {"couper": [COUPURE]},
+        (["coupure"] * 2, ["coupure"] * 2)),
+}
+
+
+def _match_key(match):
+    return match.derivative.surface, sorted(match.bindings.items())
+
+
+class TestEnrichGrouping:
+    @pytest.mark.parametrize("compose", [False, True], ids=["deriv", "all"])
+    @pytest.mark.parametrize("case", sorted(GROUPING_CASES))
+    def test_agrees_with_plain_enrichment(self, res, case, compose):
+        text, alternates, by_lemma, derivatives = GROUPING_CASES[case]
+        graph = parsed(res, text)
+        for token in graph.tokens:
+            token.alternates = alternates.get(token.lemma, token.alternates)
+        resource = DerivationalResource(by_lemma)
+        args = (graph, res.synonyms, res.patterns, resource, res.dictionary)
+        got = enrich(*args, compose=compose)
+        want = oracles.plain_enrich(*args, compose=compose)
+        assert (got.tokens, got.deps) == (want.tokens, want.deps)
+        assert [t.lemma for t in got.tokens[len(graph.tokens):]] == derivatives[compose]
+        # each (binding, record) is matched once, however often the record repeats
+        synonymized = enrich_synonyms(graph, res.synonyms)
+        for pattern in res.patterns:
+            for pivot in range(len(graph.tokens)):
+                matches = match_pattern(synonymized, pattern, pivot, resource,
+                                        res.dictionary, use_alternates=compose)
+                plain = oracles.plain_matches(synonymized, pattern, pivot, resource,
+                                              res.dictionary, compose)
+                assert sorted(matches, key=_match_key) == sorted(plain, key=_match_key)
+
+    @pytest.mark.parametrize("mode", ["deriv", "all"])
+    def test_matching_is_tried_only_where_a_pivot_lemma_holds_the_kind(
+            self, res, monkeypatch, mode):
+        compose = mode == "all"
+        calls = []
+
+        def counting(graph, pattern, pivot, *args, **kwargs):
+            token = graph.tokens[pivot]
+            lemmas = [(token.lemma, token.sense_id)]
+            if kwargs["use_alternates"]:
+                lemmas += [(alt, None) for alt in token.alternates]
+            calls.append((pattern.pattern_id, pivot, lemmas))
+            return match_pattern(graph, pattern, pivot, *args, **kwargs)
+
+        monkeypatch.setattr(rephrase, "match_pattern", counting)
+        tried = False
+        for _, text in load_sentences(res.config.sentences):
+            graph = parsed(res, text)
+            calls.clear()
+            enrich(graph, res.synonyms, res.patterns, res.resource, res.dictionary,
+                   compose=compose)
+            patterns = {p.pattern_id: p for p in res.patterns}
+            for pattern_id, _, lemmas in calls:
+                pattern = patterns[pattern_id]
+                assert any(r.target_pos == pattern.deriv_pos
+                           and r.suffix == pattern.deriv_suffix
+                           for lemma, sense_id in lemmas
+                           for r in res.resource.records_for(lemma, sense_id)), (text, pattern_id)
+            called = {(pattern_id, pivot) for pattern_id, pivot, _ in calls}
+            tried |= bool(called)
+            synonymized = enrich_synonyms(graph, res.synonyms)
+            for pattern in res.patterns:
+                for pivot in range(len(graph.tokens)):
+                    if oracles.plain_matches(synonymized, pattern, pivot, res.resource,
+                                             res.dictionary, compose):
+                        assert (pattern.pattern_id, pivot) in called, (text, pattern.pattern_id)
+        assert tried
