@@ -69,19 +69,26 @@ class TokenNode:
     changed, so tokens may share it: every token without alternates, loaded
     ones included, holds one empty frozenset, and `copy_graph` gives the
     copy the original's. Tokens are slotted and carry no `__dict__`.
-    `features` is empty on a parsed token; a derivative token holds the
-    `deriv_pattern` and `deriv_source` that `rephrase.apply_pattern` writes.
-    Loaded tokens of equal cells share their strings, sense and alternates,
-    but each has its own `features` dict and its position as `index`.
+    `deriv_pattern` and `deriv_source` are None on a parsed token; on a
+    derivative token, `rephrase.apply_pattern` sets them to the pattern that
+    made it and its source lemma. Loaded tokens of equal cells share their
+    strings, sense and alternates, and each has its position as `index`.
     """
 
     index: int
     surface: str
     lemma: str
     pos: str
-    features: dict = field(default_factory=dict)
     sense_id: int | None = None
     alternates: frozenset = _NO_ALTERNATES
+    deriv_pattern: str | None = None
+    deriv_source: str | None = None
+
+    @property
+    def features(self) -> dict:
+        """The derivation fields as a dict, {} on a parsed token; only the benchmark reads it."""
+        return {} if self.deriv_pattern is None else {
+            "deriv_pattern": self.deriv_pattern, "deriv_source": self.deriv_source}
 
 
 @dataclass(frozen=True, slots=True)
@@ -117,7 +124,7 @@ class DependencyGraph:
     Graphs are slotted and carry no `__dict__`. In a loaded bank, tokens of
     equal cells share their strings, sense and alternates, and equal
     dependencies are one `Dependency`; each graph owns its token and
-    dependency lists, and each token its `features` dict and `index`.
+    dependency lists, and each token its `index`.
     """
 
     sentence_id: str
@@ -210,10 +217,8 @@ def _dependency_postings(graphs) -> dict:
 
 def _significant_lemmas(graph: DependencyGraph) -> frozenset:
     """Lemmas of the graph's content words; derivative tokens are left out."""
-    return frozenset(
-        t.lemma for t in graph.tokens
-        if t.pos in CONTENT_POS and not t.features.get("deriv_pattern")
-    )
+    return frozenset(t.lemma for t in graph.tokens
+                     if t.pos in CONTENT_POS and t.deriv_pattern is None)
 
 
 def _bag_index(graphs) -> dict:
@@ -225,11 +230,8 @@ def _bag_index(graphs) -> dict:
 
 
 def copy_graph(graph: DependencyGraph) -> DependencyGraph:
-    tokens = [
-        TokenNode(t.index, t.surface, t.lemma, t.pos, dict(t.features),
-                  t.sense_id, t.alternates)
-        for t in graph.tokens
-    ]
+    tokens = [TokenNode(t.index, t.surface, t.lemma, t.pos, t.sense_id, t.alternates,
+                        t.deriv_pattern, t.deriv_source) for t in graph.tokens]
     return DependencyGraph(graph.sentence_id, graph.text, tokens, list(graph.deps))
 
 
@@ -526,8 +528,7 @@ def save_depbank(graphs, path):
     its N tokens, `surface, lemma, pos, sense, alternates, pattern, source`,
     then the 5 cells of each dependency, `label, arg0, arg1, prep,
     provenance`. A token's index is its position; its alternates are sorted
-    and joined by `;`; pattern and source are a derivative token's
-    `deriv_pattern` and `deriv_source` features.
+    and joined by `;`; pattern and source are its derivation fields.
 
     A bank that `load_depbank` would not give back as it is raises
     DepbankError, naming the file and the sentence id, and nothing is
@@ -535,8 +536,10 @@ def save_depbank(graphs, path):
     line that would end in a carriage return, which the reader drops; an
     empty mode or fingerprint; a sense that is not an integer or None;
     alternates that are not a set of strings, each non-empty and without
-    `;`; features other than none or a non-empty `deriv_pattern` and
-    `deriv_source` string; an id that is the header tag.
+    `;`; a `deriv_pattern` and `deriv_source` that are not both None or
+    both non-empty strings; dependency args that are not a tuple of
+    integers indexing the graph's tokens; a dependency repeated in its
+    graph; an id that is the header tag or repeats an earlier one.
     """
     mode, fingerprint = getattr(graphs, "mode", None), getattr(graphs, "fingerprint", None)
     header = None if "" in (mode, fingerprint) else _bank_line(
@@ -545,55 +548,58 @@ def save_depbank(graphs, path):
         raise DepbankError(f"{path}: bank header: mode and fingerprint must be None or "
                            f"{_CELL_RULE}, and not empty")
     lines = [header]
+    ids = set()
     for g in graphs:
         sid = g.sentence_id
         if sid == _BANK_TAG:
             raise _save_error(path, sid, "an id must not be the bank header tag")
         if type(g.tokens) is not list or type(g.deps) is not list:
             raise _save_error(path, sid, "tokens and deps must be lists")
-        cells = [sid, g.text, str(len(g.tokens))]
+        n = len(g.tokens)
+        cells = [sid, g.text, str(n)]
         for index, t in enumerate(g.tokens):
-            features, sense, words = t.features, t.sense_id, t.alternates
-            pattern = source = alternates = ""
-            if features or type(features) is not dict:
-                deriv = _deriv_cells(features)
-                if deriv is None:
-                    raise _save_error(path, sid, f"token {index}: features must be empty, or "
-                                      "a non-empty deriv_pattern and deriv_source string")
-                pattern, source = deriv
+            sense, words = t.sense_id, t.alternates
+            pattern, source = t.deriv_pattern, t.deriv_source
+            if pattern is None and source is None:
+                pattern = source = ""
+            elif not (type(pattern) is str and type(source) is str and pattern and source):
+                raise _save_error(path, sid, f"token {index}: deriv_pattern and deriv_source "
+                                  "must both be None, or both non-empty strings")
             if sense is None:
                 sense = ""
             elif type(sense) is int:
                 sense = str(sense)
             else:
                 raise _save_error(path, sid, f"token {index}: sense must be an integer or None")
-            if words is not _NO_ALTERNATES:
-                alternates = _alternates_cell(words)
-                if alternates is None:
-                    raise _save_error(path, sid, f"token {index}: alternates must be a set of "
-                                      "non-empty strings without ';'")
+            alternates = "" if words is _NO_ALTERNATES else _alternates_cell(words)
+            if alternates is None:
+                raise _save_error(path, sid, f"token {index}: alternates must be a set of "
+                                  "non-empty strings without ';'")
             cells += (t.surface, t.lemma, t.pos, sense, alternates, pattern, source)
+        written = set()
         for d in g.deps:
-            cells += (d.label, str(d.args[0]), str(d.args[1]), d.prep or "", d.provenance)
+            head, dependent = args = d.args
+            if type(args) is not tuple or not (type(head) is type(dependent) is int
+                                               and 0 <= head < n and 0 <= dependent < n):
+                raise _save_error(path, sid, "dependency args must be a tuple of two integers "
+                                  f"in [0, {n}), not {args!r}")
+            dep = (d.label, str(head), str(dependent), d.prep or "", d.provenance)
+            written.add(dep)
+            cells += dep
+        if len(written) < len(g.deps):
+            raise _save_error(path, sid, "a dependency repeats")
         line = _bank_line(cells)
         if line is None:
             raise _save_error(path, sid, f"every cell must be {_CELL_RULE}")
+        if sid in ids:
+            raise _save_error(path, sid, "duplicate sentence id")
+        ids.add(sid)
         lines.append(line)
     _write_lines(path, lines)
 
 
 def _save_error(path, sentence_id, message: str) -> DepbankError:
     return DepbankError(f"{path}: id={sentence_id!r}: {message}")
-
-
-def _deriv_cells(features) -> tuple | None:
-    """The pattern and source cells of a derivative token's `features`;
-    None unless they are exactly those two keys, each a non-empty string."""
-    if type(features) is dict and len(features) == 2:
-        pattern, source = features.get("deriv_pattern"), features.get("deriv_source")
-        if type(pattern) is str and type(source) is str and pattern and source:
-            return pattern, source
-    return None
 
 
 def _alternates_cell(words) -> str | None:
@@ -638,7 +644,7 @@ def load_depbank(path) -> DependencyBank:
     one shared `Dependency`, and equal alternates cells as one frozenset.
     Equal token groups of 7 cells are checked once and share their values,
     each string being one object for the whole bank; each token keeps its
-    own `features` dict and its position as `index`.
+    position as `index`, and an empty pattern and source cell load as None.
     """
     graphs = []
     seen = set()
@@ -689,10 +695,10 @@ def _graph_from_cells(cells, path, lineno: int, ints: dict, alternates: dict,
     `alternates` and `shared` map cells already read to their values.
 
     The token groups are read by `_tokens_from_cells`: equal groups are
-    checked once and share their values, and each token gets its own
-    `features` dict and its position as `index`. The dependency cells are
-    read as one string, so a line whose dependency cells were read before
-    takes the same dependencies, checked against its own token count."""
+    checked once and share their values, and each token gets its position
+    as `index`. The dependency cells are read as one string, so a line
+    whose dependency cells were read before takes the same dependencies,
+    checked against its own token count."""
     if len(cells) < 3:
         raise _bank_error(path, lineno, "a graph line must start with id, text and token count")
     sentence_id, text, count = cells[0], cells[1], cells[2]
@@ -752,8 +758,9 @@ def _tokens_from_cells(cells, path, lineno: int, sentence_id: str, ints: dict,
 
     Equal groups of 7 cells are checked once, the first time they are read,
     and their tokens share the values read: the strings, each the first
-    one of the bank that spells it, the sense and the alternates. Each token
-    gets its own `features` dict, and its position as its `index`."""
+    one of the bank that spells it, the sense, the alternates, and the
+    pattern and source, None for empty cells. Each token gets its position
+    as its `index`."""
     tokens = []
     first = shared.setdefault
     run = iter(cells)
@@ -779,14 +786,11 @@ def _tokens_from_cells(cells, path, lineno: int, sentence_id: str, ints: dict,
                 raise _bank_error(path, lineno, f"id={sentence_id!r}: token {index}: a pattern "
                                   "needs a source, and a source a pattern")
             lemma = first(lemma, lemma)
-            if pattern:
-                pattern, source = first(pattern, pattern), first(source, source)
+            pattern, source = first(pattern, pattern) or None, first(source, source) or None
+            # TokenNode's fields after `index`, in order
             token = shared[key] = (lemma if surface == lemma else first(surface, surface), lemma,
                                    first(pos, pos), sense_id, words, pattern, source)
-        surface, lemma, pos, sense_id, words, pattern, source = token
-        tokens.append(TokenNode(index, surface, lemma, pos,
-                                {"deriv_pattern": pattern, "deriv_source": source} if pattern
-                                else {}, sense_id, words))
+        tokens.append(TokenNode(index, *token))
     return tokens
 
 

@@ -303,17 +303,11 @@ def apply_pattern(graph: DependencyGraph, match: PatternMatch) -> TokenNode:
     surface = record.surface
     pattern_id = match.pattern.pattern_id
     for token in graph.tokens:
-        if token.lemma == surface and token.features.get("deriv_pattern") == pattern_id:
+        if token.lemma == surface and token.deriv_pattern == pattern_id:
             break
     else:
-        token = TokenNode(
-            index=len(graph.tokens),
-            surface=surface,
-            lemma=surface,
-            pos=record.target_pos,
-            features={"deriv_pattern": pattern_id,
-                      "deriv_source": record.source_lemma},
-        )
+        token = TokenNode(len(graph.tokens), surface, surface, record.target_pos,
+                          deriv_pattern=pattern_id, deriv_source=record.source_lemma)
         graph.tokens.append(token)
     binding = dict(match.bindings)
     binding[DERIV_VAR] = token.index

@@ -324,7 +324,7 @@ def significant_lemmas(graph) -> list:
     from derivqa.lexica import CONTENT_POS
 
     return [t.lemma for t in graph.tokens
-            if t.pos in CONTENT_POS and not t.features.get("deriv_pattern")]
+            if t.pos in CONTENT_POS and t.deriv_pattern is None]
 
 
 def bag_ranking(qgraph, graphs, k: int) -> list:

@@ -227,8 +227,9 @@ def format_2_text(bank) -> str:
     lines = [json.dumps(header, separators=(",", ":"))]
     for g in bank:
         row = [g.sentence_id, g.text,
-               [[t.surface, t.lemma, t.pos, t.features, t.sense_id, sorted(t.alternates)]
-                for t in g.tokens],
+               [[t.surface, t.lemma, t.pos, {} if t.deriv_pattern is None else
+                 {"deriv_pattern": t.deriv_pattern, "deriv_source": t.deriv_source},
+                 t.sense_id, sorted(t.alternates)] for t in g.tokens],
                [[d.label, *d.args, d.prep, d.provenance] for d in g.deps]]
         lines.append(json.dumps(row, ensure_ascii=False, separators=(",", ":"), sort_keys=True))
     return "".join(line + "\n" for line in lines)
@@ -641,10 +642,14 @@ class TestExitCodes:
         assert not bank.exists()
 
     def test_bank_with_repeated_sentence_id(self, capsys, tmp_path, benchmark_resources):
+        # two banks saved apart, then concatenated: the writer refuses a repeated id
+        parts = []
+        for name, text in [("a", "l'ouvrier a coupé le courant ."),
+                           ("b", "le domestique lave le linge .")]:
+            save_depbank([toy_parse(text, benchmark_resources.lexicon, "x")], tmp_path / name)
+            parts.append((tmp_path / name).read_bytes())
         bank = tmp_path / "bank.jsonl"
-        save_depbank([toy_parse(text, benchmark_resources.lexicon, "x")
-                      for text in ("l'ouvrier a coupé le courant .",
-                                   "le domestique lave le linge .")], bank)
+        bank.write_bytes(b"".join(parts))
         code, out, err = run(capsys, "--config", BENCHMARK_CONFIG, "--mode", "baseline",
                              "ask", "--question", "l'ouvrier coupa quel courant ?",
                              "--bank", str(bank))

@@ -3,13 +3,8 @@ method and property of its classes, and every value its classes store (a
 dataclass field or an attribute set on `self`) has a user in the package or
 the benchmark; what only tests use is dead code. Every private helper, a
 module-level `_function` or a non-dunder `_method`, has a caller in the
-package.
-
-Its blind spot is what sits inside a stored dict or set: the keys and values
-a container holds are not names it can follow. `TokenNode.features` is such
-a dict; `test_pipeline.py`'s
-`TestBankConstruction::test_tokens_carry_only_feature_keys_something_reads`
-checks its keys instead."""
+package. The package reads no `features` attribute: `TokenNode.features` is
+the benchmark's view of a token's two derivation fields."""
 
 import ast
 from pathlib import Path
@@ -181,6 +176,13 @@ def test_every_stored_value_is_read():
     unread = [f"{module}: {name}" for module, name in _unread_fields()
               if name not in EXEMPT_FIELDS]
     assert unread == []
+
+
+def test_the_package_reads_no_features():
+    reads = [f"{path.name}:{node.lineno}" for path, tree in _trees(PACKAGE)
+             for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr == "features"]
+    assert reads == []
 
 
 def test_every_field_exemption_is_still_needed():

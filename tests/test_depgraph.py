@@ -97,7 +97,7 @@ class TestToyParser:
         }
         proper = graph.tokens[0]
         assert proper.pos == NOUN
-        assert all(t.features == {} for t in graph.tokens)
+        assert all(t.deriv_pattern is None and t.deriv_source is None for t in graph.tokens)
 
     def test_noun_phrase_fragment(self, lexicon):
         graph = toy_parse("la coupure du courant .", lexicon)
@@ -323,10 +323,10 @@ class TestGraphComparison:
     def test_copy_graph_is_deep_enough(self, lexicon):
         a = toy_parse("la coupure du courant .", lexicon)
         b = copy_graph(a)
-        b.tokens[1].features["proper"] = "true"
+        b.tokens[1].deriv_pattern, b.tokens[1].deriv_source = "v2n_ure_obj", "couper"
         b.tokens[1].alternates = frozenset({"interruption"})
         b.deps.append(Dependency(MODIFIER, (1, 1), provenance=DERIVATIONAL))
-        assert a.tokens[1].features == {}
+        assert (a.tokens[1].deriv_pattern, a.tokens[1].deriv_source) == (None, None)
         assert a.tokens[1].alternates == frozenset()
         assert len(a.deps) == 1
 
@@ -386,7 +386,7 @@ def derivative_graph(lexicon):
     graph.tokens[1].alternates = frozenset({"artisan", "travailleur"})
     graph.tokens[1].sense_id = 1
     graph.tokens.append(TokenNode(len(graph.tokens), "coupure", "coupure", NOUN,
-                                  {"deriv_pattern": "v2n_ure_obj", "deriv_source": "couper"}))
+                                  deriv_pattern="v2n_ure_obj", deriv_source="couper"))
     graph.add_dep(Dependency(PREPPH, (5, 4), prep="de", provenance=DERIVATIONAL))
     return graph
 
@@ -410,6 +410,8 @@ class TestBankSerialization:
         loaded = load_depbank(path)
         assert (loaded.mode, loaded.fingerprint) == ("deriv", "f00d")
         assert [g.sentence_id for g in loaded] == ["s1", "s2"]
+        assert [(t.deriv_pattern, t.deriv_source) for t in loaded[0].tokens] == [
+            (None, None)] * 5 + [("v2n_ure_obj", "couper")]
         for original, reread in zip(graphs, loaded):
             assert graph_equal(original, reread)
             assert reread.tokens == original.tokens
@@ -537,11 +539,14 @@ class TestBankSerialization:
             ":2: id='s1': bad dependency record: unknown provenance 'GUESS'")
 
     def test_rejects_repeated_sentence_id(self, tmp_path, lexicon):
-        graphs = [toy_parse("l'ouvrier a coupé le courant .", lexicon, "x"),
-                  toy_parse("le domestique lave le linge .", lexicon, "x")]
+        """Two banks saved apart, then concatenated: the writer refuses a
+        repeated id within one bank (TestBankWriter)."""
+        texts = ["l'ouvrier a coupé le courant .", "le domestique lave le linge ."]
+        for name, text in zip(("a", "b"), texts):
+            save_depbank([toy_parse(text, lexicon, "x")], tmp_path / name)
         path = tmp_path / "bank.jsonl"
-        save_depbank(graphs, path)
-        assert load_error(path) == ":3: duplicate sentence id 'x'"
+        path.write_bytes((tmp_path / "a").read_bytes() + (tmp_path / "b").read_bytes())
+        assert load_error(path) == ":4: duplicate sentence id 'x'"
 
     def test_banks_are_read_only_sequences(self, tmp_path, benchmark_resources):
         from collections.abc import Sequence
@@ -579,8 +584,8 @@ def set_surface(graph, value):
     graph.tokens[0].surface = value
 
 
-def set_features(graph, value):
-    graph.tokens[0].features = value
+def set_derivation(graph, value):
+    graph.tokens[0].deriv_pattern, graph.tokens[0].deriv_source = value
 
 
 def set_alternates(graph, value):
@@ -589,7 +594,7 @@ def set_alternates(graph, value):
 
 def set_last_source(graph, value):
     """The source of a derivative token whose cells end the line."""
-    graph.tokens[0].features = {"deriv_pattern": "p", "deriv_source": value}
+    graph.tokens[0].deriv_pattern, graph.tokens[0].deriv_source = "p", value
     graph.deps = []
 
 
@@ -597,8 +602,21 @@ def set_prep(graph, value):
     graph.deps[0] = Dependency(PREPPH, (0, 0), prep=value)
 
 
+def set_args(graph, value):
+    """The args of the dependency of a two-token graph."""
+    graph.tokens.append(TokenNode(1, "chef", "chef", NOUN))
+    graph.deps[0] = Dependency(SUBJECT, value)
+
+
+def add_dependency(graph, value):
+    graph.deps.append(value)
+
+
 CELL_FAULT = ("every cell must be a string with no tab or newline, the line's last not "
               "ending in a carriage return")
+ARGS_FAULT = "dependency args must be a tuple of two integers in [0, 2)"
+DERIVATION_FAULT = ("deriv_pattern and deriv_source must both be None, or both non-empty "
+                    "strings")
 
 
 class TestBankWriter:
@@ -615,21 +633,21 @@ class TestBankWriter:
          "token 0: alternates must be a set of non-empty strings without ';'"),
         (set_alternates, frozenset({"a;b"}),
          "token 0: alternates must be a set of non-empty strings without ';'"),
-        (set_features, {"proper": "true"},
-         "token 0: features must be empty, or a non-empty deriv_pattern and deriv_source "
-         "string"),
-        (set_features, {"deriv_pattern": "p"},
-         "token 0: features must be empty, or a non-empty deriv_pattern and deriv_source "
-         "string"),
-        (set_features, {"deriv_pattern": "p", "deriv_source": ""},
-         "token 0: features must be empty, or a non-empty deriv_pattern and deriv_source "
-         "string"),
-        (set_features, {"deriv_pattern": "p", "deriv_source": "x", "proper": "true"},
-         "token 0: features must be empty, or a non-empty deriv_pattern and deriv_source "
-         "string"),
+        (set_derivation, ("p", None), f"token 0: {DERIVATION_FAULT}"),
+        (set_derivation, (None, "x"), f"token 0: {DERIVATION_FAULT}"),
+        (set_derivation, ("p", ""), f"token 0: {DERIVATION_FAULT}"),
+        (set_derivation, ("", "x"), f"token 0: {DERIVATION_FAULT}"),
+        (set_args, (1, 5), f"{ARGS_FAULT}, not (1, 5)"),
+        (set_args, (1, -1), f"{ARGS_FAULT}, not (1, -1)"),
+        (set_args, (True, 0), f"{ARGS_FAULT}, not (True, 0)"),
+        (set_args, ("1", "0"), f"{ARGS_FAULT}, not ('1', '0')"),
+        (set_args, [1, 0], f"{ARGS_FAULT}, not [1, 0]"),
+        (add_dependency, Dependency(SUBJECT, (0, 0)), "a dependency repeats"),
     ], ids=["tab-in-text", "newline-in-text", "tab-in-surface", "newline-in-prep",
             "final-carriage-return", "empty-alternate", "alternate-with-semicolon",
-            "other-feature", "pattern-alone", "empty-source", "third-feature"])
+            "pattern-alone", "source-alone", "empty-source", "empty-pattern",
+            "arg-out-of-range", "arg-negative", "arg-bool", "arg-string", "args-list",
+            "repeated-dependency"])
     def test_refuses_a_cell_that_would_not_read_back(self, tmp_path, edit, value, message):
         graph = DependencyGraph("s1", "x", [TokenNode(0, "chef", "chef", NOUN)],
                                 [Dependency(SUBJECT, (0, 0))])
@@ -640,6 +658,11 @@ class TestBankWriter:
         graph = DependencyGraph("derivqa_bank", "x", [TokenNode(0, "chef", "chef", NOUN)])
         assert save_error([graph], tmp_path / "bank.jsonl") == (
             "id='derivqa_bank': an id must not be the bank header tag")
+
+    def test_refuses_a_repeated_id(self, tmp_path):
+        graphs = [DependencyGraph(sid, text, [TokenNode(0, "chef", "chef", NOUN)])
+                  for sid, text in [("s1", "x"), ("s2", "y"), ("s1", "z")]]
+        assert save_error(graphs, tmp_path / "bank.jsonl") == "id='s1': duplicate sentence id"
 
     @pytest.mark.parametrize("mode, fingerprint", [
         ("", None), ("deriv", ""), ("de\triv", None), ("deriv", "f00d\r"), ("deriv", 3),
@@ -663,9 +686,8 @@ class TestBankFieldTypes:
                      tokens=[token(sense="2", alternates="patron;responsable",
                                    pattern="v2n_ure_obj", source="couper")])
         (graph,) = load_depbank(tmp_path / "bank.jsonl")
-        assert graph.tokens[0] == TokenNode(
-            0, "chef", "chef", "NOUN", {"deriv_pattern": "v2n_ure_obj", "deriv_source": "couper"},
-            2, {"patron", "responsable"})
+        assert graph.tokens[0] == TokenNode(0, "chef", "chef", "NOUN", 2, {"patron", "responsable"},
+                                            "v2n_ure_obj", "couper")
 
     @pytest.mark.parametrize("field, value", [
         ("alternates", "chef"),
@@ -674,10 +696,10 @@ class TestBankFieldTypes:
         ("surface", 5),
         ("lemma", None),
         ("pos", ["NOUN"]),
-        ("features", ["proper"]),
-        ("features", None),
-        ("features", {"deriv_pattern": 0}),
-        ("features", {"proper": ["x"]}),
+        ("deriv_pattern", 0),
+        ("deriv_pattern", ["v2n_ure_obj"]),
+        ("deriv_source", 0),
+        ("deriv_source", ["couper"]),
         ("sense", "two"),
         ("sense", True),
         ("sense", 1.0),
@@ -690,11 +712,15 @@ class TestBankFieldTypes:
             "surface": CELL_FAULT,
             "lemma": CELL_FAULT,
             "pos": CELL_FAULT,
-            "features": "token 0: features must be empty, or a non-empty deriv_pattern and "
-                        "deriv_source string",
+            "deriv_pattern": f"token 0: {DERIVATION_FAULT}",
+            "deriv_source": f"token 0: {DERIVATION_FAULT}",
             "sense": "token 0: sense must be an integer or None",
         }
-        node = TokenNode(0, "chef", "chef", NOUN)
+        # the other derivation field well-typed, so that only `value` is wrong
+        node = TokenNode(0, "chef", "chef", NOUN, deriv_pattern="v2n_ure_obj",
+                         deriv_source="couper")
+        if not field.startswith("deriv_"):
+            node.deriv_pattern = node.deriv_source = None
         setattr(node, "sense_id" if field == "sense" else field, value)
         graph = DependencyGraph("s1", "x", [node])
         assert save_error([graph], tmp_path / "bank.jsonl") == f"id='s1': {messages[field]}"
@@ -856,18 +882,18 @@ class TestLoadedBankFootprint:
         save_depbank(pipeline.build_bank(benchmark_resources, "all"), path)
         bank = load_depbank(path)
         tokens = [t for graph in bank for t in graph.tokens]
-        derivatives = [t.features for t in tokens if t.features]
+        derivatives = [t for t in tokens if t.deriv_pattern is not None]
         fields = {
             "surface": [t.surface for t in tokens],
             "lemma": [t.lemma for t in tokens],
             "pos": [t.pos for t in tokens],
-            "pattern": [features["deriv_pattern"] for features in derivatives],
-            "source": [features["deriv_source"] for features in derivatives],
+            "pattern": [t.deriv_pattern for t in derivatives],
+            "source": [t.deriv_source for t in derivatives],
         }
         for name, values in fields.items():
             assert len(set(values)) < len(values), name
             assert len({id(value) for value in values}) == len(set(values)), name
-        assert len({id(t.features) for t in tokens}) == len(tokens)
+        assert all(t.deriv_source is None for t in tokens if t.deriv_pattern is None)
         for graph in bank:
             assert [t.index for t in graph.tokens] == list(range(len(graph.tokens)))
 
@@ -875,15 +901,16 @@ class TestLoadedBankFootprint:
         by_cells = {}
         for position, graph in enumerate(bank):
             for t in graph.tokens:
-                cells = (t.surface, t.lemma, t.pos, t.sense_id, t.alternates,
-                         tuple(t.features.items()))
+                cells = (t.surface, t.lemma, t.pos, t.sense_id, t.alternates, t.deriv_pattern,
+                         t.deriv_source)
                 by_cells.setdefault(cells, {}).setdefault(position, t)
         twins = [list(found.values()) for cells, found in by_cells.items()
                  if cells[-1] and len(found) > 1]
         assert twins
         changed, other = twins[0][:2]
-        before = (other.sense_id, other.alternates, dict(other.features))
+        before = (other.sense_id, other.alternates, other.deriv_pattern, other.deriv_source)
         changed.sense_id = 99
         changed.alternates = changed.alternates | {"autre"}
-        changed.features["deriv_note"] = "x"
-        assert (other.sense_id, other.alternates, other.features) == before
+        changed.deriv_pattern, changed.deriv_source = "v2a_e_obj", "autre"
+        assert (other.sense_id, other.alternates, other.deriv_pattern,
+                other.deriv_source) == before

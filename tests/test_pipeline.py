@@ -325,18 +325,18 @@ class TestBankConstruction:
         assert len(bank) == 55
         assert benchmark_resources.skipped_sentences == []
 
-    def test_tokens_carry_only_feature_keys_something_reads(self, benchmark_resources):
-        """A parsed token has no features; a derivative token, appended after
-        the parsed ones, has the two keys the bag engine and the benchmark
-        read."""
+    def test_only_appended_tokens_carry_a_derivation(self, benchmark_resources):
+        """A parsed token has neither a derivation pattern nor a source; a
+        derivative token, appended after the parsed ones, has both."""
         parsed = {g.sentence_id: len(g.tokens) for g in build_bank(benchmark_resources, "baseline")}
         derivatives = {}
         for mode in MODES:
             derivatives[mode] = 0
             for graph in build_bank(benchmark_resources, mode):
                 n = parsed[graph.sentence_id]
-                assert all(t.features == {} for t in graph.tokens[:n])
-                assert all(t.features.keys() == {"deriv_pattern", "deriv_source"}
+                assert all(t.deriv_pattern is None and t.deriv_source is None
+                           for t in graph.tokens[:n])
+                assert all(t.deriv_pattern is not None and t.deriv_source is not None
                            for t in graph.tokens[n:])
                 derivatives[mode] += len(graph.tokens) - n
         assert derivatives["baseline"] == derivatives["base"] == 0
@@ -348,8 +348,7 @@ class TestBankConstruction:
         for question, gold in parsed:
             assert all(d.provenance == BASE for d in question.graph.deps)
             assert all(not t.alternates for t in question.graph.tokens)
-            assert all(not t.features.get("deriv_pattern")
-                       for t in question.graph.tokens)
+            assert all(t.deriv_pattern is None for t in question.graph.tokens)
         formalise = next(q for q, _ in parsed if q.question_id == "QA3")
         verb = next(t for t in formalise.graph.tokens if t.lemma == "formaliser")
         assert verb.sense_id == 2

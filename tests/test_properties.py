@@ -307,15 +307,14 @@ TEXTS = st.text(alphabet="ab é'\"\\;\r\u0085\u2028", max_size=12)
 # Pattern/source pairs mostly from a small pool, so that derivative tokens of
 # equal cells recur and the loader's sharing is exercised on them too.
 DERIVATIONS = [("v2n_ure_obj", "couper"), ("v2n_age_obj", "laver"), ("v2n_eur_svo", "couper")]
-FEATURES = st.just({}) | (st.sampled_from(DERIVATIONS) | st.tuples(WORDS, WORDS)).map(
-    lambda pair: {"deriv_pattern": pair[0], "deriv_source": pair[1]})
+DERIVATION_FIELDS = st.just((None, None)) | st.sampled_from(DERIVATIONS) | st.tuples(WORDS, WORDS)
 HEADERS = st.tuples(st.none() | st.sampled_from(pipeline.MODES),
                     st.none() | st.text(alphabet="0123456789abcdef", min_size=1, max_size=64))
 
 
 @st.composite
 def banks(draw):
-    """Up to four graphs with distinct ids, drawn texts, senses and features:
+    """Up to four graphs with distinct ids, drawn texts, senses and derivations:
     a plain list, or a DependencyBank carrying a drawn mode and fingerprint."""
     drawn = draw(st.lists(graphs(with_alternates=True, mixed=True), max_size=4,
                           unique_by=lambda g: g.sentence_id))
@@ -323,7 +322,7 @@ def banks(draw):
         graph.text = draw(TEXTS)
         for token in graph.tokens:
             token.sense_id = draw(st.none() | st.integers(-2, 40))
-            token.features = draw(FEATURES)
+            token.deriv_pattern, token.deriv_source = draw(DERIVATION_FIELDS)
     if draw(st.booleans()):
         return drawn
     return DependencyBank(drawn, *draw(HEADERS))
@@ -334,8 +333,8 @@ def header_of(bank) -> tuple:
 
 
 def token_fields(graph) -> list:
-    return [(t.index, t.surface, t.lemma, t.pos, t.features, t.sense_id, t.alternates)
-            for t in graph.tokens]
+    return [(t.index, t.surface, t.lemma, t.pos, t.sense_id, t.alternates, t.deriv_pattern,
+             t.deriv_source) for t in graph.tokens]
 
 
 @settings(max_examples=60)
@@ -352,12 +351,13 @@ def test_depbank_round_trip(tmp_path_factory, bank, other):
         assert graph_equal(reread, graph)
         assert token_fields(reread) == token_fields(graph)
         assert reread.deps == graph.deps
-    # Equal strings load as one object; every token owns its features dict.
+    # Equal strings load as one object, derivation patterns and sources too.
     tokens = [t for graph in loaded for t in graph.tokens]
+    derivatives = [t for t in tokens if t.deriv_pattern is not None]
     for values in ([t.surface for t in tokens], [t.lemma for t in tokens],
-                   [t.pos for t in tokens]):
+                   [t.pos for t in tokens], [t.deriv_pattern for t in derivatives],
+                   [t.deriv_source for t in derivatives]):
         assert len({id(value) for value in values}) == len(set(values))
-    assert len({id(t.features) for t in tokens}) == len(tokens)
     save_depbank(loaded, directory / "again.jsonl")
     assert (directory / "again.jsonl").read_bytes() == path.read_bytes()
 
@@ -579,7 +579,7 @@ def bag_graphs(draw, max_tokens=5):
     lemmas = draw(st.lists(FEW_LEMMAS, min_size=1, max_size=max_tokens))
     tokens = [
         TokenNode(i, lemma, lemma, draw(BAG_POSES),
-                  features={"deriv_pattern": "p"} if draw(st.booleans()) else {})
+                  deriv_pattern="p" if draw(st.booleans()) else None)
         for i, lemma in enumerate(lemmas)
     ]
     return DependencyGraph("q", "text", tokens)
@@ -625,4 +625,4 @@ def test_enrichment_is_additive(benchmark_resources, text, mode):
     assert [t.lemma for t in out.tokens[:len(graph.tokens)]] == \
         [t.lemma for t in graph.tokens]
     for token in out.tokens[len(graph.tokens):]:
-        assert token.features.get("deriv_pattern")
+        assert token.deriv_pattern is not None and token.deriv_source is not None

@@ -269,7 +269,7 @@ class TestBagBaseline:
                    compose=True)
             for g in small_bank
         ]
-        assert any(t.features.get("deriv_pattern") for g in enriched for t in g.tokens)
+        assert any(t.deriv_pattern is not None for g in enriched for t in g.tokens)
         assert DependencyBank(enriched).bag_index == DependencyBank(small_bank).bag_index
 
     def test_bag_index_posts_each_significant_lemma(self, baseline_bank):

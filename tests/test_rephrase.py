@@ -237,8 +237,9 @@ class TestMatchPattern:
             for lemma in ("trancher", "couper")})
         out = enrich(graph, res.synonyms, [patterns["v2n_ure_obj"]], resource,
                      res.dictionary, compose=True)
-        assert [(t.lemma, t.features) for t in out.tokens[len(graph.tokens):]] == [
-            ("coupure", {"deriv_pattern": "v2n_ure_obj", "deriv_source": "trancher"})]
+        assert [(t.lemma, t.deriv_pattern, t.deriv_source)
+                for t in out.tokens[len(graph.tokens):]] == [
+            ("coupure", "v2n_ure_obj", "trancher")]
 
     def test_repeated_dependencies_bind_once(self, res, patterns):
         # every dependency twice: four ways to choose, one binding
@@ -295,8 +296,7 @@ class TestApplyPattern:
         assert len(out.tokens) == len(graph.tokens) + 1
         assert deriv is out.tokens[-1]
         assert deriv.lemma == "coupeur"
-        assert deriv.features == {"deriv_pattern": "v2n_eur_svo",
-                                  "deriv_source": "couper"}
+        assert (deriv.deriv_pattern, deriv.deriv_source) == ("v2n_eur_svo", "couper")
         assert deriv_sigs(out) == {
             ("ATTRIBUTE", ("ouvrier", "coupeur"), None),
             ("PREPPH", ("coupeur", "courant"), "de"),
@@ -392,7 +392,7 @@ class TestEnrichmentModes:
         graph = parsed(res, "le boucher trancha la viande .")
         out = enrich_for_mode(graph, res, "all")
         coupure = token_of(out, "coupure")
-        assert coupure.features["deriv_source"] == "couper"
+        assert coupure.deriv_source == "couper"
         assert coupure.alternates == set()
 
     @pytest.mark.parametrize("mode", ["deriv", "all"])
@@ -416,9 +416,9 @@ class TestEnrichmentModes:
             n = len(graph.tokens)
             assert [t.alternates for t in deriv.tokens[:n]] == \
                 [t.alternates for t in full.tokens[:n]], sid
-            own = {(t.features["deriv_pattern"], t.lemma) for t in deriv.tokens[n:]}
+            own = {(t.deriv_pattern, t.lemma) for t in deriv.tokens[n:]}
             for token in full.tokens[n:]:
-                if (token.features["deriv_pattern"], token.lemma) in own:
+                if (token.deriv_pattern, token.lemma) in own:
                     want = res.synonyms.lookup(token.lemma, None) - {token.lemma}
                     with_synonyms += bool(want)
                 else:
