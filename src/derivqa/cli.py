@@ -9,13 +9,15 @@ import argparse
 import gc
 import logging
 import sys
+import time
 
-from . import depgraph, derivfilter, pipeline, qaengine, wsd
+from . import depgraph, pipeline, qaengine, wsd
 from .lexica import LexiconError
 from .pipeline import ConfigError
 from .qaengine import QuestionError
 
-log = logging.getLogger(__name__)
+# not __name__, which is "__main__" under `python -m derivqa.cli`
+log = logging.getLogger("derivqa.cli")
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -73,21 +75,35 @@ def _apply_overrides(config: pipeline.PipelineConfig, args) -> pipeline.Pipeline
     return config
 
 
+def _stage(name, start) -> float:
+    """Log at INFO how long the stage that began at `start` took; return
+    the time it ended, where the next stage begins."""
+    end = time.perf_counter()
+    log.info("%s: %.1f ms", name, (end - start) * 1e3)
+    return end
+
+
 def _load_bank(res, args):
     """The `--bank` file, refused unless it was built under this run's mode
     and fingerprint; without `--bank`, a bank built from the config."""
+    start = time.perf_counter()
     if getattr(args, "bank", None) is None:
-        return pipeline.build_bank(res, res.config.mode)
+        bank = pipeline.build_bank(res, res.config.mode)
+        _stage("build bank", start)
+        return bank
     bank = depgraph.load_depbank(args.bank)
     built, wanted = (bank.mode, bank.fingerprint), (res.config.mode, res.fingerprint)
     if built != wanted:
         raise depgraph.DepbankError(
             f"{args.bank}: bank built with {depgraph.describe_bank(*built)}, "
             f"but this run has {depgraph.describe_bank(*wanted)}; rerun preprocess")
+    _stage("load bank", start)
     return bank
 
 
 def cmd_build_resource(res: pipeline.Resources, args) -> int:
+    from . import derivfilter
+
     stats = res.resource.stats
     if args.out is not None:
         derivfilter.save_resource(res.resource, args.out)
@@ -100,19 +116,26 @@ def cmd_build_resource(res: pipeline.Resources, args) -> int:
 
 
 def cmd_preprocess(res: pipeline.Resources, args) -> int:
+    start = time.perf_counter()
     bank = pipeline.build_bank(res, res.config.mode)
+    start = _stage("build bank", start)
     depgraph.save_depbank(bank, args.out)
+    _stage("write bank", start)
     print(f"bank written: {len(bank)} graphs, "
           f"{len(res.skipped_sentences)} sentences skipped")
     return EXIT_OK
 
 
 def cmd_ask(res: pipeline.QuestionResources, args) -> int:
+    start = time.perf_counter()
     question = qaengine.parse_question("q", args.question, res.lexicon)
     wsd.disambiguate(question.graph, res.compilation, res.dictionary)
+    _stage("parse question", start)
     bank = _load_bank(res, args)
+    start = time.perf_counter()
     candidates = qaengine.answer_for_mode(question, bank, res.config.mode, res.config.k,
                                           res.config.require_full_match)
+    _stage("answer", start)
     if not candidates:
         print("no answer")
         return EXIT_OK
@@ -124,8 +147,11 @@ def cmd_ask(res: pipeline.QuestionResources, args) -> int:
 def cmd_evaluate(res: pipeline.QuestionResources, args) -> int:
     if res.config.questions is None:
         raise ConfigError("config has no questions file")
+    start = time.perf_counter()
     rows = qaengine.load_questions(res.config.questions)
+    _stage("read questions", start)
     bank = _load_bank(res, args)
+    start = time.perf_counter()
     questions = pipeline.parse_questions(res, rows)
     try:
         report = qaengine.evaluate(
@@ -135,6 +161,7 @@ def cmd_evaluate(res: pipeline.QuestionResources, args) -> int:
         raise ConfigError(str(exc)) from exc
     if args.out is not None:
         qaengine.write_report(report, args.out)
+    _stage("evaluate", start)
     print(f"{report.mode}\t{float(report.mean_score)!r}\t{report.no_answer_count}")
     return EXIT_OK
 
@@ -199,10 +226,13 @@ def _run(argv) -> int:
     try:
         config = pipeline.load_config(args.config)
         config = _apply_overrides(config, args)
+        start = time.perf_counter()
         if getattr(args, "bank", None) is not None:
             res = pipeline.load_question_resources(config)
+            _stage("load question side", start)
         else:
             res = pipeline.load_resources(config)
+            _stage("load question side and build resource", start)
         return _COMMANDS[args.command](res, args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

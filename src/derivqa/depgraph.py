@@ -133,9 +133,18 @@ class DependencyGraph:
     deps: list = field(default_factory=list)
 
     def add_dep(self, dep: Dependency):
-        for i in dep.args:
-            if not 0 <= i < len(self.tokens):
-                raise ValueError(f"dependency arg {i} out of range")
+        """Append `dep` unless the graph holds it already.
+
+        Its args must be what `save_depbank` writes: a tuple of two token
+        indices of this graph, ints and not bools. The toy parser builds
+        its dependency list directly and is not checked here.
+        """
+        n = len(self.tokens)
+        head, dependent = args = dep.args
+        if type(args) is not tuple or not (type(head) is type(dependent) is int
+                                           and 0 <= head < n and 0 <= dependent < n):
+            raise ValueError(f"dependency args must be a tuple of two integers in [0, {n}), "
+                             f"not {args!r}")
         if dep not in self.deps:
             self.deps.append(dep)
 

@@ -13,7 +13,10 @@ from hashlib import sha256
 from importlib import resources as importlib_resources
 from pathlib import Path
 
-from . import depgraph, derivfilter, lexica, morphogen, qaengine, rephrase, wsd
+# The build side (morphogen, derivfilter, rephrase) is imported where it
+# runs, so a `--bank` process, which never builds a resource or enriches a
+# graph, does not compile those modules.
+from . import depgraph, lexica, qaengine, wsd
 
 log = logging.getLogger(__name__)
 
@@ -163,8 +166,8 @@ class Resources(QuestionResources):
     """Everything the commands need, loaded and cross-compiled once."""
 
     synonyms: lexica.SynonymTable
-    model: morphogen.SuffixModel
-    resource: derivfilter.DerivationalResource
+    model: "morphogen.SuffixModel"
+    resource: "derivfilter.DerivationalResource"
     patterns: list
     skipped_sentences: list = field(default_factory=list)
 
@@ -195,6 +198,8 @@ def load_resources(config: PipelineConfig) -> Resources:
     from a derived noun or adjective to its verb (see
     `derivfilter.build_resource`); the dictionary stays the loaded one.
     """
+    from . import derivfilter, morphogen, rephrase
+
     question = load_question_resources(config)
     corpus_lexicon = lexica.load_corpus_lexicon(config.corpus_lexicon)
     euphonics = morphogen.load_euphonic_rules(_resource_path(config, "euphonics"))
@@ -227,22 +232,29 @@ def load_sentences(path) -> list:
     return rows
 
 
-def enrich_for_mode(graph, res: Resources, mode: str):
-    """The per-mode enrichment applied to one disambiguated graph.
+def enrichment(res: Resources, mode: str):
+    """The per-mode enrichment, as a function from one disambiguated graph
+    to the enriched graph.
 
     baseline: untouched (the bag engine ignores structure anyway).
     base:     synonym alternates only.
     deriv:    synonyms, then patterns pivoting on original lemmas only.
     all:      as deriv, with patterns also pivoting on synonym alternates
               and synonyms attached to derivatives of original lemmas.
+
+    `build_bank` asks for it once per bank, so the mode is checked and the
+    rephraser imported once, not once per sentence.
     """
     if mode == "baseline":
-        return graph
-    if mode in MODES:
-        patterns = () if mode == "base" else res.patterns
-        return rephrase.enrich(graph, res.synonyms, patterns, res.resource,
-                               res.dictionary, compose=mode == "all")
-    raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
+        return lambda graph: graph
+    if mode not in MODES:
+        raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
+    from . import rephrase
+
+    patterns = () if mode == "base" else res.patterns
+    compose = mode == "all"
+    return lambda graph: rephrase.enrich(graph, res.synonyms, patterns, res.resource,
+                                         res.dictionary, compose=compose)
 
 
 def build_bank(res: Resources, mode: str, sentences=None,
@@ -257,6 +269,7 @@ def build_bank(res: Resources, mode: str, sentences=None,
         if res.config.sentences is None:
             raise ConfigError("config has no sentences file")
         sentences = load_sentences(res.config.sentences)
+    enrich = enrichment(res, mode)
     graphs = []
     res.skipped_sentences = []
     for sid, text in sentences:
@@ -267,7 +280,7 @@ def build_bank(res: Resources, mode: str, sentences=None,
             res.skipped_sentences.append((sid, str(exc)))
             continue
         wsd.disambiguate(graph, res.compilation, res.dictionary, stats=wsd_stats)
-        graphs.append(enrich_for_mode(graph, res, mode))
+        graphs.append(enrich(graph))
     return depgraph.DependencyBank(graphs, mode, res.fingerprint)
 
 

@@ -41,13 +41,32 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def run_process(*argv):
-    """`python -m derivqa.cli ARGV` with this checkout's package on the path."""
+def run_process(*argv, program=("-m", "derivqa.cli")):
+    """`python -m derivqa.cli ARGV` with this checkout's package on the path;
+    `program` replaces `-m derivqa.cli`."""
     package_root = str(Path(derivqa.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (package_root, os.environ.get("PYTHONPATH")) if p))
-    return subprocess.run([sys.executable, "-m", "derivqa.cli", *argv], env=env,
+    return subprocess.run([sys.executable, *program, *argv], env=env,
                           capture_output=True, text=True, timeout=120)
+
+
+# `cli.main(ARGV)`, then, as the last line of stderr, the derivqa modules loaded.
+MAIN_THEN_MODULES = """
+import sys
+from derivqa import cli
+code = cli.main(sys.argv[1:])
+print(*sorted(m for m in sys.modules if m.startswith("derivqa.")), file=sys.stderr)
+sys.exit(code)
+"""
+
+
+def run_fresh(*argv):
+    """`cli.main(ARGV)` in a fresh interpreter: (exit code, stdout, stderr
+    lines, set of the derivqa modules the process imported)."""
+    proc = run_process(*argv, program=("-c", MAIN_THEN_MODULES))
+    *err, modules = proc.stderr.splitlines()
+    return proc.returncode, proc.stdout, err, set(modules.split())
 
 
 def write_small_setup(directory) -> list:
@@ -492,6 +511,85 @@ class TestCollector:
         assert out.startswith("1.\ts06\t1\t")
         proc = run_process(*argv)
         assert (proc.returncode, proc.stdout) == (code, out)
+
+
+BUILD_SIDE = {"derivqa.morphogen", "derivqa.derivfilter", "derivqa.rephrase"}
+
+
+class TestImportBoundary:
+    """A `--bank` process imports only the question side: it never learns
+    suffixes, builds a resource or enriches a graph, so it does not compile
+    the modules that do. Every other command imports them where it runs
+    them and prints what `main` prints in-process."""
+
+    ASK = ("ask", "--question", "De quel chef Domitien est-il le successeur ?")
+
+    @pytest.mark.parametrize("command", [ASK, ("evaluate",)], ids=["ask", "evaluate"])
+    def test_bank_runs_leave_the_build_side_unimported(self, capsys, benchmark_bank, command):
+        argv = ["--config", BENCHMARK_CONFIG, *command, "--bank", benchmark_bank]
+        code, out, _, modules = run_fresh(*argv)
+        assert (code, out) == run(capsys, *argv)[:2]
+        assert code == EXIT_OK
+        assert "derivqa.qaengine" in modules
+        assert modules.isdisjoint(BUILD_SIDE)
+
+    def test_a_broken_skipped_file_still_makes_the_bank_foreign(self, capsys, tmp_path):
+        (tmp_path / "patterns.txt").write_bytes(packaged_data("patterns.txt").read_bytes())
+        config = copy_benchmark_setup(tmp_path, patterns="patterns.txt")
+        bank = str(tmp_path / "bank.jsonl")
+        assert run(capsys, "--config", config, "preprocess", "--out", bank)[0] == EXIT_OK
+        (tmp_path / "patterns.txt").write_bytes(b"\xe9\n")
+        code, out, err, modules = run_fresh("--config", config, *self.ASK, "--bank", bank)
+        assert (code, out) == (EXIT_INPUT, "")
+        errors = [line for line in err if not line.startswith("WARNING ")]
+        assert len(errors) == 1
+        assert errors[0].startswith("error: ") and errors[0].endswith("; rerun preprocess")
+        assert modules.isdisjoint(BUILD_SIDE)
+
+    @pytest.mark.parametrize("command", [
+        ("build-resource",), ("preprocess", "--out", "bank.jsonl"), ("stats",), ASK,
+    ], ids=["build-resource", "preprocess", "stats", "ask"])
+    def test_other_commands_print_what_main_prints(self, capsys, tmp_path, monkeypatch,
+                                                   command):
+        monkeypatch.chdir(tmp_path)
+        argv = ["--config", BENCHMARK_CONFIG, *command]
+        code, out, _, modules = run_fresh(*argv)
+        fresh_bank = tmp_path / "bank.jsonl"
+        if fresh_bank.exists():
+            fresh_bank = fresh_bank.replace(tmp_path / "fresh.jsonl")
+        assert (code, out) == run(capsys, *argv)[:2]
+        assert code == EXIT_OK
+        assert BUILD_SIDE <= modules
+        if command[0] == "preprocess":
+            assert fresh_bank.read_bytes() == (tmp_path / "bank.jsonl").read_bytes()
+
+
+class TestStages:
+    """`--verbose` logs one line per stage with its milliseconds; without it,
+    a run prints what it prints with it, less those lines."""
+
+    @pytest.mark.parametrize("command, stages", [
+        (("ask", "--question", "quelle coupure du flux ?", "--bank", None),
+         ["load question side", "parse question", "load bank", "answer"]),
+        (("ask", "--question", "quelle coupure du flux ?"),
+         ["load question side and build resource", "parse question", "build bank", "answer"]),
+        (("evaluate", "--bank", None),
+         ["load question side", "read questions", "load bank", "evaluate"]),
+        (("preprocess", "--out", None),
+         ["load question side and build resource", "build bank", "write bank"]),
+    ], ids=["ask-bank", "ask", "evaluate-bank", "preprocess"])
+    def test_stage_lines(self, benchmark_bank, tmp_path, command, stages):
+        path = str(tmp_path / "bank.jsonl") if command[0] == "preprocess" else benchmark_bank
+        argv = ["--config", BENCHMARK_CONFIG, *(path if a is None else a for a in command)]
+        quiet = run_process(*argv)
+        verbose = run_process("--verbose", *argv)
+        assert quiet.returncode == verbose.returncode == EXIT_OK
+        logged = [re.fullmatch(r"INFO derivqa\.cli: (.+): \d+\.\d ms", line)
+                  for line in verbose.stderr.splitlines()]
+        assert [m[1] for m in logged if m] == stages
+        assert quiet.stdout == verbose.stdout
+        assert quiet.stderr.splitlines() == [
+            line for line in verbose.stderr.splitlines() if not line.startswith("INFO ")]
 
 
 class TestStats:

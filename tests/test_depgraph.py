@@ -63,12 +63,25 @@ class TestDependencyValidation:
 
     def test_add_dep_checks_range_and_dedupes(self):
         graph = DependencyGraph("s", "t", [TokenNode(0, "a", "a", NOUN)])
-        with pytest.raises(ValueError, match="out of range"):
+        with pytest.raises(ValueError, match=r"in \[0, 1\), not \(0, 1\)"):
             graph.add_dep(Dependency(MODIFIER, (0, 1)))
         dep = Dependency(MODIFIER, (0, 0))
         graph.add_dep(dep)
         graph.add_dep(dep)
         assert graph.deps == [dep]
+
+    @pytest.mark.parametrize("args", [(2, 0), (0, -1), (True, 0), (0, False), [0, 1],
+                                      ("0", "1"), (0, 1.0)],
+                             ids=["out-of-range", "negative", "bool-head", "bool-dependent",
+                                  "list", "strings", "float"])
+    def test_add_dep_refuses_args_the_bank_writer_refuses(self, args):
+        graph = DependencyGraph("s", "t", [TokenNode(0, "a", "a", NOUN),
+                                           TokenNode(1, "b", "b", NOUN)])
+        message = f"dependency args must be a tuple of two integers in [0, 2), not {args!r}"
+        with pytest.raises(ValueError) as exc:
+            graph.add_dep(Dependency(MODIFIER, args))
+        assert str(exc.value) == message
+        assert graph.deps == []
 
 
 class TestToyParser:

@@ -10,7 +10,7 @@ from derivqa.pipeline import (
     ConfigError,
     PipelineConfig,
     build_bank,
-    enrich_for_mode,
+    enrichment,
     load_config,
     load_question_resources,
     load_resources,
@@ -266,17 +266,17 @@ class TestBankConstruction:
         graph = toy_parse("l'ouvrier a coupé le courant .", res.lexicon, "s11")
         disambiguate(graph, res.compilation, res.dictionary)
 
-        baseline = enrich_for_mode(graph, res, "baseline")
+        baseline = enrichment(res, "baseline")(graph)
         assert baseline is graph
 
-        base = enrich_for_mode(graph, res, "base")
+        base = enrichment(res, "base")(graph)
         assert all(d.provenance == BASE for d in base.deps)
         assert any(t.alternates for t in base.tokens)
 
-        deriv = enrich_for_mode(graph, res, "deriv")
+        deriv = enrichment(res, "deriv")(graph)
         assert any(d.provenance == DERIVATIONAL for d in deriv.deps)
 
-        everything = enrich_for_mode(graph, res, "all")
+        everything = enrichment(res, "all")(graph)
         deriv_count = sum(1 for d in deriv.deps if d.provenance == DERIVATIONAL)
         all_count = sum(1 for d in everything.deps if d.provenance == DERIVATIONAL)
         assert all_count >= deriv_count
@@ -285,7 +285,7 @@ class TestBankConstruction:
         from derivqa.depgraph import toy_parse
         graph = toy_parse("la coupure du courant .", benchmark_resources.lexicon)
         with pytest.raises(ConfigError, match="mode must be one of"):
-            enrich_for_mode(graph, benchmark_resources, "turbo")
+            enrichment(benchmark_resources, "turbo")(graph)
 
     def test_build_bank_skips_unparsable(self, benchmark_resources, caplog):
         res = benchmark_resources

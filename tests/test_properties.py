@@ -612,14 +612,14 @@ def test_bag_ranking_matches_exhaustive_scan(qgraph, bank, k):
 ]), st.sampled_from(["base", "deriv", "all"]))
 def test_enrichment_is_additive(benchmark_resources, text, mode):
     from derivqa.depgraph import toy_parse
-    from derivqa.pipeline import enrich_for_mode
+    from derivqa.pipeline import enrichment
     from derivqa.wsd import disambiguate
 
     res = benchmark_resources
     graph = toy_parse(text, res.lexicon)
     disambiguate(graph, res.compilation, res.dictionary)
     before = {dep_signature(graph, d) for d in graph.deps}
-    out = enrich_for_mode(graph, res, mode)
+    out = enrichment(res, mode)(graph)
     after_base = {dep_signature(out, d) for d in out.deps if d.provenance == BASE}
     assert after_base == before
     assert [t.lemma for t in out.tokens[:len(graph.tokens)]] == \

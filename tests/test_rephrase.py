@@ -16,7 +16,7 @@ from derivqa.derivfilter import DerivationalResource, DerivativeRecord
 from derivqa.lexica import NOUN, VERB, Dictionary
 from derivqa.pipeline import (
     MODES,
-    enrich_for_mode,
+    enrichment,
     load_config,
     load_resources,
     load_sentences,
@@ -353,7 +353,7 @@ class TestEnrichmentModes:
         graph = parsed(res, "l'ouvrier a coupé le courant .")
         base = {dep_signature(graph, d) for d in graph.deps}
         for mode in MODES:
-            out = enrich_for_mode(graph, res, mode)
+            out = enrichment(res, mode)(graph)
             kept = {dep_signature(out, d) for d in out.deps
                     if d.provenance == BASE}
             assert kept == base, mode
@@ -362,27 +362,27 @@ class TestEnrichmentModes:
 
     def test_base_adds_no_deps(self, res):
         graph = parsed(res, "Domitien succéda à l'empereur Titus .")
-        out = enrich_for_mode(graph, res, "base")
+        out = enrichment(res, "base")(graph)
         assert out.deps == graph.deps
         assert any(t.alternates for t in out.tokens)
 
     def test_deriv_ignores_alternates(self, res):
         # "trancher" has no -ure derivative; only its synonym "couper" has
         graph = parsed(res, "le boucher trancha la viande .")
-        out = enrich_for_mode(graph, res, "deriv")
+        out = enrichment(res, "deriv")(graph)
         assert token_of(out, "trancher").alternates == {"couper"}
         assert deriv_sigs(out) == set()
         assert all(t.lemma != "coupure" for t in out.tokens)
 
     def test_all_composes(self, res):
         graph = parsed(res, "le boucher trancha la viande .")
-        out = enrich_for_mode(graph, res, "all")
+        out = enrichment(res, "all")(graph)
         assert ("PREPPH", ("coupure", "viande"), "de") in deriv_sigs(out)
         assert token_of(out, "viande").alternates == {"chair"}
 
     def test_all_gives_derivatives_of_own_lemmas_synonyms(self, res):
         graph = parsed(res, "l'ouvrier a coupé le courant .")
-        out = enrich_for_mode(graph, res, "all")
+        out = enrichment(res, "all")(graph)
         assert token_of(out, "coupure").alternates == {"interruption"}
 
     def test_derivative_reached_through_an_alternate_gets_no_synonyms(self, res):
@@ -390,7 +390,7 @@ class TestEnrichmentModes:
         # only through "couper", the synonym of "trancher"
         assert res.synonyms.lookup("coupure", None) == {"interruption"}
         graph = parsed(res, "le boucher trancha la viande .")
-        out = enrich_for_mode(graph, res, "all")
+        out = enrichment(res, "all")(graph)
         coupure = token_of(out, "coupure")
         assert coupure.deriv_source == "couper"
         assert coupure.alternates == set()
@@ -409,8 +409,8 @@ class TestEnrichmentModes:
         with_synonyms = through_alternates = 0
         for sid, text in sentences:
             graph = parsed(res, text)
-            deriv = enrich_for_mode(graph, res, "deriv")
-            full = enrich_for_mode(graph, res, "all")
+            deriv = enrichment(res, "deriv")(graph)
+            full = enrichment(res, "all")(graph)
             sigs = {dep_signature(full, d) for d in full.deps}
             assert {dep_signature(deriv, d) for d in deriv.deps} <= sigs, sid
             n = len(graph.tokens)
