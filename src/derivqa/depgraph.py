@@ -71,8 +71,9 @@ class TokenNode:
     copy the original's. Tokens are slotted and carry no `__dict__`.
     `deriv_pattern` and `deriv_source` are None on a parsed token; on a
     derivative token, `rephrase.apply_pattern` sets them to the pattern that
-    made it and its source lemma. Loaded tokens of equal cells share their
-    strings, sense and alternates, and each has its position as `index`.
+    made it and its source lemma. Parsed, built and copied tokens may be
+    changed in place. Loaded tokens are shared per (position, cells) and
+    read-only (`_LoadedToken`); `copy_graph` gives a graph of editable ones.
     """
 
     index: int
@@ -89,6 +90,43 @@ class TokenNode:
         """The derivation fields as a dict, {} on a parsed token; only the benchmark reads it."""
         return {} if self.deriv_pattern is None else {
             "deriv_pattern": self.deriv_pattern, "deriv_source": self.deriv_source}
+
+
+class _LoadedToken(TokenNode):
+    """A token of a loaded bank, shared by every graph line holding its
+    cells at its position, and so read-only: edit a `copy_graph` copy.
+
+    It adds no slots, so the loader builds a `TokenNode` and sets its class.
+    It equals any `TokenNode` of equal fields, and `copy.copy`,
+    `copy.deepcopy`, `pickle` and `dataclasses.replace` give an editable
+    `TokenNode`.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        return TokenNode(*args, **kwargs)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot set {name!r}: a loaded token is shared and read-only; "
+                             "edit the tokens of copy_graph(graph)")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r}: a loaded token is shared and read-only; "
+                             "edit the tokens of copy_graph(graph)")
+
+    def __eq__(self, other):
+        if not isinstance(other, TokenNode):
+            return NotImplemented
+        return _token_fields(self) == _token_fields(other)
+
+    def __reduce__(self):
+        return TokenNode, _token_fields(self)
+
+
+def _token_fields(t: TokenNode) -> tuple:
+    return (t.index, t.surface, t.lemma, t.pos, t.sense_id, t.alternates, t.deriv_pattern,
+            t.deriv_source)
 
 
 @dataclass(frozen=True, slots=True)
@@ -121,10 +159,11 @@ class Dependency:
 class DependencyGraph:
     """A sentence's tokens, in order, and its dependencies between them.
 
-    Graphs are slotted and carry no `__dict__`. In a loaded bank, tokens of
-    equal cells share their strings, sense and alternates, and equal
-    dependencies are one `Dependency`; each graph owns its token and
-    dependency lists, and each token its `index`.
+    Graphs are slotted and carry no `__dict__`. In a loaded bank, graphs
+    holding equal cells at one position share that read-only token, and
+    equal dependencies are one `Dependency`; each graph owns its token and
+    dependency lists. `copy_graph` gives a graph whose tokens it owns and
+    may change.
     """
 
     sentence_id: str
@@ -651,17 +690,19 @@ def load_depbank(path) -> DependencyBank:
     error. Every cell is checked the first time it is read, and a fault
     raises a `FILE:LINE:` DepbankError. Equal dependencies of a bank load as
     one shared `Dependency`, and equal alternates cells as one frozenset.
-    Equal token groups of 7 cells are checked once and share their values,
-    each string being one object for the whole bank; each token keeps its
-    position as `index`, and an empty pattern and source cell load as None.
+    Equal token groups of 7 cells at one position load as one read-only
+    token, shared by every graph holding them there, with that position as
+    its `index`; each string is one object for the whole bank, and an empty
+    pattern and source cell load as None. Edit a `copy_graph` copy.
     """
     graphs = []
     seen = set()
     # Cells already read -> their value, for the whole bank: integer cells,
-    # alternates cells, and in `shared` each string cell of a token, a
-    # token's 7 cells, a dependency's 5 cells and a line's dependency cells
-    # (a string holding tabs, so never a single cell).
-    ints, alternates, shared = {}, {"": _NO_ALTERNATES}, {}
+    # alternates cells, in `shared` each string cell of a token, a
+    # dependency's 5 cells and a line's dependency cells (a string holding
+    # tabs, so never a single cell), and in `positions[i]` a token's 7 cells
+    # at position i.
+    ints, alternates, shared, positions = {}, {"": _NO_ALTERNATES}, {}, []
     header = None
     for lineno, line in _read_lines(path, _bank_error):
         if not line.strip():
@@ -683,7 +724,8 @@ def load_depbank(path) -> DependencyBank:
             raise _bank_error(path, lineno, f"not a derivqa_bank {BANK_FORMAT} header; "
                               "rerun preprocess")
         else:
-            graph = _graph_from_cells(cells, path, lineno, ints, alternates, shared)
+            graph = _graph_from_cells(cells, path, lineno, ints, alternates, shared,
+                                      positions)
             if graph.sentence_id in seen:
                 raise _bank_error(path, lineno, f"duplicate sentence id {graph.sentence_id!r}")
             seen.add(graph.sentence_id)
@@ -699,15 +741,15 @@ def describe_bank(mode, fingerprint) -> str:
 
 
 def _graph_from_cells(cells, path, lineno: int, ints: dict, alternates: dict,
-                      shared: dict) -> DependencyGraph:
+                      shared: dict, positions: list) -> DependencyGraph:
     """One graph line, split at its first three tabs, checked. `ints`,
-    `alternates` and `shared` map cells already read to their values.
+    `alternates`, `shared` and `positions` map cells already read to their
+    values.
 
-    The token groups are read by `_tokens_from_cells`: equal groups are
-    checked once and share their values, and each token gets its position
-    as `index`. The dependency cells are read as one string, so a line
-    whose dependency cells were read before takes the same dependencies,
-    checked against its own token count."""
+    The token groups are read by `_tokens_from_cells`: equal groups at one
+    position are one token. The dependency cells are read as one string, so
+    a line whose dependency cells were read before takes the same
+    dependencies, checked against its own token count."""
     if len(cells) < 3:
         raise _bank_error(path, lineno, "a graph line must start with id, text and token count")
     sentence_id, text, count = cells[0], cells[1], cells[2]
@@ -723,7 +765,8 @@ def _graph_from_cells(cells, path, lineno: int, ints: dict, alternates: dict,
                           f"a token count of {n}; a graph line holds 7 per token, then 5 per "
                           "dependency")
     cells = rest.split("\t", end) if following else []
-    tokens = _tokens_from_cells(cells, path, lineno, sentence_id, ints, alternates, shared)
+    tokens = _tokens_from_cells(cells, path, lineno, sentence_id, ints, alternates, shared,
+                                positions)
     if following == end:
         return DependencyGraph(sentence_id, text, tokens, [])
     tail = cells[-1]
@@ -761,20 +804,24 @@ def _dependencies_from_cells(tail: str, path, lineno: int, sentence_id: str, n: 
 
 
 def _tokens_from_cells(cells, path, lineno: int, sentence_id: str, ints: dict,
-                       alternates: dict, shared: dict) -> list:
+                       alternates: dict, shared: dict, positions: list) -> list:
     """The tokens of a line's token cells, 7 per token: surface, lemma, pos,
     sense, alternates, pattern and source.
 
-    Equal groups of 7 cells are checked once, the first time they are read,
-    and their tokens share the values read: the strings, each the first
-    one of the bank that spells it, the sense, the alternates, and the
-    pattern and source, None for empty cells. Each token gets its position
-    as its `index`."""
+    `positions[i]` maps each group of 7 cells read at position i to its
+    token. A group is checked the first time it is read at a position, and
+    every later line holding it there takes that one `_LoadedToken`. Its
+    values are shared too: the strings, each the first one of the bank that
+    spells it, the sense, the alternates, and the pattern and source, None
+    for empty cells. Each token has its position as its `index`."""
+    missing = len(cells) // 7 - len(positions)
+    if missing > 0:
+        positions.extend({} for _ in range(missing))
     tokens = []
     first = shared.setdefault
     run = iter(cells)
     for index, key in enumerate(zip(run, run, run, run, run, run, run)):
-        token = shared.get(key)
+        token = positions[index].get(key)
         if token is None:
             surface, lemma, pos, sense, alts, pattern, source = key
             if sense:
@@ -795,11 +842,12 @@ def _tokens_from_cells(cells, path, lineno: int, sentence_id: str, ints: dict,
                 raise _bank_error(path, lineno, f"id={sentence_id!r}: token {index}: a pattern "
                                   "needs a source, and a source a pattern")
             lemma = first(lemma, lemma)
-            pattern, source = first(pattern, pattern) or None, first(source, source) or None
-            # TokenNode's fields after `index`, in order
-            token = shared[key] = (lemma if surface == lemma else first(surface, surface), lemma,
-                                   first(pos, pos), sense_id, words, pattern, source)
-        tokens.append(TokenNode(index, *token))
+            token = TokenNode(index, lemma if surface == lemma else first(surface, surface),
+                              lemma, first(pos, pos), sense_id, words,
+                              first(pattern, pattern) or None, first(source, source) or None)
+            token.__class__ = _LoadedToken
+            positions[index][key] = token
+        tokens.append(token)
     return tokens
 
 

@@ -237,7 +237,8 @@ def write_report(report: EvalReport, path) -> None:
 
     Row format: qid, rank of first correct ("-" when absent), reciprocal
     rank as an exact fraction string. Summary: mode, mean score as float,
-    count of unanswered questions.
+    count of unanswered questions, count of questions answered only by
+    sentences outside their gold (`wrong_only_count`).
     """
     lines = [
         "\t".join([qid, "-" if rank is None else str(rank), str(_reciprocal_rank(rank))])
@@ -247,5 +248,6 @@ def write_report(report: EvalReport, path) -> None:
         report.mode,
         repr(float(report.mean_score)),
         str(report.no_answer_count),
+        str(report.wrong_only_count),
     ]))
     _write_lines(path, lines)

@@ -188,7 +188,18 @@ class TestEvaluate:
         assert out.strip() == "deriv\t0.8636363636363636\t3"
         lines = report.read_text(encoding="utf-8").splitlines()
         assert len(lines) == 23
-        assert lines[-1] == "deriv\t0.8636363636363636\t3"
+        assert lines[-1] == "deriv\t0.8636363636363636\t3\t0"
+
+    def test_out_summary_counts_questions_answered_only_wrongly(self, capsys, tmp_path):
+        report = tmp_path / "report.tsv"
+        code, out, err = run(capsys, "--config", BENCHMARK_CONFIG, "--mode", "baseline",
+                             "evaluate", "--out", str(report))
+        assert code == EXIT_OK
+        assert out.strip() == "baseline\t0.17803030303030304\t14"
+        lines = report.read_text(encoding="utf-8").splitlines()
+        assert lines[-1] == "baseline\t0.17803030303030304\t14\t2"
+        wrong = [line for line in lines[:-1] if line.split("\t")[1] == "-"]
+        assert len(wrong) == 14 + 2
 
     def test_mode_override(self, capsys):
         code, out, err = run(capsys, "--config", BENCHMARK_CONFIG,

@@ -19,8 +19,6 @@ EXEMPT = {"audit_precision"}
 EXEMPT_FIELDS = {
     "AnswerCandidate.matched":
         "a result `answer` returns to library callers; the planned `ask --explain` prints it",
-    "EvalReport.wrong_only_count":
-        "a result `evaluate` returns to library callers; ROADMAP.md plans to print it",
 }
 
 # The class whose fields are also read through getattr, with names that string

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 
 import pytest
@@ -34,6 +35,12 @@ from oracles import dep_signature, graph_equal
 @pytest.fixture(scope="module")
 def lexicon(benchmark_resources):
     return benchmark_resources.lexicon
+
+
+def token_cells(t) -> tuple:
+    """A token's position and its fields, as the bank writes them."""
+    return (t.index, t.surface, t.lemma, t.pos, t.sense_id, t.alternates, t.deriv_pattern,
+            t.deriv_source)
 
 
 def sigs(graph, with_provenance=False):
@@ -864,7 +871,8 @@ class TestBankFieldTypes:
 
 class TestLoadedBankFootprint:
     """A loaded bank allocates few objects for the garbage collector to walk:
-    slotted tokens, one shared empty alternates, shared dependencies."""
+    one read-only token per distinct (position, cells), one shared empty
+    alternates, shared dependencies."""
 
     def test_load_tracks_one_object_per_token_and_three_per_graph(self, tmp_path,
                                                                   benchmark_resources):
@@ -877,20 +885,22 @@ class TestLoadedBankFootprint:
         new = len(gc.get_objects()) - before
 
         tokens = [t for graph in bank for t in graph.tokens]
-        with_alternates = sum(1 for t in tokens if t.alternates)
+        distinct = {token_cells(t) for t in tokens}
+        with_alternates = sum(1 for cells in distinct if cells[5])
         dependencies = len({id(d) for graph in bank for d in graph.deps})
-        assert 0 < with_alternates < len(tokens)
+        assert 0 < with_alternates < len(distinct) < len(tokens)
         # Per graph: the graph, its token list and its dependency list; then
-        # each non-empty alternates set and each distinct dependency.
-        assert new <= len(tokens) + 3 * len(bank) + with_alternates + dependencies + 8
+        # each distinct (position, cells) token, each non-empty alternates set
+        # and each distinct dependency.
+        assert new <= len(distinct) + 3 * len(bank) + with_alternates + dependencies + 8
         empty = {id(t.alternates) for t in tokens if not t.alternates}
         assert empty == {id(TokenNode(0, "x", "x", NOUN).alternates)}
         assert not any(hasattr(t, "__dict__") for t in tokens)
         assert not any(hasattr(graph, "__dict__") for graph in bank)
         assert not any(hasattr(d, "__dict__") for graph in bank for d in graph.deps)
 
-    def test_equal_cells_share_their_values_and_each_token_owns_the_rest(
-            self, tmp_path, benchmark_resources):
+    def test_equal_cells_at_a_position_are_one_read_only_token(self, tmp_path,
+                                                                benchmark_resources):
         path = tmp_path / "bank.tsv"
         save_depbank(pipeline.build_bank(benchmark_resources, "all"), path)
         bank = load_depbank(path)
@@ -910,20 +920,34 @@ class TestLoadedBankFootprint:
         for graph in bank:
             assert [t.index for t in graph.tokens] == list(range(len(graph.tokens)))
 
-        # A derivative token and an equal-celled one of another graph.
+        # Tokens of equal position and cells are one object, and no other is.
         by_cells = {}
-        for position, graph in enumerate(bank):
-            for t in graph.tokens:
-                cells = (t.surface, t.lemma, t.pos, t.sense_id, t.alternates, t.deriv_pattern,
-                         t.deriv_source)
-                by_cells.setdefault(cells, {}).setdefault(position, t)
-        twins = [list(found.values()) for cells, found in by_cells.items()
-                 if cells[-1] and len(found) > 1]
-        assert twins
-        changed, other = twins[0][:2]
-        before = (other.sense_id, other.alternates, other.deriv_pattern, other.deriv_source)
-        changed.sense_id = 99
-        changed.alternates = changed.alternates | {"autre"}
-        changed.deriv_pattern, changed.deriv_source = "v2a_e_obj", "autre"
-        assert (other.sense_id, other.alternates, other.deriv_pattern,
-                other.deriv_source) == before
+        for t in tokens:
+            by_cells.setdefault(token_cells(t), set()).add(id(t))
+        assert all(len(ids) == 1 for ids in by_cells.values())
+        assert len(by_cells) < len(tokens)
+        twin = next(t for t in derivatives if sum(1 for u in tokens if u is t) > 1)
+
+        # No field of a loaded token can be set, and no graph changes.
+        before = [[token_cells(t) for t in graph.tokens] for graph in bank]
+        values = {"index": 7, "surface": "autre", "lemma": "autre", "pos": VERB, "sense_id": 99,
+                  "alternates": frozenset({"autre"}), "deriv_pattern": "v2a_e_obj",
+                  "deriv_source": "autre"}
+        assert set(values) == {f.name for f in dataclasses.fields(TokenNode)}
+        for name, value in values.items():
+            with pytest.raises(AttributeError, match="copy_graph"):
+                setattr(twin, name, value)
+            with pytest.raises(AttributeError, match="copy_graph"):
+                delattr(twin, name)
+        assert [[token_cells(t) for t in graph.tokens] for graph in bank] == before
+
+        # A copy_graph copy is editable, token by token, and the bank stays.
+        graph = next(g for g in bank if twin in g.tokens)
+        copied = copy_graph(graph)
+        assert copied == graph and graph == copied
+        for t in copied.tokens:
+            assert type(t) is TokenNode
+            for name, value in values.items():
+                setattr(t, name, value)
+            assert token_cells(t) == tuple(values.values())
+        assert [[token_cells(t) for t in graph.tokens] for graph in bank] == before

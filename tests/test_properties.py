@@ -1,7 +1,10 @@
 """Randomized cross-checks of the fast implementations against the
 brute-force references in oracles.py, plus structural invariants."""
 
+import copy
+import dataclasses
 import json
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -332,9 +335,13 @@ def header_of(bank) -> tuple:
     return getattr(bank, "mode", None), getattr(bank, "fingerprint", None)
 
 
+def token_fields_of(t) -> tuple:
+    return (t.index, t.surface, t.lemma, t.pos, t.sense_id, t.alternates, t.deriv_pattern,
+            t.deriv_source)
+
+
 def token_fields(graph) -> list:
-    return [(t.index, t.surface, t.lemma, t.pos, t.sense_id, t.alternates, t.deriv_pattern,
-             t.deriv_source) for t in graph.tokens]
+    return [token_fields_of(t) for t in graph.tokens]
 
 
 @settings(max_examples=60)
@@ -358,6 +365,23 @@ def test_depbank_round_trip(tmp_path_factory, bank, other):
                    [t.pos for t in tokens], [t.deriv_pattern for t in derivatives],
                    [t.deriv_source for t in derivatives]):
         assert len({id(value) for value in values}) == len(set(values))
+    # Tokens of equal position and cells are one read-only object, equal to
+    # a TokenNode of its fields; its copies are editable TokenNodes.
+    by_cells = {}
+    for t in tokens:
+        by_cells.setdefault(token_fields_of(t), set()).add(id(t))
+    assert all(len(ids) == 1 for ids in by_cells.values())
+    for t in tokens:
+        fields = token_fields_of(t)
+        assert t == TokenNode(*fields) and TokenNode(*fields) == t
+        for copied in (copy.copy(t), copy.deepcopy(t), pickle.loads(pickle.dumps(t)),
+                       dataclasses.replace(t)):
+            assert type(copied) is TokenNode
+            assert token_fields_of(copied) == fields
+            copied.sense_id = 41
+            assert t.sense_id == fields[4]
+        with pytest.raises(AttributeError, match="copy_graph"):
+            t.sense_id = 41
     save_depbank(loaded, directory / "again.jsonl")
     assert (directory / "again.jsonl").read_bytes() == path.read_bytes()
 

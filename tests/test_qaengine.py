@@ -380,14 +380,15 @@ class TestQuestionIO:
             load_questions(path)
 
     def test_write_report_format(self, tmp_path):
-        report = EvalReport(mode="deriv", ranks={"q1": 1, "q2": 3, "q3": None},
-                            no_answer_count=1)
-        assert report.mean_score == Fraction(4, 9)
+        report = EvalReport(mode="deriv", ranks={"q1": 1, "q2": 3, "q3": None, "q4": None},
+                            no_answer_count=1, wrong_only_count=1)
+        assert report.mean_score == Fraction(1, 3)
         path = tmp_path / "report.tsv"
         write_report(report, path)
         assert path.read_text(encoding="utf-8") == (
             "q1\t1\t1\n"
             "q2\t3\t1/3\n"
             "q3\t-\t0\n"
-            "deriv\t" + repr(float(Fraction(4, 9))) + "\t1\n"
+            "q4\t-\t0\n"
+            "deriv\t" + repr(float(Fraction(1, 3))) + "\t1\t1\n"
         )
